@@ -129,48 +129,48 @@ def _suite_kwargs(args) -> dict:
     kw = {}
     suite = args.suite
     if suite in ("double-shuffle", "derivation"):
-        if args.q:
+        if args.q is not None:
             kw["q"] = Fraction(args.q)
-        if args.M:
+        if args.M is not None:
             kw["M"] = args.M
-        if args.max_weight:
+        if args.max_weight is not None:
             kw["max_weight"] = args.max_weight
-        if suite == "derivation" and args.max_n:
+        if suite == "derivation" and args.max_n is not None:
             kw["max_n"] = args.max_n
     elif suite == "log-formulas":
-        if args.order:
+        if args.order is not None:
             kw["order"] = args.order
     elif suite in ("delta-factorization", "cor-delta"):
-        if args.order:
+        if args.order is not None:
             kw["order"] = args.order
-        if args.max_weight:
+        if args.max_weight is not None:
             kw["max_weight"] = args.max_weight
     elif suite in ("zn-stuffle", "zn-duality"):
-        if args.n:
+        if args.n is not None:
             kw["n_range"] = _parse_n_range(args.n)
-        if args.max_weight:
+        if args.max_weight is not None:
             kw["max_weight"] = args.max_weight
     elif suite == "ohno":
-        if args.n:
+        if args.n is not None:
             kw["n_range"] = _parse_n_range(args.n)
-        if args.max_weight:
+        if args.max_weight is not None:
             kw["max_weight"] = args.max_weight
         if args.max_m is not None:
             kw["max_m"] = args.max_m
     elif suite == "ones-bar":
-        if args.n:
-            kw["max_n"] = _parse_n_range(args.n).stop - 1
+        if args.n is not None:
+            kw["n_range"] = _parse_n_range(args.n)
     elif suite in ("fmzv", "varpi-l", "cyc-ohno"):
-        if args.p:
+        if args.p is not None:
             kw["primes"] = tuple(int(x) for x in args.p.split(","))
-        if args.max_weight:
+        if args.max_weight is not None:
             kw["max_weight"] = args.max_weight
         if suite == "cyc-ohno" and args.max_m is not None:
             kw["max_m"] = args.max_m
     elif suite == "mzv-compare":
-        if args.max_n:
+        if args.max_n is not None:
             kw["max_n"] = args.max_n
-        if args.max_weight:
+        if args.max_weight is not None:
             kw["max_weight"] = args.max_weight
     return kw
 

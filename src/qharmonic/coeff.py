@@ -251,10 +251,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x_power(cls, n: int) -> "UniPoly":
-        return cls([0] * n + [1])
-
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .algebra import BAR1, EPoly, Index, NcPoly, binary_to_index, left_mul_a
+from .algebra import BAR1, EPoly, Index, NcPoly, _accumulate, binary_to_index, left_mul_a
 from .coeff import Laurent
 from .errors import BadEntry, NotInH0, NotInMzvH1
 from .products import ProductTag, shuffle_q
@@ -24,15 +24,15 @@ from .series import (
 
 def derive_words(w: NcPoly, images: dict[str, NcPoly]) -> NcPoly:
     """Leibniz extension of a map given on single letters."""
-    out = NcPoly()
+    out: dict[str, Laurent] = {}
     for word, c in w.terms.items():
         for i, ch in enumerate(word):
-            img = images[ch]
-            if img.is_zero():
-                continue
-            piece = NcPoly({word[:i]: c}) * img * NcPoly.word(word[i + 1:])
-            out = out + piece
-    return out
+            head, tail = word[:i], word[i + 1:]
+            for u, d in images[ch].terms.items():
+                _accumulate(out, head + u + tail, c * d)
+    res = NcPoly.__new__(NcPoly)
+    res.terms = out
+    return res
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,8 @@ from .algebra import (
     parse_entry,
 )
 from .coeff import Laurent
-from .cyclo import _compositions, zn_map
-from .derivations import partial_n_e
+from .cyclo import zn_map
+from .derivations import _compositions, partial_n_e
 from .errors import OutOfRange
 from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval
 

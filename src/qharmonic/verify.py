@@ -24,7 +24,6 @@ from .algebra import (
     word_to_e,
 )
 from .cyclo import (
-    _compositions,
     ohno_check,
     ones_bar_closed_form,
     varpi_l_check,
@@ -38,6 +37,7 @@ from .derivations import (
     Phi_X,
     Psi_X,
     Psi_X_series,
+    _compositions,
     delta_expansion,
     iota,
     mzv_partial,
@@ -45,7 +45,7 @@ from .derivations import (
     partial_n_e,
     z_word,
 )
-from .errors import BadDenominator
+from .errors import BadDenominator, OutOfRange
 from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval
 from .products import ProductTag, l_map_epoly, psi_involution, shuffle_q, stuffle_q
 from .series import TruncSeries, geometric, series_one, series_phi, series_psi, ts_log, ts_mul
@@ -173,6 +173,8 @@ def _one_minus_e1bar_x(like, order: int) -> TruncSeries:
 def suite_delta_factorization(order: int = 4, max_weight: int = 4, delta_order: int = 6):
     """The rewrites Phi_X = (1-e_1bar X)(1/(1-e_1bar X) *_q -) and
     Psi_X = (1-e_1bar X)(1/(1-e_1bar X) sh_q -), and Phi_X = Psi_X Delta_X."""
+    if order < 1:
+        raise OutOfRange("delta-factorization needs order >= 1")
     reports = []
     basis = _sorted_indices(max_weight, "Ihat")
     geo_e = geometric(EPoly.gen(BAR1), order)
@@ -350,10 +352,11 @@ def suite_ohno(n_range=range(4, 13), max_weight: int = 4, max_m: int = 3):
     return reports
 
 
-def suite_ones_bar(max_n: int = 16, max_r: int = 8):
-    """z_n({1bar}^r) against its closed form."""
+def suite_ones_bar(max_n: int = 16, max_r: int = 8, n_range=None):
+    """z_n({1bar}^r) against its closed form, for n in n_range (2..max_n
+    when n_range is not given)."""
     reports = []
-    for n in range(2, max_n + 1):
+    for n in n_range if n_range is not None else range(2, max_n + 1):
         for r in range(0, min(n - 1, max_r) + 1):
             def check(n=n, r=r):
                 lhs = zn_eval((BAR1,) * r, n)

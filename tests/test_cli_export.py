@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qharmonic
 from qharmonic.cli import main
 from qharmonic.evalq import QValue, Zq_eval
 from qharmonic.export import (
@@ -98,6 +101,24 @@ class TestVerifyCommand:
         assert code == 0
         assert "log-formulas: 2/2 cases verified" in out
 
+    def test_zero_flag_values_are_honoured(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "zn-stuffle", "--n", "3", "--max-weight", "0", "--quiet"
+        )
+        assert code == 0
+        assert out.strip() == "zn-stuffle: 1/1 cases verified"
+
+    def test_ones_bar_range_start(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "ones-bar", "--n", "5:6")
+        assert code == 0
+        assert "n=4" not in out and "n=5 r=4" in out and "n=6 r=5" in out
+        assert "ones-bar: 11/11 cases verified" in out
+
+    def test_order_zero_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "delta-factorization", "--order", "0")
+        assert code == 2
+        assert "order >= 1" in err
+
     def test_quiet(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "ones-bar", "--n", "2:6", "--quiet")
         assert code == 0
@@ -180,10 +201,14 @@ class TestExport:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(qharmonic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qharmonic.cli", "dual", "2,3,1"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1,2,1,2"

@@ -15,6 +15,7 @@ from qharmonic.derivations import (
     d_n,
     d_power_series,
     delta_n,
+    derive_words,
     iota,
     mzv_partial,
     partial_n,
@@ -35,6 +36,36 @@ from qharmonic.series import (
 
 H = Laurent.h
 words = st.text(alphabet="ab", min_size=1, max_size=4)
+
+
+def derive_words_by_products(w: NcPoly, images: dict) -> NcPoly:
+    """The Leibniz extension as a sum of NcPoly products head * image * tail."""
+    out = NcPoly()
+    for word, c in w.terms.items():
+        for i, ch in enumerate(word):
+            out = out + NcPoly({word[:i]: c}) * images[ch] * NcPoly.word(word[i + 1:])
+    return out
+
+
+laurent_coeffs = st.dictionaries(
+    st.integers(-1, 2), st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=2
+).map(Laurent)
+nc_polys = st.dictionaries(st.text(alphabet="ab", max_size=4), laurent_coeffs, max_size=4).map(
+    NcPoly
+)
+
+
+class TestDeriveWords:
+    @given(nc_polys, nc_polys, nc_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_product_route(self, w, img_a, img_b):
+        images = {"a": img_a, "b": img_b}
+        assert derive_words(w, images) == derive_words_by_products(w, images)
+
+    def test_images_that_cancel(self):
+        # d(a) = b, d(b) = a gives d(ab) = bb + aa = d(ba)
+        images = {"a": NcPoly.word("b"), "b": NcPoly.word("a")}
+        assert derive_words(NcPoly({"ab": 1, "ba": -1}), images).is_zero()
 
 
 class TestDelta:
