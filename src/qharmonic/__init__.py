@@ -10,6 +10,7 @@ verification suites for all the relations these structures satisfy.
 from .algebra import (
     BAR1,
     EPoly,
+    LinComb,
     NcPoly,
     e_to_word,
     enumerate_indices,
@@ -18,17 +19,15 @@ from .algebra import (
     index_str,
     index_wt,
     left_mul_a,
-    nc_mul,
     parse_index,
     word_to_e,
 )
-from .coeff import Laurent, ModPoly, Rational, UniPoly, laurent_mul, laurent_substitute, poly_ext_gcd
+from .coeff import Laurent, ModPoly, Rational, UniPoly, poly_ext_gcd
 from .cyclo import (
     CycField,
     CycNum,
     PrimeCycNum,
     cyc_field,
-    cyc_inv,
     cyclotomic_poly,
     fmzv_reduce,
     ohno_check,
@@ -40,7 +39,7 @@ from .cyclo import (
 )
 from .derivations import Delta_X, Phi_X, Psi_X, d_n, delta_n, iota, mzv_partial, partial_n, partial_n_e
 from .evalq import CertifiedValue, QValue, Zq_eval, polylog_partial, q_int, zeta_q_partial
-from .products import ProductTag, circ, l_map, psi_involution, shuffle_q, stuffle_classical, stuffle_q
+from .products import circ, l_map, psi_involution, shuffle_q, stuffle_classical, stuffle_q
 from .series import TruncSeries, geometric, series_phi, series_psi, ts_exp, ts_log, ts_mul
 
 __version__ = "0.1.0"

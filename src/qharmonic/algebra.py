@@ -1,14 +1,19 @@
 """Words over {a, b}, indices over {1bar, 1, 2, ...}, and the two
 presentations of the harmonic algebra.
 
-NcPoly is a sparse noncommutative polynomial over the Laurent ring with
-words as monomials. EPoly is the same algebra written in the e-generator
-basis, with indices (tuples of entries) as monomials. The generators are
+Both presentations are one sparse linear-combination type, LinComb: a
+dict from basis keys to nonzero Laurent coefficients, with the sum, the
+concatenation product, the Laurent-scalar action and an in-place sum
+defined once. NcPoly has words as keys; EPoly is the same algebra
+written in the e-generator basis, with indices (tuples of entries) as
+keys. The generators are
 
     e_1bar = ab,    e_k = a^(k-1) (a + h) b   for k >= 1,
 
 and word_to_e / e_to_word convert between the presentations on the
-subalgebra of words ending in b.
+subalgebra of words ending in b. Loops that build a combination term by
+term accumulate into one dict with _accumulate, or sum whole values
+with LinComb.sum.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .coeff import Laurent
+from .coeff import Laurent, _monomial_str
 from .errors import BadEntry, EmptyIndex, HasBarEntry, NotInH1
 
 _scalar = (int, Fraction)
@@ -133,8 +138,6 @@ def _render_terms(items: list[tuple[str, Laurent]], unit: str) -> str:
         mono = coeff.single_term()
         if mono is not None:
             e, c = mono
-            from .coeff import _monomial_str
-
             cs = _monomial_str(e, abs(c))
             if basis == unit:
                 body = cs
@@ -157,31 +160,66 @@ def _as_laurent(c) -> Laurent:
     return c if isinstance(c, Laurent) else Laurent(c)
 
 
-class NcPoly:
-    """Sparse noncommutative polynomial: {word: Laurent}, words over 'ab'."""
+def _accumulate(out: dict, key, c: Laurent) -> None:
+    """out[key] += c in place, dropping the key when the sum cancels."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        del out[key]
+
+
+class LinComb:
+    """A sparse linear combination {key: Laurent} with no zero coefficient.
+
+    Keys are words (str) in NcPoly and indices (tuples) in EPoly; both
+    concatenate with +, which is the product of basis elements. A subclass
+    sets the unit key and the normalisation of keys given to the
+    constructor. Values of different subclasses never compare equal and
+    never combine: the arithmetic returns NotImplemented on a mismatch.
+    Values are immutable by convention.
+    """
 
     __slots__ = ("terms",)
+    _unit = None
+    _key = None
 
-    def __init__(self, terms: Mapping[str, Laurent] | None = None):
-        out: dict[str, Laurent] = {}
+    def __init__(self, terms: Mapping | None = None):
+        out = {}
         if terms:
-            for w, c in terms.items():
+            key = self._key
+            for k, c in terms.items():
                 c = _as_laurent(c)
                 if c:
-                    out[w] = c
+                    out[key(k)] = c
         self.terms = out
 
     @classmethod
-    def word(cls, w: str, coeff=1) -> "NcPoly":
-        return cls({w: coeff})
+    def _wrap(cls, terms: dict):
+        """A value over terms, a normalised dict that it takes over uncopied."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
     @classmethod
-    def one(cls) -> "NcPoly":
-        return cls({"": 1})
+    def one(cls):
+        return cls._wrap({cls._unit: Laurent.one()})
 
     @classmethod
-    def zero(cls) -> "NcPoly":
-        return cls()
+    def zero(cls):
+        return cls._wrap({})
+
+    @classmethod
+    def sum(cls, parts: Iterable):
+        """The sum of parts, all of this type, accumulated in one dict."""
+        out: dict = {}
+        for x in parts:
+            if type(x) is not cls:
+                raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
+            for k, c in x.terms.items():
+                _accumulate(out, k, c)
+        return cls._wrap(out)
 
     def __bool__(self):
         return bool(self.terms)
@@ -190,7 +228,7 @@ class NcPoly:
         return not self.terms
 
     def __eq__(self, other):
-        if not isinstance(other, NcPoly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
@@ -198,22 +236,15 @@ class NcPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return NcPoly({w: -c for w, c in self.terms.items()})
+        return self._wrap({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
-        if not isinstance(other, NcPoly):
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        res = NcPoly.__new__(NcPoly)
-        res.terms = out
-        return res
+        for k, c in other.terms.items():
+            _accumulate(out, k, c)
+        return self._wrap(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -222,62 +253,55 @@ class NcPoly:
         """Concatenation product, or scalar action of the Laurent ring."""
         if isinstance(other, (Laurent, *_scalar)):
             return self.scale(other)
-        if not isinstance(other, NcPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        out: dict[str, Laurent] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        res = NcPoly.__new__(NcPoly)
-        res.terms = out
-        return res
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _accumulate(out, k1 + k2, c1 * c2)
+        return self._wrap(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Laurent, *_scalar)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar or a mismatched type
 
-    def scale(self, c) -> "NcPoly":
+    def scale(self, c):
         c = _as_laurent(c)
         if not c:
-            return NcPoly()
-        return NcPoly({w: v * c for w, v in self.terms.items()})
+            return self.zero()
+        return self._wrap({k: v * c for k, v in self.terms.items()})
 
     def constant(self) -> Laurent:
-        return self.terms.get("", Laurent())
+        """The coefficient of the unit."""
+        return self.terms.get(self._unit, Laurent())
+
+    def __repr__(self):
+        return str(self)
+
+
+class NcPoly(LinComb):
+    """Sparse noncommutative polynomial: {word: Laurent}, words over 'ab'."""
+
+    __slots__ = ()
+    _unit = ""
+    _key = str
+
+    @classmethod
+    def word(cls, w: str, coeff=1) -> "NcPoly":
+        return cls({w: coeff})
 
     def __str__(self):
         items = sorted(self.terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))
         return _render_terms([(w or "1", c) for w, c in items], unit="1")
 
-    __repr__ = __str__
 
+class EPoly(LinComb):
+    """Sparse element of the e-generator algebra: {index: Laurent}.
 
-def nc_mul(u: NcPoly, v: NcPoly) -> NcPoly:
-    """Bilinear extension of word concatenation."""
-    return u * v
+    Its concatenation product is that of Hhat1, which is free on the e_k.
+    """
 
-
-class EPoly:
-    """Sparse element of the e-generator algebra: {index: Laurent}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Index, Laurent] | None = None):
-        out: dict[Index, Laurent] = {}
-        if terms:
-            for k, c in terms.items():
-                c = _as_laurent(c)
-                if c:
-                    out[tuple(k)] = c
-        self.terms = out
+    __slots__ = ()
+    _unit = ()
+    _key = tuple
 
     @classmethod
     def gen(cls, entry: Entry, coeff=1) -> "EPoly":
@@ -287,93 +311,15 @@ class EPoly:
     def from_index(cls, k: Iterable[Entry], coeff=1) -> "EPoly":
         return cls({tuple(check_entry(e) for e in k): coeff})
 
-    @classmethod
-    def one(cls) -> "EPoly":
-        return cls({(): 1})
-
-    @classmethod
-    def zero(cls) -> "EPoly":
-        return cls()
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, EPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return EPoly({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, EPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = EPoly.__new__(EPoly)
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Concatenation product of Hhat1 (it is free on the e_k)."""
-        if isinstance(other, (Laurent, *_scalar)):
-            return self.scale(other)
-        if not isinstance(other, EPoly):
-            return NotImplemented
-        out: dict[Index, Laurent] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                c = c1 * c2
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        res = EPoly.__new__(EPoly)
-        res.terms = out
-        return res
-
-    def __rmul__(self, other):
-        if isinstance(other, (Laurent, *_scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "EPoly":
-        c = _as_laurent(c)
-        if not c:
-            return EPoly()
-        return EPoly({k: v * c for k, v in self.terms.items()})
-
     def prepend(self, entry: Entry, coeff=1) -> "EPoly":
         """Left-multiply by coeff * e_entry."""
         c = _as_laurent(coeff)
         if not c:
             return EPoly()
-        return EPoly({(entry,) + k: v * c for k, v in self.terms.items()})
+        return self._wrap({(entry,) + k: v * c for k, v in self.terms.items()})
 
     def supported_in_Ihat0(self) -> bool:
         return all(in_Ihat0(k) for k in self.terms)
-
-    def supported_in_I(self) -> bool:
-        return all(in_I(k) for k in self.terms)
 
     def max_weight(self) -> int:
         return max((index_wt(k) for k in self.terms), default=0)
@@ -383,18 +329,6 @@ class EPoly:
         return _render_terms(
             [(f"e[{index_str(k)}]", c) for k, c in items], unit="e[]"
         )
-
-    __repr__ = __str__
-
-
-def _accumulate(out: dict, key, c: Laurent) -> None:
-    """out[key] += c in place, dropping the key when the sum cancels."""
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s:
-        out[key] = s
-    else:
-        del out[key]
 
 
 def _entry_words(e: Entry) -> tuple[tuple[str, int], ...]:
@@ -415,9 +349,7 @@ def e_to_word(x: EPoly) -> NcPoly:
             words = {w + u: j + i for w, j in words.items() for u, i in _entry_words(e)}
         for w, j in words.items():
             _accumulate(out, w, c * Laurent.h(j) if j else c)
-    res = NcPoly.__new__(NcPoly)
-    res.terms = out
-    return res
+    return NcPoly._wrap(out)
 
 
 @lru_cache(maxsize=None)
@@ -484,9 +416,7 @@ def word_to_e(x: NcPoly) -> EPoly:
     for w in x.terms:
         if w.endswith("a"):
             raise NotInH1(f"word {w!r} ends in a")
-    res = EPoly.__new__(EPoly)
-    res.terms = _words_to_e(x.terms)
-    return res
+    return EPoly._wrap(_words_to_e(x.terms))
 
 
 def left_mul_a(x: EPoly) -> EPoly:
@@ -495,16 +425,17 @@ def left_mul_a(x: EPoly) -> EPoly:
     a e_k = e_(k+1) and a e_1bar = e_2 - h e_1bar, applied to the leading
     generator of every index.
     """
-    out = EPoly()
+    out: dict[Index, Laurent] = {}
     for k, c in x.terms.items():
         if not k:
             raise EmptyIndex("a * 1 = a is not in Hhat1")
         head, rest = k[0], k[1:]
         if head is BAR1:
-            out = out + EPoly({(2,) + rest: c, (BAR1,) + rest: c * Laurent.h(1, -1)})
+            _accumulate(out, (2,) + rest, c)
+            _accumulate(out, (BAR1,) + rest, c * Laurent.h(1, -1))
         else:
-            out = out + EPoly({(head + 1,) + rest: c})
-    return out
+            _accumulate(out, (head + 1,) + rest, c)
+    return EPoly._wrap(out)
 
 
 def index_to_binary(k: Index) -> str:

@@ -6,6 +6,7 @@ counterexample, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from fractions import Fraction
 
@@ -18,9 +19,9 @@ from .algebra import (
     parse_index,
     word_to_e,
 )
-from .cyclo import zn_map
+from .cyclo import ohno_check, zn_map
 from .derivations import Delta_X, Phi_X, Psi_X, delta_n, partial_n, partial_n_e
-from .errors import QHarmonicError
+from .errors import QHarmonicError, UsageError
 from .evalq import QValue, zeta_q_partial
 from .export import export_relations
 from .products import shuffle_q, stuffle_classical, stuffle_q
@@ -46,17 +47,48 @@ def _print_series(s, out):
         print(f"X^{m}: {c}", file=out)
 
 
+def _size(text: str) -> int:
+    """A nonnegative integer flag value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _parse_n_range(text: str) -> range:
+    """n or an inclusive range A:B of nonnegative integers."""
+    lo, _, hi = text.partition(":")
+    return range(_size(lo), _size(hi or lo) + 1)
+
+
+def _parse_primes(text: str) -> tuple[int, ...]:
+    return tuple(_size(x) for x in text.split(","))
+
+
+#: qsh verify flag (its argparse dest) -> the suite parameter it sets.
+_SUITE_PARAMS = {
+    "max_weight": "max_weight",
+    "order": "order",
+    "max_n": "max_n",
+    "max_m": "max_m",
+    "n": "n_range",
+    "p": "primes",
+    "q": "q",
+    "M": "M",
+}
+
+
 def _add_common_verify_args(p: argparse.ArgumentParser):
-    p.add_argument("--max-weight", type=int, default=None, help="weight ceiling")
-    p.add_argument("--order", type=int, default=None, help="series truncation order")
-    p.add_argument("--max-n", type=int, default=None, help="derivation index ceiling")
-    p.add_argument("--max-m", type=int, default=None, help="Ohno shift ceiling")
-    p.add_argument("--n", default=None, help="n or n range as A:B (inclusive)")
-    p.add_argument("--p", default=None, help="comma separated primes")
-    p.add_argument("--q", default=None, help="rational q in (0,1), e.g. 1/2")
-    p.add_argument("--M", type=int, default=None, help="partial sum truncation")
-    p.add_argument("--index", default=None, help="single index, e.g. 2,1")
-    p.add_argument("--m", type=int, default=None, help="single Ohno shift")
+    p.add_argument("--max-weight", type=_size, default=None, help="weight ceiling")
+    p.add_argument("--order", type=_size, default=None, help="series truncation order")
+    p.add_argument("--max-n", type=_size, default=None, help="n ceiling")
+    p.add_argument("--max-m", type=_size, default=None, help="Ohno shift ceiling")
+    p.add_argument("--n", type=_parse_n_range, default=None, help="n or n range as A:B (inclusive)")
+    p.add_argument("--p", type=_parse_primes, default=None, help="comma separated primes")
+    p.add_argument("--q", type=Fraction, default=None, help="rational q in (0,1), e.g. 1/2")
+    p.add_argument("--M", type=_size, default=None, help="partial sum truncation")
+    p.add_argument("--index", default=None, help="single index, e.g. 2,1 (ohno only)")
+    p.add_argument("--m", type=_size, default=None, help="single Ohno shift (ohno only)")
     p.add_argument("--quiet", action="store_true", help="print only the summary")
 
 
@@ -117,78 +149,49 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_n_range(text: str):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    n = int(text)
-    return range(n, n + 1)
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _suite_kwargs(args) -> dict:
-    kw = {}
-    suite = args.suite
-    if suite in ("double-shuffle", "derivation"):
-        if args.q is not None:
-            kw["q"] = Fraction(args.q)
-        if args.M is not None:
-            kw["M"] = args.M
-        if args.max_weight is not None:
-            kw["max_weight"] = args.max_weight
-        if suite == "derivation" and args.max_n is not None:
-            kw["max_n"] = args.max_n
-    elif suite == "log-formulas":
-        if args.order is not None:
-            kw["order"] = args.order
-    elif suite in ("delta-factorization", "cor-delta"):
-        if args.order is not None:
-            kw["order"] = args.order
-        if args.max_weight is not None:
-            kw["max_weight"] = args.max_weight
-    elif suite in ("zn-stuffle", "zn-duality"):
-        if args.n is not None:
-            kw["n_range"] = _parse_n_range(args.n)
-        if args.max_weight is not None:
-            kw["max_weight"] = args.max_weight
-    elif suite == "ohno":
-        if args.n is not None:
-            kw["n_range"] = _parse_n_range(args.n)
-        if args.max_weight is not None:
-            kw["max_weight"] = args.max_weight
-        if args.max_m is not None:
-            kw["max_m"] = args.max_m
-    elif suite == "ones-bar":
-        if args.n is not None:
-            kw["n_range"] = _parse_n_range(args.n)
-    elif suite in ("fmzv", "varpi-l", "cyc-ohno"):
-        if args.p is not None:
-            kw["primes"] = tuple(int(x) for x in args.p.split(","))
-        if args.max_weight is not None:
-            kw["max_weight"] = args.max_weight
-        if suite == "cyc-ohno" and args.max_m is not None:
-            kw["max_m"] = args.max_m
-    elif suite == "mzv-compare":
-        if args.max_n is not None:
-            kw["max_n"] = args.max_n
-        if args.max_weight is not None:
-            kw["max_weight"] = args.max_weight
-    return kw
+    """The suite parameters set by the flags given; a flag the suite would
+    ignore is a usage error."""
+    given = {d: getattr(args, d) for d in _SUITE_PARAMS if getattr(args, d) is not None}
+    if args.suite == "all":
+        if given:
+            flag = _flag(next(iter(given)))
+            raise UsageError(f"verify all runs every suite at its defaults; drop {flag}")
+        return {}
+    takes = inspect.signature(SUITES[args.suite]).parameters
+    for dest in given:
+        if _SUITE_PARAMS[dest] not in takes:
+            raise UsageError(f"verify {args.suite} does not take {_flag(dest)}")
+    if "n" in given and "max_n" in given:
+        raise UsageError("give --n or --max-n, not both")
+    return {_SUITE_PARAMS[d]: v for d, v in given.items()}
+
+
+def _cmd_single_ohno(args, out) -> int:
+    others = [d for d in _SUITE_PARAMS if d != "n" and getattr(args, d) is not None]
+    single = None not in (args.index, args.m, args.n) and len(args.n) == 1
+    if args.suite != "ohno" or not single or others:
+        raise UsageError("one Ohno instance is verify ohno --index K --n N --m M, no other flag")
+    k = parse_index(args.index)
+    n = args.n[0]
+    ok, lhs, rhs = ohno_check(k, args.m, n)
+    status = "PASS" if ok else "FAIL"
+    print(f"[{status}] ohno: n={n} k=({index_str(k)}) m={args.m}", file=out)
+    print(f"    lhs = {lhs}", file=out)
+    print(f"    rhs = {rhs}", file=out)
+    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_verify(args, out) -> int:
-    if args.suite == "ohno" and args.index is not None and args.n and args.m is not None:
-        from .cyclo import ohno_check
-
-        k = parse_index(args.index)
-        n = _parse_n_range(args.n)[0]
-        ok, lhs, rhs = ohno_check(k, args.m, n)
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] ohno: n={n} k=({index_str(k)}) m={args.m}", file=out)
-        print(f"    lhs = {lhs}", file=out)
-        print(f"    rhs = {rhs}", file=out)
-        return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
-    kwargs = _suite_kwargs(args)
-    reports = run_suite(args.suite, **kwargs)
+    if args.index is not None or args.m is not None:
+        return _cmd_single_ohno(args, out)
+    reports = run_suite(args.suite, **_suite_kwargs(args))
+    if not reports:
+        raise UsageError(f"the flags select no case of verify {args.suite}")
     failures = [r for r in reports if not r.ok]
     if not args.quiet:
         for r in reports:

@@ -226,16 +226,6 @@ def _parse_monomial(body: str) -> tuple[int, Fraction]:
     return int(hpart[2:]), c
 
 
-def laurent_mul(a: Laurent, b: Laurent) -> Laurent:
-    """Exact product in Q[h, h^-1]; zero terms are pruned."""
-    return a * b
-
-
-def laurent_substitute(a: Laurent, value):
-    """Ring homomorphism sending h to value (h acts as 1-q on q-series)."""
-    return a.substitute(value)
-
-
 class UniPoly:
     """A dense univariate polynomial over Q, ascending coefficients.
 

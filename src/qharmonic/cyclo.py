@@ -24,9 +24,9 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable
 
-from .algebra import BAR1, EPoly, Index, hoffman_dual, in_I, index_dep
+from .algebra import BAR1, EPoly, Index, in_I, index_dep
 from .coeff import ModPoly, UniPoly, modpoly_ext_gcd, poly_ext_gcd, poly_str
-from .derivations import _compositions
+from .derivations import _dual_shift_sum, _ohno_rhs
 from .errors import (
     BadDenominator,
     HasBarEntry,
@@ -230,11 +230,6 @@ class CycNum:
 
     def __repr__(self):
         return f"{self} (n={self.field.n})"
-
-
-def cyc_inv(v: CycNum) -> CycNum:
-    """Field inverse via extended Euclid against Phi_n."""
-    return v.inverse()
 
 
 def _lincomb(field: CycField, pairs) -> CycNum:
@@ -566,19 +561,8 @@ def ohno_check(k: Index, m: int, n: int):
     r = index_dep(k)
     if m < 0 or n < r + m + 1:
         raise PreconditionViolated(f"need m >= 0 and n >= dep(k)+m+1, got m={m}, n={n}")
-    fld = cyc_field(n)
-    dual = hoffman_dual(k)
-    s = index_dep(dual)
-    lhs = fld.zero()
-    for e in _compositions(m, s):
-        shifted = tuple(d + x for d, x in zip(dual, e))
-        lhs = lhs + zn_eval(hoffman_dual(shifted), n)
-    rhs = fld.zero()
-    for l in range(m + 1):
-        inner = fld.zero()
-        for e in _compositions(l, r):
-            inner = inner + zn_eval(tuple(a + b for a, b in zip(k, e)), n)
-        rhs = rhs + Fraction(comb(n, m - l + 1), n) * _h_power_cyc(n, m - l) * inner
+    lhs = zn_map(_dual_shift_sum(k, m), n)
+    rhs = zn_map(_ohno_rhs(k, m, n), n)
     return lhs == rhs, lhs, rhs
 
 

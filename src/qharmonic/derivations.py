@@ -5,14 +5,27 @@ two-letter algebra of multiple zeta values.
 """
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import comb, factorial
 
-from .algebra import BAR1, EPoly, Index, NcPoly, _accumulate, binary_to_index, left_mul_a
+from .algebra import (
+    BAR1,
+    EPoly,
+    Index,
+    LinComb,
+    NcPoly,
+    _accumulate,
+    binary_to_index,
+    hoffman_dual,
+    left_mul_a,
+)
 from .coeff import Laurent
 from .errors import BadEntry, NotInH0, NotInMzvH1
-from .products import ProductTag, shuffle_q
+from .products import shuffle_q
 from .series import (
     TruncSeries,
     series_log_one_plus_hbx,
@@ -22,17 +35,16 @@ from .series import (
 )
 
 
-def derive_words(w: NcPoly, images: dict[str, NcPoly]) -> NcPoly:
-    """Leibniz extension of a map given on single letters."""
-    out: dict[str, Laurent] = {}
+def derive_words(w: LinComb, images: dict) -> LinComb:
+    """Leibniz extension of a map given on single letters of words, or on
+    single entries of indices: images maps each to a value of w's type."""
+    out: dict = {}
     for word, c in w.terms.items():
         for i, ch in enumerate(word):
             head, tail = word[:i], word[i + 1:]
             for u, d in images[ch].terms.items():
                 _accumulate(out, head + u + tail, c * d)
-    res = NcPoly.__new__(NcPoly)
-    res.terms = out
-    return res
+    return type(w)._wrap(out)
 
 
 @lru_cache(maxsize=None)
@@ -89,27 +101,6 @@ def partial_n(n: int, w: NcPoly) -> NcPoly:
     return derive_words(w, _partial_images(n))
 
 
-_A_PLUS_H = NcPoly({"a": 1, "": Laurent.h()})
-
-
-def partial_images_alt(n: int) -> dict[str, NcPoly]:
-    """The rewritten generator formulas; tests check they agree with the
-    defining ones."""
-    ca = Fraction((-1) ** n, n)
-    cb = Fraction((-1) ** (n - 1), n)
-    da = (
-        NcPoly.word("a") * _A_PLUS_H * _nc_power(_Z_RIGHT, n - 1) * NcPoly.word("b")
-    ).scale(ca)
-    db = (
-        NcPoly({"ab": 1, "a": 1}) * _nc_power(_Z_LEFT, n - 1) * NcPoly.word("b")
-    ).scale(cb)
-    return {"a": da, "b": db}
-
-
-def partial_n_alt(n: int, w: NcPoly) -> NcPoly:
-    return derive_words(w, partial_images_alt(n))
-
-
 # --- partial_n in the e-basis ---------------------------------------------
 
 
@@ -158,13 +149,7 @@ def partial_epoly(n: int, x: EPoly) -> EPoly:
     """
     if n < 1:
         raise ValueError("n >= 1")
-    out = EPoly()
-    for k, c in x.terms.items():
-        for i, e in enumerate(k):
-            img = partial_gen(n, e)
-            piece = EPoly({k[:i]: c}) * img * EPoly({k[i + 1:]: 1})
-            out = out + piece
-    return out
+    return derive_words(x, {e: partial_gen(n, e) for k in x.terms for e in k})
 
 
 def partial_n_e(n: int, x: EPoly) -> EPoly:
@@ -182,24 +167,22 @@ def _exp_apply(apply_n, w, order: int) -> list:
 
     The X^m coefficient is sum over r >= 1 and compositions (j_1..j_r) of m
     of (1/r!) D_(j_1)...D_(j_r)(w); enumerated depth first so composition
-    prefixes share the already-applied tail.
+    prefixes share the already-applied tail. Each stack entry is
+    (D_(j_1)...D_(j_r)(w), j_1 + ... + j_r, r).
     """
-    zero = type(w).zero()
-    total = [w] + [zero] * order
-    fact = [1]
-    for r in range(1, order + 1):
-        fact.append(fact[-1] * r)
-
-    def dfs(x, m: int, r: int):
+    totals = [dict(w.terms)] + [{} for _ in range(order)]
+    stack = [(w, 0, 0)]
+    while stack:
+        x, m, r = stack.pop()
+        c = Laurent(Fraction(1, factorial(r + 1)))
         for j in range(1, order - m + 1):
             y = apply_n(j, x)
             if y.is_zero():
                 continue
-            total[m + j] = total[m + j] + y.scale(Fraction(1, fact[r + 1]))
-            dfs(y, m + j, r + 1)
-
-    dfs(w, 0, 0)
-    return total
+            for k, v in y.terms.items():
+                _accumulate(totals[m + j], k, v * c)
+            stack.append((y, m + j, r + 1))
+    return [type(w)._wrap(t) for t in totals]
 
 
 def Phi_X(w: NcPoly, order: int) -> TruncSeries:
@@ -220,15 +203,13 @@ def Delta_X(w: NcPoly, order: int) -> TruncSeries:
 def Psi_X_series(s: TruncSeries) -> TruncSeries:
     """Psi_X on a series: the operator coefficients convolve with those of s."""
     n = s.order
-    zero = type(s.coeffs[0]).zero()
-    out = [zero] * (n + 1)
+    parts: list[list] = [[] for _ in range(n + 1)]
     for i, c in enumerate(s.coeffs):
         if c.is_zero():
             continue
-        pieces = _exp_apply(d_n, c, n - i)
-        for j, piece in enumerate(pieces):
-            out[i + j] = out[i + j] + piece
-    return TruncSeries(tuple(out))
+        for j, piece in enumerate(_exp_apply(d_n, c, n - i)):
+            parts[i + j].append(piece)
+    return TruncSeries(tuple(type(s.coeffs[0]).sum(p) for p in parts))
 
 
 def rho_s(s: int, order: int) -> TruncSeries:
@@ -241,26 +222,19 @@ def rho_s(s: int, order: int) -> TruncSeries:
     psi = series_psi(order)
     pref = psi + series_log_one_plus_hbx(order)
     for _ in range(s - 1):
-        rho = ts_mul(ProductTag.CONCAT, pref, rho) + ts_mul(ProductTag.SHUFFLE_Q, psi, rho)
+        rho = ts_mul(operator.mul, pref, rho) + ts_mul(shuffle_q, psi, rho)
     return rho
 
 
 def d_power_series(s: int, w: TruncSeries) -> TruncSeries:
     """(sum_n X^n d_n)^s applied to a series, truncated at its order."""
-    out = w
-    n = w.order
+    cls = type(w.coeffs[0])
     for _ in range(s):
-        zero = type(out.coeffs[0]).zero()
-        nxt = [zero] * (n + 1)
-        for i, c in enumerate(out.coeffs):
-            if c.is_zero():
-                continue
-            for j in range(1, n - i + 1):
-                y = d_n(j, c)
-                if not y.is_zero():
-                    nxt[i + j] = nxt[i + j] + y
-        out = TruncSeries(tuple(nxt))
-    return out
+        c = w.coeffs
+        w = TruncSeries(
+            tuple(cls.sum(d_n(m - i, c[i]) for i in range(m) if c[i]) for m in range(len(c)))
+        )
+    return w
 
 
 # --- Ohno combinatorics -----------------------------------------------------
@@ -277,6 +251,29 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _shifts(k: Index, l: int):
+    """The indices k + e over nonnegative shifts e with |e| = l, all distinct."""
+    return (tuple(a + b for a, b in zip(k, e)) for e in _compositions(l, len(k)))
+
+
+def _shift_sum(k: Index, l: int, coeff=1) -> EPoly:
+    """coeff * sum over |e| = l of e_(k+e)."""
+    return EPoly._wrap(dict.fromkeys(_shifts(k, l), Laurent(coeff)))
+
+
+def _dual_shift_sum(k: Index, m: int) -> EPoly:
+    """sum over |e| = m of e_((k^dual + e)^dual), with ^dual the Hoffman dual."""
+    return EPoly._wrap(dict.fromkeys(map(hoffman_dual, _shifts(hoffman_dual(k), m)), Laurent(1)))
+
+
+def _ohno_rhs(k: Index, m: int, n: int) -> EPoly:
+    """The shift side of the Ohno-type relation for (k, m, n):
+    sum over l <= m of (C(n, m-l+1)/n) h^(m-l) sum_(|e|=l) e_(k+e)."""
+    return EPoly.sum(
+        _shift_sum(k, l, Laurent.h(m - l, Fraction(comb(n, m - l + 1), n))) for l in range(m + 1)
+    )
+
+
 def a_s_index(k: tuple[int, ...], s: int) -> EPoly:
     """The sum a_s(k) over all placements of s extra e_1 letters.
 
@@ -288,9 +285,8 @@ def a_s_index(k: tuple[int, ...], s: int) -> EPoly:
         raise BadEntry("a_s needs nonnegative entries")
     if s < 0:
         raise BadEntry("s >= 0")
-    slots = sum(k)
-    out = EPoly()
-    for js in _compositions(s, slots):
+    counts: Counter = Counter()
+    for js in _compositions(s, sum(k)):
         word = []
         pos = 0
         for ki in k:
@@ -298,9 +294,8 @@ def a_s_index(k: tuple[int, ...], s: int) -> EPoly:
                 word.append("0" + "1" * js[pos])
                 pos += 1
             word.append("1")
-        idx = binary_to_index("".join(word))
-        out = out + EPoly({idx: 1})
-    return out
+        counts[binary_to_index("".join(word))] += 1
+    return EPoly(counts)
 
 
 def A_ksp(k: Index, s: int, p: int) -> EPoly:
@@ -309,38 +304,27 @@ def A_ksp(k: Index, s: int, p: int) -> EPoly:
         raise BadEntry("A_(k,s,p) needs a nonempty index")
     if any(e is BAR1 for e in k):
         raise BadEntry("A_(k,s,p) takes indices without 1bar")
-    r = len(k)
-    out = EPoly()
-    for lam in iproduct((0, 1), repeat=r):
-        if sum(lam) != p:
-            continue
-        shifted = tuple(ki + li - 1 for ki, li in zip(k, lam))
-        out = out + a_s_index(shifted, s)
-    return out
+    return EPoly.sum(
+        a_s_index(tuple(ki + li - 1 for ki, li in zip(k, lam)), s)
+        for lam in iproduct((0, 1), repeat=len(k))
+        if sum(lam) == p
+    )
 
 
 def delta_expansion(k: int, order: int) -> TruncSeries:
     """sum_(p,s) (-1)^s X^(p+s) A_((k),s,p) as a series of e-polynomials."""
-    coeffs = [EPoly.zero() for _ in range(order + 1)]
-    for m in range(order + 1):
-        acc = EPoly()
-        for s in range(m + 1):
-            p = m - s
-            acc = acc + A_ksp((k,), s, p).scale(Fraction((-1) ** s))
-        coeffs[m] = acc
-    return TruncSeries(tuple(coeffs))
+    return TruncSeries(
+        tuple(
+            EPoly.sum(A_ksp((k,), s, m - s).scale((-1) ** s) for s in range(m + 1))
+            for m in range(order + 1)
+        )
+    )
 
 
 # --- comparison with the classical two-letter algebra ----------------------
 
 # Words over {x, y} are carried by NcPoly with letters 'x' and 'y'; the
 # coefficients stay rational (no h ever appears on this side).
-
-
-def mzv_word(w: str, coeff=1) -> NcPoly:
-    if any(ch not in "xy" for ch in w):
-        raise BadEntry(f"classical words use letters x and y, got {w!r}")
-    return NcPoly({w: coeff})
 
 
 def z_word(*ks: int) -> NcPoly:
@@ -364,7 +348,7 @@ def mzv_partial(n: int, w: NcPoly) -> NcPoly:
 
 def iota(w: NcPoly) -> EPoly:
     """The embedding z_k -> e_k on words ending in y (and the empty word)."""
-    out = EPoly()
+    out: dict[Index, Laurent] = {}
     for word, c in w.terms.items():
         entries = []
         run = 0
@@ -380,5 +364,5 @@ def iota(w: NcPoly) -> EPoly:
             raise NotInMzvH1(f"word {word!r} ends in x")
         if not c.is_constant():
             raise NotInMzvH1("classical words must have rational coefficients")
-        out = out + EPoly({tuple(entries): c})
-    return out
+        _accumulate(out, tuple(entries), c)
+    return EPoly._wrap(out)

@@ -67,3 +67,7 @@ class BadDenominator(QHarmonicError):
 
 class PreconditionViolated(QHarmonicError):
     """The theorem being checked does not apply to these parameters."""
+
+
+class UsageError(QHarmonicError):
+    """A command line flag the command would ignore, or one that selects nothing."""

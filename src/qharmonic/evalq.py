@@ -53,9 +53,6 @@ class CertifiedValue:
         if self.tail_bound < 0:
             raise ValueError("tail bounds are nonnegative")
 
-    def contains(self, x: Fraction) -> bool:
-        return abs(x - self.value) <= self.tail_bound
-
     def overlaps(self, other: "CertifiedValue") -> bool:
         gap = abs(self.value - other.value)
         return gap <= self.tail_bound + other.tail_bound

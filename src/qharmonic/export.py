@@ -9,19 +9,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
-from math import comb
 
-from .algebra import (
-    EPoly,
-    enumerate_indices,
-    hoffman_dual,
-    index_sort_key,
-    parse_entry,
-)
+from .algebra import EPoly, enumerate_indices, index_sort_key, parse_entry
 from .coeff import Laurent
 from .cyclo import zn_map
-from .derivations import _compositions, partial_n_e
+from .derivations import _dual_shift_sum, _ohno_rhs, partial_n_e
 from .errors import OutOfRange
 from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval
 
@@ -108,15 +100,7 @@ def ohno_records(max_n: int, max_weight: int, max_m: int = 2) -> list[dict]:
 
 
 def _ohno_combination(k, m: int, n: int) -> EPoly:
-    dual = hoffman_dual(k)
-    out = EPoly()
-    for e in _compositions(m, len(dual)):
-        out = out + EPoly({hoffman_dual(tuple(a + b for a, b in zip(dual, e))): 1})
-    for l in range(m + 1):
-        weight = Laurent.h(m - l, Fraction(-comb(n, m - l + 1), n))
-        for e in _compositions(l, len(k)):
-            out = out + EPoly({tuple(a + b for a, b in zip(k, e)): weight})
-    return out
+    return _dual_shift_sum(k, m) - _ohno_rhs(k, m, n)
 
 
 def _check_weight(max_weight: int):

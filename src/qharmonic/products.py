@@ -2,10 +2,19 @@
 product that merges leading entries, the anti-involution psi, the classical
 (h-free) stuffle, and the L map built from it.
 
-Both recursive products are memoized on basis pairs; caches only ever
-gain entries for argument pairs already fully determined by the rules, so
-results are independent of call order (and of thread interleaving under
-the GIL).
+The q-stuffle and the classical stuffle are both quasi-shuffle products
+(Hoffman): on indices,
+
+    (a u) * (b v) = a (u * b v) + b (a u * v) + merge(a, b) (u * v),
+
+and they differ only in the merge of two leading entries, circ for the
+q-stuffle and a + b for the classical one. One memoized recursion,
+_quasi_shuffle, computes both; the q-shuffle has its own recursion on
+words. Each recursion is memoized on basis pairs in its own cache; a
+cache only ever gains entries for argument pairs already fully
+determined by the rules, so results are independent of call order (and
+of thread interleaving under the GIL). The bilinear extensions
+accumulate in place.
 """
 from __future__ import annotations
 
@@ -13,20 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .algebra import BAR1, Entry, EPoly, Index, NcPoly
+from .algebra import BAR1, Entry, EPoly, Index, LinComb, NcPoly, _accumulate
 from .coeff import Laurent
 from .errors import BarEntry
-
-from enum import Enum
-
-
-class ProductTag(Enum):
-    """Selects the bilinear product used by truncated-series arithmetic."""
-
-    CONCAT = "concat"
-    STUFFLE_Q = "stuffle_q"
-    SHUFFLE_Q = "shuffle_q"
-    STUFFLE_CLASSICAL = "stuffle_classical"
 
 
 def circ(k: Entry, l: Entry) -> EPoly:
@@ -44,28 +42,46 @@ def circ(k: Entry, l: Entry) -> EPoly:
     return EPoly({(k + l,): 1, (k + l - 1,): Laurent.h()})
 
 
-_stuffle_cache: dict[tuple[Index, Index], EPoly] = {}
-
-
-def _stuffle_idx(k1: Index, k2: Index) -> EPoly:
+def _quasi_shuffle(k1: Index, k2: Index, merge, cache: dict) -> EPoly:
+    """The quasi-shuffle of two indices whose leading entries combine by
+    merge (entries to a combination of depth-one indices), memoized in cache."""
     if not k1:
         return EPoly({k2: 1})
     if not k2:
         return EPoly({k1: 1})
     key = (k1, k2)
-    hit = _stuffle_cache.get(key)
+    hit = cache.get(key)
     if hit is not None:
         return hit
     a, rest1 = k1[0], k1[1:]
     b, rest2 = k2[0], k2[1:]
-    out = _stuffle_idx(rest1, k2).prepend(a)
-    out = out + _stuffle_idx(k1, rest2).prepend(b)
-    merged = circ(a, b)
-    tail = _stuffle_idx(rest1, rest2)
-    for mk, mc in merged.terms.items():
-        out = out + tail.prepend(mk[0], mc)
-    _stuffle_cache[key] = out
+    tail = _quasi_shuffle(rest1, rest2, merge, cache)
+    out = EPoly.sum(
+        [
+            _quasi_shuffle(rest1, k2, merge, cache).prepend(a),
+            _quasi_shuffle(k1, rest2, merge, cache).prepend(b),
+        ]
+        + [tail.prepend(m, c) for (m,), c in merge(a, b).terms.items()]
+    )
+    cache[key] = out
     return out
+
+
+def _bilinear(u: LinComb, v: LinComb, on_basis, cls: type) -> LinComb:
+    """The bilinear extension to values of type cls of on_basis (two keys to
+    a cls value)."""
+    if type(u) is not cls or type(v) is not cls:
+        raise TypeError(f"the product takes two {cls.__name__} values")
+    out: dict = {}
+    for k1, c1 in u.terms.items():
+        for k2, c2 in v.terms.items():
+            c = c1 * c2
+            for k, d in on_basis(k1, k2).terms.items():
+                _accumulate(out, k, d * c)
+    return cls._wrap(out)
+
+
+_stuffle_cache: dict[tuple[Index, Index], EPoly] = {}
 
 
 def stuffle_q(u: EPoly, v: EPoly) -> EPoly:
@@ -75,11 +91,7 @@ def stuffle_q(u: EPoly, v: EPoly) -> EPoly:
     source display of the unit rule reads "= 1"; the unit law "= w" is
     the only reading compatible with multiplicativity and is used here.)
     """
-    out = EPoly()
-    for k1, c1 in u.terms.items():
-        for k2, c2 in v.terms.items():
-            out = out + _stuffle_idx(k1, k2).scale(c1 * c2)
-    return out
+    return _bilinear(u, v, lambda k1, k2: _quasi_shuffle(k1, k2, circ, _stuffle_cache), EPoly)
 
 
 _shuffle_cache: dict[tuple[str, str], NcPoly] = {}
@@ -103,15 +115,16 @@ def _shuffle_words(w1: str, w2: str) -> NcPoly:
         out = _prepend_letter("b", _shuffle_words(w1, w2[1:]))
     else:
         u, v = w1[1:], w2[1:]
-        inner = _shuffle_words(w1, v) + _shuffle_words(u, w2)
-        inner = inner + _shuffle_words(u, v).scale(Laurent.h())
+        inner = NcPoly.sum(
+            [_shuffle_words(w1, v), _shuffle_words(u, w2), _shuffle_words(u, v).scale(Laurent.h())]
+        )
         out = _prepend_letter("a", inner)
     _shuffle_cache[key] = out
     return out
 
 
 def _prepend_letter(ch: str, x: NcPoly) -> NcPoly:
-    return NcPoly({ch + w: c for w, c in x.terms.items()})
+    return NcPoly._wrap({ch + w: c for w, c in x.terms.items()})
 
 
 def shuffle_q(u: NcPoly, v: NcPoly) -> NcPoly:
@@ -120,30 +133,7 @@ def shuffle_q(u: NcPoly, v: NcPoly) -> NcPoly:
     b-letters factor out in front from either argument; two leading a's
     produce the three-term q-deformed rule with an h correction.
     """
-    out = NcPoly()
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            out = out + _shuffle_words(w1, w2).scale(c1 * c2)
-    return out
-
-
-def shuffle_words_alt(w1: str, w2: str) -> NcPoly:
-    """Reference variant pulling b from the right argument first.
-
-    Exists only so tests can confirm the rewrite strategy does not matter.
-    """
-    if not w1:
-        return NcPoly({w2: 1})
-    if not w2:
-        return NcPoly({w1: 1})
-    if w2[0] == "b":
-        return _prepend_letter("b", shuffle_words_alt(w1, w2[1:]))
-    if w1[0] == "b":
-        return _prepend_letter("b", shuffle_words_alt(w1[1:], w2))
-    u, v = w1[1:], w2[1:]
-    inner = shuffle_words_alt(w1, v) + shuffle_words_alt(u, w2)
-    inner = inner + shuffle_words_alt(u, v).scale(Laurent.h())
-    return _prepend_letter("a", inner)
+    return _bilinear(u, v, _shuffle_words, NcPoly)
 
 
 @lru_cache(maxsize=None)
@@ -159,56 +149,42 @@ def _psi_gen(entry: Entry) -> EPoly:
     )
 
 
+def _psi_index(k: Index) -> EPoly:
+    word = EPoly.one()
+    for e in reversed(k):
+        word = word * _psi_gen(e)
+    return word
+
+
 def psi_involution(x: EPoly) -> EPoly:
     """The anti-involution with psi(e_1bar) = -e_1 and binomial images of e_k.
 
     It reverses products: psi(uv) = psi(v) psi(u), and psi o psi = id.
     """
-    out = EPoly()
-    for k, c in x.terms.items():
-        word = EPoly.one()
-        for e in reversed(k):
-            word = word * _psi_gen(e)
-        out = out + word.scale(c)
-    return out
+    return EPoly.sum(_psi_index(k).scale(c) for k, c in x.terms.items())
 
 
 _classical_cache: dict[tuple[Index, Index], EPoly] = {}
 
 
-def _stuffle_classical_idx(k1: Index, k2: Index) -> EPoly:
-    if not k1:
-        return EPoly({k2: 1})
-    if not k2:
-        return EPoly({k1: 1})
-    key = (k1, k2)
-    hit = _classical_cache.get(key)
-    if hit is not None:
-        return hit
-    a, rest1 = k1[0], k1[1:]
-    b, rest2 = k2[0], k2[1:]
-    out = _stuffle_classical_idx(rest1, k2).prepend(a)
-    out = out + _stuffle_classical_idx(k1, rest2).prepend(b)
-    out = out + _stuffle_classical_idx(rest1, rest2).prepend(a + b)
-    _classical_cache[key] = out
-    return out
+def _add_entries(k: int, l: int) -> EPoly:
+    """The classical merge of e_k and e_l: e_(k+l)."""
+    return EPoly({(k + l,): 1})
 
 
 def stuffle_classical(u: EPoly, v: EPoly) -> EPoly:
     """The classical stuffle on integer indices: merges to e_(k+l) with no h term.
 
     This is genuinely a different product from the h -> 0 limit of the
-    q-stuffle on barred entries, hence its own recursion.
+    q-stuffle on barred entries: the same recursion with another merge.
     """
     for x in (u, v):
         for k in x.terms:
             if not all(e is not BAR1 for e in k):
                 raise BarEntry("classical stuffle takes indices without 1bar")
-    out = EPoly()
-    for k1, c1 in u.terms.items():
-        for k2, c2 in v.terms.items():
-            out = out + _stuffle_classical_idx(k1, k2).scale(c1 * c2)
-    return out
+    return _bilinear(
+        u, v, lambda k1, k2: _quasi_shuffle(k1, k2, _add_entries, _classical_cache), EPoly
+    )
 
 
 def l_map(k: Index) -> EPoly:
@@ -227,7 +203,4 @@ def l_map(k: Index) -> EPoly:
 
 def l_map_epoly(x: EPoly) -> EPoly:
     """Linear extension of the L map to rational combinations of indices."""
-    out = EPoly()
-    for k, c in x.terms.items():
-        out = out + l_map(k).scale(c)
-    return out
+    return EPoly.sum(l_map(k).scale(c) for k, c in x.terms.items())

@@ -1,9 +1,10 @@
 """Truncated power series in X over the word algebra or the e-basis.
 
 A TruncSeries of order N stores the coefficients of X^0 .. X^N; all
-arithmetic truncates at X^N. The coefficient product is selected by a
-ProductTag, so exp and log work uniformly for concatenation, q-shuffle,
-q-stuffle and the classical stuffle.
+arithmetic truncates at X^N. ts_mul, ts_exp and ts_log take the
+coefficient product itself as their first argument -- operator.mul for
+concatenation, or shuffle_q, stuffle_q or stuffle_classical -- so exp
+and log work uniformly for all four.
 """
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import EPoly, NcPoly
+from .algebra import NcPoly
 from .coeff import Laurent
 from .errors import BadConstantTerm, OrderMismatch
-from .products import ProductTag, shuffle_q, stuffle_classical, stuffle_q
 
 
 @dataclass(frozen=True)
@@ -57,79 +57,51 @@ def _check_orders(s: TruncSeries, t: TruncSeries):
         raise OrderMismatch(f"orders {s.order} and {t.order} differ")
 
 
-def _coeff_product(tag: ProductTag, sample):
-    if isinstance(sample, NcPoly):
-        table = {
-            ProductTag.CONCAT: lambda u, v: u * v,
-            ProductTag.SHUFFLE_Q: shuffle_q,
-        }
-    elif isinstance(sample, EPoly):
-        table = {
-            ProductTag.CONCAT: lambda u, v: u * v,
-            ProductTag.STUFFLE_Q: stuffle_q,
-            ProductTag.STUFFLE_CLASSICAL: stuffle_classical,
-        }
-    else:
-        raise TypeError(f"series coefficients of unsupported type {type(sample)!r}")
-    if tag not in table:
-        raise ValueError(f"{tag} does not act on {type(sample).__name__} coefficients")
-    return table[tag]
-
-
 def series_one(like, order: int) -> TruncSeries:
     one = type(like).one()
     zero = type(like).zero()
     return TruncSeries((one,) + (zero,) * order)
 
 
-def series_zero(like, order: int) -> TruncSeries:
-    zero = type(like).zero()
-    return TruncSeries((zero,) * (order + 1))
-
-
-def ts_mul(tag: ProductTag, s: TruncSeries, t: TruncSeries) -> TruncSeries:
-    """Cauchy product with the coefficientwise product selected by tag."""
+def ts_mul(mul, s: TruncSeries, t: TruncSeries) -> TruncSeries:
+    """Cauchy product with mul as the product of coefficients."""
     _check_orders(s, t)
-    mul = _coeff_product(tag, s.coeffs[0])
-    zero = type(s.coeffs[0]).zero()
-    n = len(s.coeffs)
-    out = [zero] * n
-    for i, a in enumerate(s.coeffs):
-        if a.is_zero():
-            continue
-        for j in range(n - i):
-            b = t.coeffs[j]
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + mul(a, b)
-    return TruncSeries(tuple(out))
+    a, b = s.coeffs, t.coeffs
+    return TruncSeries(
+        tuple(
+            type(a[0]).sum(
+                mul(a[i], b[m - i]) for i in range(m + 1) if a[i] and b[m - i]
+            )
+            for m in range(len(a))
+        )
+    )
 
 
-def ts_exp(tag: ProductTag, f: TruncSeries) -> TruncSeries:
-    """exp with respect to tag; f must have zero constant term."""
+def _power_sum(mul, f: TruncSeries, weight) -> TruncSeries:
+    """sum over m = 1 .. order of weight(m) f^m, with powers taken under mul."""
+    terms = [f.scale(weight(1))]
+    power = f
+    for m in range(2, f.order + 1):
+        power = ts_mul(mul, power, f)
+        terms.append(power.scale(weight(m)))
+    cls = type(f.coeffs[0])
+    return TruncSeries(tuple(cls.sum(cs) for cs in zip(*(t.coeffs for t in terms))))
+
+
+def ts_exp(mul, f: TruncSeries) -> TruncSeries:
+    """exp with respect to the product mul; f must have zero constant term."""
     if not f.coeffs[0].is_zero():
         raise BadConstantTerm("exp needs constant term 0")
-    n = f.order
-    acc = series_one(f.coeffs[0], n) + f
-    power = f
-    for m in range(2, n + 1):
-        power = ts_mul(tag, power, f)
-        acc = acc + power.scale(Fraction(1, factorial(m)))
-    return acc
+    exp_minus_one = _power_sum(mul, f, lambda m: Fraction(1, factorial(m)))
+    return series_one(f.coeffs[0], f.order) + exp_minus_one
 
 
-def ts_log(tag: ProductTag, g: TruncSeries) -> TruncSeries:
-    """log with respect to tag; g must have constant term 1."""
-    one = type(g.coeffs[0]).one()
-    if g.coeffs[0] != one:
+def ts_log(mul, g: TruncSeries) -> TruncSeries:
+    """log with respect to the product mul; g must have constant term 1."""
+    if g.coeffs[0] != type(g.coeffs[0]).one():
         raise BadConstantTerm("log needs constant term 1")
     f = g - series_one(g.coeffs[0], g.order)
-    acc = f
-    power = f
-    for m in range(2, g.order + 1):
-        power = ts_mul(tag, power, f)
-        acc = acc + power.scale(Fraction((-1) ** (m - 1), m))
-    return acc
+    return _power_sum(mul, f, lambda m: Fraction((-1) ** (m - 1), m))
 
 
 def geometric(g, order: int) -> TruncSeries:

@@ -6,9 +6,11 @@ pure and deterministic; cases are emitted in sorted parameter order.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 
 from .algebra import (
@@ -17,7 +19,6 @@ from .algebra import (
     NcPoly,
     e_to_word,
     enumerate_indices_up_to,
-    hoffman_dual,
     in_I,
     index_sort_key,
     index_str,
@@ -37,7 +38,8 @@ from .derivations import (
     Phi_X,
     Psi_X,
     Psi_X_series,
-    _compositions,
+    _dual_shift_sum,
+    _shift_sum,
     delta_expansion,
     iota,
     mzv_partial,
@@ -47,7 +49,7 @@ from .derivations import (
 )
 from .errors import BadDenominator, OutOfRange
 from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval
-from .products import ProductTag, l_map_epoly, psi_involution, shuffle_q, stuffle_q
+from .products import l_map_epoly, psi_involution, shuffle_q, stuffle_q
 from .series import TruncSeries, geometric, series_one, series_phi, series_psi, ts_log, ts_mul
 
 
@@ -147,13 +149,13 @@ def suite_log_formulas(order: int = 6):
 
     def check_shuffle():
         geo = geometric(NcPoly.word("ab"), order)
-        got = ts_log(ProductTag.SHUFFLE_Q, geo)
+        got = ts_log(shuffle_q, geo)
         want = series_psi(order)
         return got == want, f"log_sh mismatch:\n{got.coeffs}\nvs\n{want.coeffs}"
 
     def check_stuffle():
         geo = geometric(EPoly.gen(BAR1), order)
-        got = ts_log(ProductTag.STUFFLE_Q, geo)
+        got = ts_log(stuffle_q, geo)
         want = series_phi(order).map_coeffs(word_to_e)
         return got == want, f"log_* mismatch:\n{got.coeffs}\nvs\n{want.coeffs}"
 
@@ -187,9 +189,9 @@ def suite_delta_factorization(order: int = 4, max_weight: int = 4, delta_order: 
             w = EPoly({k: 1})
             lhs = Phi_X(e_to_word(w), order).map_coeffs(word_to_e)
             rhs = ts_mul(
-                ProductTag.CONCAT,
+                operator.mul,
                 left_e,
-                ts_mul(ProductTag.STUFFLE_Q, geo_e, TruncSeries((w,) + (EPoly.zero(),) * order)),
+                ts_mul(stuffle_q, geo_e, TruncSeries((w,) + (EPoly.zero(),) * order)),
             )
             return lhs == rhs, f"Phi rewrite fails on e_{_idx_label(k)}"
 
@@ -205,9 +207,9 @@ def suite_delta_factorization(order: int = 4, max_weight: int = 4, delta_order: 
         def check_shuffle_rewrite(w=w, name=name):
             lhs = Psi_X(w, order)
             rhs = ts_mul(
-                ProductTag.CONCAT,
+                operator.mul,
                 left_w,
-                ts_mul(ProductTag.SHUFFLE_Q, geo_w, TruncSeries((w,) + (NcPoly.zero(),) * order)),
+                ts_mul(shuffle_q, geo_w, TruncSeries((w,) + (NcPoly.zero(),) * order)),
             )
             return lhs == rhs, f"Psi rewrite fails on {name}"
 
@@ -233,12 +235,8 @@ def suite_cor_delta(order: int = 4, max_weight: int = 4):
     for k in _sorted_indices(max_weight, "Ihat"):
         def check(k=k):
             w = EPoly({k: 1})
-            lhs = ts_mul(
-                ProductTag.STUFFLE_Q, geo_e, TruncSeries((w,) + (EPoly.zero(),) * order)
-            )
-            rhs = ts_mul(ProductTag.SHUFFLE_Q, geo_w, Delta_X(e_to_word(w), order)).map_coeffs(
-                word_to_e
-            )
+            lhs = ts_mul(stuffle_q, geo_e, TruncSeries((w,) + (EPoly.zero(),) * order))
+            rhs = ts_mul(shuffle_q, geo_w, Delta_X(e_to_word(w), order)).map_coeffs(word_to_e)
             return lhs == rhs, f"cor-Delta fails on e_{_idx_label(k)}"
 
         reports.append(_run("cor-delta", f"w={_idx_label(k)}", check))
@@ -271,13 +269,18 @@ def suite_zn_duality(n_range=range(3, 11), max_weight: int = 3, dual_max_n: int 
     """z_n(w sh_q w') = z_n(psi(w) w') exactly, plus z_n(e_1bar) = -z_n(e_1)."""
     reports = []
     words = _sorted_indices(max_weight, "Ihat")
+
+    @cache
+    def sides(w1, w2):
+        # Both sides before z_n; they do not depend on n.
+        e1, e2 = EPoly({w1: 1}), EPoly({w2: 1})
+        return word_to_e(shuffle_q(e_to_word(e1), e_to_word(e2))), psi_involution(e1) * e2
+
     for n in n_range:
         for w1 in words:
             for w2 in words:
                 def check(n=n, w1=w1, w2=w2):
-                    e1, e2 = EPoly({w1: 1}), EPoly({w2: 1})
-                    lhs = zn_map(word_to_e(shuffle_q(e_to_word(e1), e_to_word(e2))), n)
-                    rhs = zn_map(psi_involution(e1) * e2, n)
+                    lhs, rhs = (zn_map(x, n) for x in sides(w1, w2))
                     return lhs == rhs, f"z_{n} shuffle-psi fails: {lhs} != {rhs}"
 
                 reports.append(
@@ -291,13 +294,6 @@ def suite_zn_duality(n_range=range(3, 11), max_weight: int = 3, dual_max_n: int 
 
         reports.append(_run("zn-duality", f"duality instance n={n}", check_dual))
     return reports
-
-
-def _e1_power_prepend(x: EPoly, l: int) -> EPoly:
-    out = x
-    for _ in range(l):
-        out = out.prepend(1)
-    return out
 
 
 def suite_ohno(n_range=range(4, 13), max_weight: int = 4, max_m: int = 3):
@@ -318,19 +314,14 @@ def suite_ohno(n_range=range(4, 13), max_weight: int = 4, max_m: int = 3):
         for p in range(0, r + 1):
             for mp in range(0, 3):
                 def check_comb(k=k, p=p, mp=mp):
-                    lhs = EPoly()
-                    for l in range(mp + 1):
-                        lhs = lhs + _e1_power_prepend(A_ksp(k, mp - l, p), l)
-                    rhs = EPoly()
-                    for lam in iproduct((0, 1), repeat=r):
-                        if sum(lam) != p:
-                            continue
-                        shifted = tuple(a + b for a, b in zip(k, lam))
-                        dual = hoffman_dual(shifted)
-                        for e in _compositions(mp, len(dual)):
-                            rhs = rhs + EPoly(
-                                {hoffman_dual(tuple(a + b for a, b in zip(dual, e))): 1}
-                            )
+                    lhs = EPoly.sum(
+                        EPoly({(1,) * l: 1}) * A_ksp(k, mp - l, p) for l in range(mp + 1)
+                    )
+                    rhs = EPoly.sum(
+                        _dual_shift_sum(tuple(a + b for a, b in zip(k, lam)), mp)
+                        for lam in iproduct((0, 1), repeat=r)
+                        if sum(lam) == p
+                    )
                     return lhs == rhs, f"combination identity fails k={k} p={p} m-p={mp}"
 
                 reports.append(
@@ -420,26 +411,16 @@ def suite_cyc_ohno(primes=(7, 11, 13), max_weight: int = 3, max_m: int = 2):
     indices = [k for k in _sorted_indices(max_weight, "I") if k]
     for p in primes:
         for k in indices:
-            r = len(k)
-            dual = hoffman_dual(k)
-            s = len(dual)
             for m in range(0, max_m + 1):
-                if p < r + m + 1:
+                if p < len(k) + m + 1:
                     continue
 
-                def check(p=p, k=k, m=m, dual=dual, s=s, r=r):
-                    lhs_poly = EPoly()
-                    for e in _compositions(m, s):
-                        lhs_poly = lhs_poly + EPoly(
-                            {hoffman_dual(tuple(a + b for a, b in zip(dual, e))): 1}
-                        )
+                def check(p=p, k=k, m=m):
                     try:
-                        lhs = zcyc_mod_p(lhs_poly, p)
+                        lhs = zcyc_mod_p(_dual_shift_sum(k, m), p)
                         rhs = None
                         for l in range(m + 1):
-                            shift = EPoly()
-                            for e in _compositions(l, r):
-                                shift = shift + EPoly({tuple(a + b for a, b in zip(k, e)): 1})
+                            shift = _shift_sum(k, l)
                             for _ in range(m - l):
                                 shift = l_map_epoly(shift)
                             term = Fraction((-1) ** (m - l), m - l + 1) * zcyc_mod_p(shift, p)

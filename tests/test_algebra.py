@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from qharmonic.algebra import (
     BAR1,
     EPoly,
+    LinComb,
     NcPoly,
     e_to_word,
     enbar,
@@ -16,7 +17,6 @@ from qharmonic.algebra import (
     index_str,
     index_wt,
     left_mul_a,
-    nc_mul,
     parse_index,
     word_to_e,
 )
@@ -219,17 +219,64 @@ class TestIndexText:
 
 class TestNcMul:
     def test_concatenation(self):
-        assert nc_mul(NcPoly.word("ab"), NcPoly.word("b")) == NcPoly.word("abb")
+        assert NcPoly.word("ab") * NcPoly.word("b") == NcPoly.word("abb")
 
     def test_distributivity(self):
         x = NcPoly({"a": 1, "b": H()})
-        assert nc_mul(x, NcPoly.word("b")) == NcPoly({"ab": 1, "bb": H()})
+        assert x * NcPoly.word("b") == NcPoly({"ab": 1, "bb": H()})
 
     def test_commutator_square(self):
         c = NcPoly({"ab": 1, "ba": -1})
         expected = NcPoly({"abab": 1, "abba": -1, "baab": -1, "baba": 1})
-        assert nc_mul(c, c) == expected
+        assert c * c == expected
 
     @given(st.text(alphabet="ab", max_size=4), st.text(alphabet="ab", max_size=4))
     def test_words_concatenate(self, w1, w2):
-        assert nc_mul(NcPoly.word(w1), NcPoly.word(w2)) == NcPoly.word(w1 + w2)
+        assert NcPoly.word(w1) * NcPoly.word(w2) == NcPoly.word(w1 + w2)
+
+
+nc_polys = st.dictionaries(st.text(alphabet="ab", max_size=3), laurent_coeffs, max_size=3).map(
+    NcPoly
+)
+any_epolys = st.dictionaries(indices(max_dep=2), laurent_coeffs, max_size=3).map(EPoly)
+
+
+class TestLinComb:
+    @given(st.lists(nc_polys, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_is_repeated_add_on_words(self, parts):
+        want = NcPoly()
+        for x in parts:
+            want = want + x
+        assert NcPoly.sum(parts) == want
+
+    @given(st.lists(any_epolys, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_is_repeated_add_on_indices(self, parts):
+        want = EPoly()
+        for x in parts:
+            want = want + x
+        assert EPoly.sum(iter(parts)) == want
+
+    @given(nc_polys, any_epolys)
+    @settings(max_examples=60, deadline=None)
+    def test_presentations_never_meet(self, u, x):
+        assert u != x and x != u
+        with pytest.raises(TypeError):
+            u + x
+        with pytest.raises(TypeError):
+            x - u
+        with pytest.raises(TypeError):
+            u * x
+        with pytest.raises(TypeError):
+            EPoly.sum([x, u])
+
+    def test_zero_and_one_of_each_differ(self):
+        assert NcPoly.zero() != EPoly.zero() and NcPoly.one() != EPoly.one()
+        assert NcPoly.one().constant() == EPoly.one().constant() == Laurent.one()
+
+    def test_one_shared_arithmetic(self):
+        for cls in (NcPoly, EPoly):
+            for name in ("__add__", "__mul__", "__neg__", "scale", "__eq__", "sum"):
+                assert name not in vars(cls)
+            assert issubclass(cls, LinComb)

@@ -119,6 +119,58 @@ class TestVerifyCommand:
         assert code == 2
         assert "order >= 1" in err
 
+    def test_ones_bar_honours_max_n(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "ones-bar", "--max-n", "3")
+        assert code == 0
+        assert "n=3 r=2" in out and "n=4" not in out
+        assert "ones-bar: 5/5 cases verified" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("double-shuffle", "--max-n", "5"),
+            ("fmzv", "--index", "2"),
+            ("ohno", "--index", "2", "--n", "5"),
+            ("ones-bar", "--n", "2:4", "--max-n", "4"),
+        ],
+    )
+    def test_flag_the_suite_would_ignore(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == "" and "error" in err
+
+    def test_suite_flag_with_all(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "all", "--max-weight", "1")
+        assert code == 2
+        assert out == "" and "--max-weight" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("log-formulas", "--order", "-1"),
+            ("zn-stuffle", "--n", "3:3", "--max-weight", "-1"),
+            ("ones-bar", "--n=-2:4"),
+        ],
+    )
+    def test_negative_size(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derivation", "--max-n", "0"),
+            ("cyc-ohno", "--max-weight", "0"),
+            ("zn-stuffle", "--n", "5:4"),
+        ],
+    )
+    def test_selection_with_no_case(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert "no case" in err and "0/0" not in out
+
     def test_quiet(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "ones-bar", "--n", "2:6", "--quiet")
         assert code == 0

@@ -7,8 +7,6 @@ from qharmonic.coeff import (
     Laurent,
     ModPoly,
     UniPoly,
-    laurent_mul,
-    laurent_substitute,
     modpoly_ext_gcd,
     poly_ext_gcd,
 )
@@ -32,16 +30,16 @@ class TestLaurent:
     def test_difference_of_squares(self):
         a = Laurent({1: 1, 0: 1})
         b = Laurent({1: 1, 0: -1})
-        assert laurent_mul(a, b) == Laurent({2: 1, 0: -1})
+        assert a * b == Laurent({2: 1, 0: -1})
 
     def test_inverse_power_cancels(self):
-        assert laurent_mul(Laurent.h(-1), Laurent.h()) == Laurent.one()
+        assert Laurent.h(-1) * Laurent.h() == Laurent.one()
 
     def test_telescoping_product(self):
         a = Laurent({0: 1, 1: -1})
         b = Laurent({0: 1, 1: 1, 2: 1})
         expected = schoolbook(a.terms, b.terms)
-        assert laurent_mul(a, b) == Laurent(expected) == Laurent({0: 1, 3: -1})
+        assert a * b == Laurent(expected) == Laurent({0: 1, 3: -1})
 
     @given(laurents, laurents)
     def test_mul_matches_schoolbook(self, a, b):
@@ -54,16 +52,16 @@ class TestLaurent:
         assert a * (b + c) == a * b + a * c
 
     def test_substitute_power(self):
-        assert laurent_substitute(Laurent.h(2), Fraction(1, 2)) == Fraction(1, 4)
+        assert Laurent.h(2).substitute(Fraction(1, 2)) == Fraction(1, 4)
 
     def test_substitute_zero(self):
-        assert laurent_substitute(Laurent.zero(), Fraction(3, 7)) == 0
+        assert Laurent.zero().substitute(Fraction(3, 7)) == 0
 
     def test_substitute_cyclotomic_inverse(self):
         # 1/(1 - zeta_3) = (2 + zeta_3)/3, checked against extended Euclid
         fld = cyc_field(3)
         value = fld.one() - fld.zeta()
-        got = laurent_substitute(Laurent.h(-1), value)
+        got = Laurent.h(-1).substitute(value)
         expected = fld.element([Fraction(2, 3), Fraction(1, 3)])
         assert got == expected
         g, s, _ = poly_ext_gcd(UniPoly([1, -1]), fld.modulus)
@@ -72,11 +70,11 @@ class TestLaurent:
 
     def test_substitute_needs_inverse(self):
         with pytest.raises(NonInvertible):
-            laurent_substitute(Laurent.h(-1), 0)
+            Laurent.h(-1).substitute(0)
 
     @given(laurents, laurents, st.fractions(min_value="1/7", max_value="9", max_denominator=9))
     def test_substitute_is_ring_hom(self, a, b, v):
-        assert laurent_substitute(a * b, v) == laurent_substitute(a, v) * laurent_substitute(b, v)
+        assert (a * b).substitute(v) == a.substitute(v) * b.substitute(v)
 
     def test_canonical_string(self):
         a = Laurent({-1: Fraction(-2), 0: 1, 2: Fraction(3, 2)})

@@ -17,7 +17,6 @@ from qharmonic.cyclo import (
     PrimeCycNum,
     _f_factor_cyc,
     cyc_field,
-    cyc_inv,
     cyclotomic_poly,
     fmzv_reduce,
     ohno_check,
@@ -52,14 +51,14 @@ class TestCyclotomicPoly:
 class TestCycNum:
     def test_inverse_goldens(self):
         f3 = cyc_field(3)
-        assert cyc_inv(f3.element([1, 1])) == f3.element([0, -1])
-        assert cyc_inv(f3.one()) == f3.one()
+        assert f3.element([1, 1]).inverse() == f3.element([0, -1])
+        assert f3.one().inverse() == f3.one()
         f4 = cyc_field(4)
-        assert cyc_inv(f4.zeta()) == -f4.zeta()
+        assert f4.zeta().inverse() == -f4.zeta()
 
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):
-            cyc_inv(cyc_field(5).zero())
+            cyc_field(5).zero().inverse()
 
     def test_inverse_roundtrip(self):
         for n in (3, 5, 8, 12):
@@ -67,7 +66,7 @@ class TestCycNum:
             v = fld.element([Fraction(1, 2), 3, Fraction(-2, 7)])
             if v.is_zero():
                 continue
-            assert v * cyc_inv(v) == fld.one()
+            assert v * v.inverse() == fld.one()
 
     def test_pow_negative(self):
         fld = cyc_field(7)

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -19,13 +20,12 @@ from qharmonic.derivations import (
     iota,
     mzv_partial,
     partial_n,
-    partial_n_alt,
     partial_n_e,
     rho_s,
     z_word,
 )
 from qharmonic.errors import NotInH0, NotInMzvH1
-from qharmonic.products import ProductTag
+from qharmonic.products import shuffle_q
 from qharmonic.series import (
     TruncSeries,
     series_log_one_plus_hbx,
@@ -38,13 +38,38 @@ H = Laurent.h
 words = st.text(alphabet="ab", min_size=1, max_size=4)
 
 
-def derive_words_by_products(w: NcPoly, images: dict) -> NcPoly:
-    """The Leibniz extension as a sum of NcPoly products head * image * tail."""
-    out = NcPoly()
+def derive_words_by_products(w, images: dict):
+    """The Leibniz extension as a sum of products head * image * tail, on
+    words (NcPoly) or on indices (EPoly)."""
+    cls = type(w)
+    out = cls()
     for word, c in w.terms.items():
         for i, ch in enumerate(word):
-            out = out + NcPoly({word[:i]: c}) * images[ch] * NcPoly.word(word[i + 1:])
+            out = out + cls({word[:i]: c}) * images[ch] * cls({word[i + 1:]: 1})
     return out
+
+
+def _nc_power(base: NcPoly, n: int) -> NcPoly:
+    out = NcPoly.one()
+    for _ in range(n):
+        out = out * base
+    return out
+
+
+def partial_images_alt(n: int) -> dict[str, NcPoly]:
+    """Oracle: the rewritten generator formulas for partial_n(a), partial_n(b),
+    a (a + h) ((b+1)a + hb)^(n-1) b and (ab + a) (a(b+1) + hb)^(n-1) b."""
+    ca = Fraction((-1) ** n, n)
+    cb = Fraction((-1) ** (n - 1), n)
+    z_left = NcPoly({"ab": 1, "a": 1, "b": H()})
+    z_right = NcPoly({"ba": 1, "a": 1, "b": H()})
+    da = NcPoly({"aa": 1, "a": H()}) * _nc_power(z_right, n - 1) * NcPoly.word("b")
+    db = NcPoly({"ab": 1, "a": 1}) * _nc_power(z_left, n - 1) * NcPoly.word("b")
+    return {"a": da.scale(ca), "b": db.scale(cb)}
+
+
+def partial_n_alt(n: int, w: NcPoly) -> NcPoly:
+    return derive_words(w, partial_images_alt(n))
 
 
 laurent_coeffs = st.dictionaries(
@@ -54,6 +79,10 @@ nc_polys = st.dictionaries(st.text(alphabet="ab", max_size=4), laurent_coeffs, m
     NcPoly
 )
 
+e_polys = st.dictionaries(
+    st.lists(st.sampled_from([1, BAR1]), max_size=3).map(tuple), laurent_coeffs, max_size=3
+).map(EPoly)
+
 
 class TestDeriveWords:
     @given(nc_polys, nc_polys, nc_polys)
@@ -61,6 +90,12 @@ class TestDeriveWords:
     def test_matches_product_route(self, w, img_a, img_b):
         images = {"a": img_a, "b": img_b}
         assert derive_words(w, images) == derive_words_by_products(w, images)
+
+    @given(e_polys, e_polys, e_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_product_route_on_indices(self, x, img_1, img_bar):
+        images = {1: img_1, BAR1: img_bar}
+        assert derive_words(x, images) == derive_words_by_products(x, images)
 
     def test_images_that_cancel(self):
         # d(a) = b, d(b) = a gives d(ab) = bb + aa = d(ba)
@@ -177,7 +212,7 @@ class TestExpHomomorphisms:
         order = 3
         u, v = NcPoly.word("ab"), NcPoly.word("b")
         lhs = Phi_X(u * v, order)
-        rhs = ts_mul(ProductTag.CONCAT, Phi_X(u, order), Phi_X(v, order))
+        rhs = ts_mul(operator.mul, Phi_X(u, order), Phi_X(v, order))
         assert lhs == rhs
 
     def test_psi_series_on_constant(self):
@@ -198,10 +233,10 @@ class TestRho:
     def test_psi_times_rho_is_shuffle_power(self, s):
         order = 4
         psi = series_psi(order)
-        lhs = ts_mul(ProductTag.CONCAT, psi, rho_s(s, order))
+        lhs = ts_mul(operator.mul, psi, rho_s(s, order))
         rhs = psi
         for _ in range(s - 1):
-            rhs = ts_mul(ProductTag.SHUFFLE_Q, rhs, psi)
+            rhs = ts_mul(shuffle_q, rhs, psi)
         assert lhs == rhs
 
     @pytest.mark.parametrize("s", [1, 2])
@@ -213,9 +248,9 @@ class TestRho:
         psi = series_psi(order)
         rho = rho_s(s, order)
         left = ts_mul(
-            ProductTag.SHUFFLE_Q, ts_mul(ProductTag.CONCAT, psi, rho), w
+            shuffle_q, ts_mul(operator.mul, psi, rho), w
         )
-        right = ts_mul(ProductTag.CONCAT, psi, ts_mul(ProductTag.SHUFFLE_Q, rho, w))
+        right = ts_mul(operator.mul, psi, ts_mul(shuffle_q, rho, w))
         assert lhs == left - right
 
 

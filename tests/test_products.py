@@ -12,12 +12,60 @@ from qharmonic.products import (
     l_map,
     psi_involution,
     shuffle_q,
-    shuffle_words_alt,
     stuffle_classical,
     stuffle_q,
 )
 
 H = Laurent.h
+
+
+# --- oracles: the products written out without the shared engine ----------
+
+
+def stuffle_idx_oracle(k1, k2) -> EPoly:
+    """The q-stuffle of two indices by its own recursion, uncached."""
+    if not k1:
+        return EPoly({k2: 1})
+    if not k2:
+        return EPoly({k1: 1})
+    a, rest1 = k1[0], k1[1:]
+    b, rest2 = k2[0], k2[1:]
+    out = stuffle_idx_oracle(rest1, k2).prepend(a)
+    out = out + stuffle_idx_oracle(k1, rest2).prepend(b)
+    tail = stuffle_idx_oracle(rest1, rest2)
+    for mk, mc in circ(a, b).terms.items():
+        out = out + tail.prepend(mk[0], mc)
+    return out
+
+
+def stuffle_classical_idx_oracle(k1, k2) -> EPoly:
+    """The classical stuffle of two indices by its own recursion, uncached."""
+    if not k1:
+        return EPoly({k2: 1})
+    if not k2:
+        return EPoly({k1: 1})
+    a, rest1 = k1[0], k1[1:]
+    b, rest2 = k2[0], k2[1:]
+    out = stuffle_classical_idx_oracle(rest1, k2).prepend(a)
+    out = out + stuffle_classical_idx_oracle(k1, rest2).prepend(b)
+    out = out + stuffle_classical_idx_oracle(rest1, rest2).prepend(a + b)
+    return out
+
+
+def shuffle_words_alt(w1: str, w2: str) -> NcPoly:
+    """The q-shuffle of two words, pulling b from the right argument first."""
+    if not w1:
+        return NcPoly({w2: 1})
+    if not w2:
+        return NcPoly({w1: 1})
+    if w2[0] == "b":
+        return NcPoly.word("b") * shuffle_words_alt(w1, w2[1:])
+    if w1[0] == "b":
+        return NcPoly.word("b") * shuffle_words_alt(w1[1:], w2)
+    u, v = w1[1:], w2[1:]
+    inner = shuffle_words_alt(w1, v) + shuffle_words_alt(u, w2)
+    inner = inner + shuffle_words_alt(u, v).scale(H())
+    return NcPoly.word("a") * inner
 
 
 def entries():
@@ -83,6 +131,33 @@ class TestStuffle:
             for k2 in words0:
                 prod = stuffle_q(EPoly({k1: 1}), EPoly({k2: 1}))
                 assert prod.supported_in_Ihat0()
+
+
+int_indices = st.lists(st.integers(1, 4), max_size=3).map(tuple)
+hat_indices = st.lists(entries(), max_size=3).map(tuple)
+
+
+class TestQuasiShuffleEngine:
+    @given(hat_indices, hat_indices)
+    @settings(max_examples=150, deadline=None)
+    def test_stuffle_q_matches_oracle(self, k1, k2):
+        got = stuffle_q(EPoly({k1: 1}), EPoly({k2: 1}))
+        assert got == stuffle_idx_oracle(k1, k2)
+
+    @given(int_indices, int_indices)
+    @settings(max_examples=150, deadline=None)
+    def test_stuffle_classical_matches_oracle(self, k1, k2):
+        got = stuffle_classical(EPoly({k1: 1}), EPoly({k2: 1}))
+        assert got == stuffle_classical_idx_oracle(k1, k2)
+
+    @given(small_epolys, small_epolys)
+    @settings(max_examples=60, deadline=None)
+    def test_bilinear_extension(self, u, v):
+        want = EPoly()
+        for k1, c1 in u.terms.items():
+            for k2, c2 in v.terms.items():
+                want = want + stuffle_idx_oracle(k1, k2).scale(c1 * c2)
+        assert stuffle_q(u, v) == want
 
 
 class TestShuffle:

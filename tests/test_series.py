@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qharmonic.algebra import BAR1, EPoly, NcPoly, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.errors import BadConstantTerm, OrderMismatch
-from qharmonic.products import ProductTag
+from qharmonic.products import shuffle_q, stuffle_classical, stuffle_q
 from qharmonic.series import (
     TruncSeries,
     geometric,
@@ -31,24 +32,32 @@ class TestMul:
         one = NcPoly.one()
         s = TruncSeries((one, a, NcPoly.zero()))
         t = TruncSeries((one, -a, NcPoly.zero()))
-        got = ts_mul(ProductTag.CONCAT, s, t)
+        got = ts_mul(operator.mul, s, t)
         assert got == TruncSeries((one, NcPoly.zero(), -(a * a)))
 
     def test_shuffle_square_of_e1bar_x(self):
         s = TruncSeries((NcPoly.zero(), NcPoly.word("ab"), NcPoly.zero()))
-        got = ts_mul(ProductTag.SHUFFLE_Q, s, s)
+        got = ts_mul(shuffle_q, s, s)
         assert got.coeffs[2] == NcPoly({"abab": 2, "abb": H()})
         assert got.coeffs[0].is_zero() and got.coeffs[1].is_zero()
 
     def test_unit(self):
         s = geometric(EPoly.gen(2), 3)
         one = series_one(EPoly.one(), 3)
-        assert ts_mul(ProductTag.STUFFLE_Q, s, one) == s
+        assert ts_mul(stuffle_q, s, one) == s
+
+    def test_product_of_the_other_presentation(self):
+        e_series, w_series = series_one(EPoly.one(), 2), series_one(NcPoly.one(), 2)
+        with pytest.raises(TypeError):
+            ts_mul(shuffle_q, e_series, e_series)
+        for mul in (stuffle_q, stuffle_classical):
+            with pytest.raises(TypeError):
+                ts_mul(mul, w_series, w_series)
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
             ts_mul(
-                ProductTag.CONCAT,
+                operator.mul,
                 series_one(NcPoly.one(), 2),
                 series_one(NcPoly.one(), 3),
             )
@@ -57,7 +66,7 @@ class TestMul:
 class TestExpLog:
     def test_exp_of_ax(self):
         f = TruncSeries((NcPoly.zero(), NcPoly.word("a")) + (NcPoly.zero(),) * 2)
-        got = ts_exp(ProductTag.CONCAT, f)
+        got = ts_exp(operator.mul, f)
         assert got.coeffs[0] == NcPoly.one()
         assert got.coeffs[1] == NcPoly.word("a")
         assert got.coeffs[2] == NcPoly({"aa": Fraction(1, 2)})
@@ -65,12 +74,12 @@ class TestExpLog:
 
     def test_bad_constant_terms(self):
         with pytest.raises(BadConstantTerm):
-            ts_exp(ProductTag.CONCAT, series_one(NcPoly.one(), 2))
+            ts_exp(operator.mul, series_one(NcPoly.one(), 2))
         with pytest.raises(BadConstantTerm):
-            ts_log(ProductTag.CONCAT, const_series(NcPoly.zero(), 2))
+            ts_log(operator.mul, const_series(NcPoly.zero(), 2))
 
-    @pytest.mark.parametrize("tag", [ProductTag.CONCAT, ProductTag.SHUFFLE_Q])
-    def test_word_exp_log_inverse(self, tag):
+    @pytest.mark.parametrize("mul", [operator.mul, shuffle_q], ids=["concat", "shuffle_q"])
+    def test_word_exp_log_inverse(self, mul):
         f = TruncSeries(
             (
                 NcPoly.zero(),
@@ -80,22 +89,24 @@ class TestExpLog:
                 NcPoly.zero(),
             )
         )
-        assert ts_log(tag, ts_exp(tag, f)) == f
+        assert ts_log(mul, ts_exp(mul, f)) == f
         g = series_one(NcPoly.one(), 4) + f
-        assert ts_exp(tag, ts_log(tag, g)) == g
+        assert ts_exp(mul, ts_log(mul, g)) == g
 
     @pytest.mark.parametrize(
-        "tag", [ProductTag.CONCAT, ProductTag.STUFFLE_Q, ProductTag.STUFFLE_CLASSICAL]
+        "mul",
+        [operator.mul, stuffle_q, stuffle_classical],
+        ids=["concat", "stuffle_q", "stuffle_classical"],
     )
-    def test_e_exp_log_inverse(self, tag):
-        if tag is ProductTag.STUFFLE_CLASSICAL:
+    def test_e_exp_log_inverse(self, mul):
+        if mul is stuffle_classical:
             gen = EPoly.gen(2)
         else:
             gen = EPoly.gen(BAR1)
         f = TruncSeries(
             (EPoly.zero(), gen, EPoly.from_index((1, 2)), EPoly.zero(), EPoly.gen(1))
         )
-        assert ts_log(tag, ts_exp(tag, f)) == f
+        assert ts_log(mul, ts_exp(mul, f)) == f
 
     @given(st.integers(1, 5))
     @settings(max_examples=6, deadline=None)
@@ -106,7 +117,7 @@ class TestExpLog:
                 + [NcPoly({"ab" * ((m % 2) + 1): Fraction(m, m + 1)}) for m in range(1, order + 1)]
             )
         )
-        assert ts_log(ProductTag.SHUFFLE_Q, ts_exp(ProductTag.SHUFFLE_Q, f)) == f
+        assert ts_log(shuffle_q, ts_exp(shuffle_q, f)) == f
 
 
 class TestNamedSeries:
@@ -127,11 +138,11 @@ class TestNamedSeries:
     def test_log_shuffle_formula(self):
         # log_sh of the geometric series is psi(X), up to X^6
         geo = geometric(NcPoly.word("ab"), 6)
-        assert ts_log(ProductTag.SHUFFLE_Q, geo) == series_psi(6)
+        assert ts_log(shuffle_q, geo) == series_psi(6)
 
     def test_log_stuffle_formula(self):
         geo = geometric(EPoly.gen(BAR1), 6)
-        assert ts_log(ProductTag.STUFFLE_Q, geo) == series_phi(6).map_coeffs(word_to_e)
+        assert ts_log(stuffle_q, geo) == series_phi(6).map_coeffs(word_to_e)
 
     def test_phi_coefficients_live_in_h1(self):
         # h^(n-1) a b^n = e_1bar (e_1 - e_1bar)^(n-1)
