@@ -23,13 +23,16 @@ from .cyclo import ohno_check, zn_map
 from .derivations import Delta_X, Phi_X, Psi_X, delta_n, partial_n, partial_n_e
 from .errors import QHarmonicError, UsageError
 from .evalq import QValue, zeta_q_partial
-from .export import export_relations
+from .export import relation_records, render_csv, render_json
 from .products import shuffle_q, stuffle_classical, stuffle_q
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+
+#: Rows of the cProfile table printed by qsh --profile.
+PROFILE_ROWS = 15
 
 
 def _parse_word(text: str) -> NcPoly:
@@ -56,9 +59,12 @@ def _size(text: str) -> int:
 
 
 def _parse_n_range(text: str) -> range:
-    """n or an inclusive range A:B of nonnegative integers."""
+    """n or a nonempty inclusive range A:B of nonnegative integers."""
     lo, _, hi = text.partition(":")
-    return range(_size(lo), _size(hi or lo) + 1)
+    n_range = range(_size(lo), _size(hi or lo) + 1)
+    if not n_range:
+        raise UsageError(f"--n {text} is an empty range, so the flags select no case")
+    return n_range
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
@@ -96,6 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qsh",
         description="Exact computer algebra for multiple harmonic q-series.",
+    )
+    ap.add_argument(
+        "--profile",
+        action="store_true",
+        help=f"run under cProfile and print the top {PROFILE_ROWS} rows by self time to stderr",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -141,9 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export relation records")
     p.add_argument("--kind", choices=["derivation", "ohno"], required=True)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--max-m", type=int, default=2)
+    p.add_argument("--max-n", type=_size, default=3)
+    p.add_argument("--max-weight", type=_size, default=4)
+    p.add_argument("--max-m", type=_size, default=2)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     return ap
@@ -203,64 +214,81 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if not failures else EXIT_COUNTEREXAMPLE
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _cmd_export(args, out):
+    kwargs = {"max_m": args.max_m} if args.kind == "ohno" else {}
+    records = relation_records(args.kind, args.max_n, args.max_weight, **kwargs)
+    if not records:
+        raise UsageError(f"the flags select no record of export --kind {args.kind}")
+    text = render_json(records) if args.format == "json" else render_csv(records)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
+
+
+def _dispatch(args) -> int:
     out = sys.stdout
-    try:
-        if args.command == "stuffle":
-            left, right = parse_index(args.left), parse_index(args.right)
-            prod = stuffle_classical if args.classical else stuffle_q
-            print(prod(EPoly({left: 1}), EPoly({right: 1})), file=out)
-        elif args.command == "shuffle":
-            res = shuffle_q(_parse_word(args.left), _parse_word(args.right))
-            print(word_to_e(res) if args.to_e else res, file=out)
-        elif args.command == "dual":
-            print(index_str(hoffman_dual(parse_index(args.index))), file=out)
-        elif args.command == "partial":
-            if _is_word(args.target):
-                print(partial_n(args.n, _parse_word(args.target)), file=out)
-            else:
-                k = parse_index(args.target)
-                print(partial_n_e(args.n, EPoly({k: 1})), file=out)
-        elif args.command == "delta":
-            print(delta_n(args.n, _parse_word(args.word)), file=out)
-        elif args.command == "series":
-            op = {"phi": Phi_X, "psi": Psi_X, "delta": Delta_X}[args.which]
-            if _is_word(args.target):
-                w = _parse_word(args.target)
-            else:
-                w = e_to_word(EPoly({parse_index(args.target): 1}))
-            _print_series(op(w, args.order), out)
-        elif args.command == "eval":
-            k = parse_index(args.index)
-            cv = zeta_q_partial(k, QValue(Fraction(args.q)), args.M)
-            print(cv, file=out)
-        elif args.command == "zn":
-            val = zn_map(EPoly({parse_index(args.index): 1}), args.n)
-            print(f"{val} (n={args.n})", file=out)
-        elif args.command == "verify":
-            return _cmd_verify(args, out)
-        elif args.command == "export":
-            kwargs = {}
-            if args.kind == "ohno":
-                kwargs["max_m"] = args.max_m
-            text = export_relations(
-                args.kind, args.max_n, args.max_weight, args.format, **kwargs
-            )
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                out.write(text)
-        else:  # pragma: no cover - argparse enforces the choices
-            return EXIT_USAGE
-    except QHarmonicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.command == "stuffle":
+        left, right = parse_index(args.left), parse_index(args.right)
+        prod = stuffle_classical if args.classical else stuffle_q
+        print(prod(EPoly({left: 1}), EPoly({right: 1})), file=out)
+    elif args.command == "shuffle":
+        res = shuffle_q(_parse_word(args.left), _parse_word(args.right))
+        print(word_to_e(res) if args.to_e else res, file=out)
+    elif args.command == "dual":
+        print(index_str(hoffman_dual(parse_index(args.index))), file=out)
+    elif args.command == "partial":
+        if _is_word(args.target):
+            print(partial_n(args.n, _parse_word(args.target)), file=out)
+        else:
+            k = parse_index(args.target)
+            print(partial_n_e(args.n, EPoly({k: 1})), file=out)
+    elif args.command == "delta":
+        print(delta_n(args.n, _parse_word(args.word)), file=out)
+    elif args.command == "series":
+        op = {"phi": Phi_X, "psi": Psi_X, "delta": Delta_X}[args.which]
+        if _is_word(args.target):
+            w = _parse_word(args.target)
+        else:
+            w = e_to_word(EPoly({parse_index(args.target): 1}))
+        _print_series(op(w, args.order), out)
+    elif args.command == "eval":
+        k = parse_index(args.index)
+        cv = zeta_q_partial(k, QValue(Fraction(args.q)), args.M)
+        print(cv, file=out)
+    elif args.command == "zn":
+        val = zn_map(EPoly({parse_index(args.index): 1}), args.n)
+        print(f"{val} (n={args.n})", file=out)
+    elif args.command == "verify":
+        return _cmd_verify(args, out)
+    elif args.command == "export":
+        _cmd_export(args, out)
+    else:  # pragma: no cover - argparse enforces the choices
         return EXIT_USAGE
     return EXIT_OK
+
+
+def _profiled(args) -> int:
+    # Imported here so that a run without --profile does not pay for them.
+    import cProfile
+    import pstats
+
+    prof = cProfile.Profile()
+    try:
+        return prof.runcall(_dispatch, args)
+    finally:
+        stats = pstats.Stats(prof, stream=sys.stderr)
+        stats.sort_stats(pstats.SortKey.TIME).print_stats(PROFILE_ROWS)
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+        return _profiled(args) if args.profile else _dispatch(args)
+    except (QHarmonicError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

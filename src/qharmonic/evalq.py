@@ -9,13 +9,21 @@ tail bound counts decreasing tuples by their largest element:
 since [m] = 1 + q + ... + q^(m-1) >= 1 for q in (0,1). Hence the tail of
 an index of depth r is at most sum_(m>M) C(m-1, r-1) q^m, and
 sum_(m>=r) C(m-1, r-1) q^m = q^r/(1-q)^r in closed form.
+
+At q = a/b the partial sum of zeta_q(k) over m_1 <= M is an integer
+N_k over b^W_k G^K_k, where G = prod_(m<=M) (b^m - a^m), W_k is the weight
+of k and K_k its largest entry weight. Z_q of an e-polynomial therefore
+sums integer numerators over one shared denominator L b^W G^K (L the lcm
+of the coefficient denominators at h = 1 - q) and builds one Fraction:
+one gcd per call, not one or more per term. The tail bound is likewise
+one closed-form Fraction per (depth, q, M).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .algebra import BAR1, EPoly, Index, in_Ihat0, index_dep
 from .errors import Divergent, NotInI0hat, OutOfRange
@@ -77,13 +85,19 @@ def f_factor(entry, m: int, q: Fraction) -> Fraction:
     return q ** ((entry - 1) * m) / br**entry
 
 
+@lru_cache(maxsize=1024)
 def tail_bound(depth: int, q: Fraction, M: int) -> Fraction:
-    """Exact tail of the counting bound: sum_(m>M) C(m-1, depth-1) q^m."""
+    """Exact tail of the counting bound: sum_(m>M) C(m-1, depth-1) q^m.
+
+    At q = a/b this is a^r/(b-a)^r - (sum_(m=r..M) C(m-1, r-1) a^m b^(M-m))/b^M
+    with r = depth: one Fraction over (b-a)^r b^M.
+    """
     if depth == 0:
         return Fraction(0)
-    closed = q**depth / (1 - q) ** depth
-    finite = sum((comb(m - 1, depth - 1) * q**m for m in range(depth, M + 1)), Fraction(0))
-    return closed - finite
+    a, b = q.numerator, q.denominator
+    finite = sum(comb(m - 1, depth - 1) * a**m * b ** (M - m) for m in range(depth, M + 1))
+    bm, ba = b ** max(M, 0), (b - a) ** depth
+    return Fraction(a**depth * bm - ba * finite, ba * bm)
 
 
 # --- integer-numerator dynamic programme ------------------------------------
@@ -147,7 +161,37 @@ def _suffix_numerators(suffix: Index, a: int, b: int, M: int) -> tuple[tuple[int
     return tuple(out), kappa, weight
 
 
+def _combined_partial_sum(terms, a: int, b: int, M: int) -> Fraction:
+    """sum of c * (partial sum of zeta_q(k) over m_1 <= M) for (k, c) in terms,
+    at q = a/b, with rational weights c (int or Fraction).
+
+    Each partial sum is N_k/(b^W_k G^K_k) with G = prod_(m<=M) g_m, so with
+    L the lcm of the weight denominators, W = max W_k and K = max K_k the
+    whole combination is one integer over L b^W G^K: a single gcd.
+    """
+    parts = [(c, *_suffix_numerators(k, a, b, M)) for k, c in terms]
+    if not parts:
+        return Fraction(0)
+    den_l = lcm(*(c.denominator for c, *_ in parts))
+    top_k = max(kappa for _, _, kappa, _ in parts)
+    top_w = max(weight for *_, weight in parts)
+    num = 0
+    for c, nums, kappa, weight in parts:
+        num += (
+            c.numerator * (den_l // c.denominator) * nums[M]
+            * b ** (top_w - weight) * _gamma_prefix(top_k - kappa, a, b, M)[M]
+        )
+    return Fraction(num, den_l * b**top_w * _gamma_prefix(top_k, a, b, M)[M])
+
+
 _zeta_cache: dict[tuple[Index, Fraction, int], CertifiedValue] = {}
+
+
+def _check_index(k: Index, M: int):
+    if M < 1:
+        raise OutOfRange("M >= 1")
+    if not in_Ihat0(k):
+        raise NotInI0hat(f"index {k} starts with an unbarred 1")
 
 
 def zeta_q_partial(k: Index, q: QValue, M: int) -> CertifiedValue:
@@ -155,20 +199,14 @@ def zeta_q_partial(k: Index, q: QValue, M: int) -> CertifiedValue:
 
     k must lie in I0-hat (first entry != 1); the empty index gives 1.
     """
-    if M < 1:
-        raise OutOfRange("M >= 1")
-    if not in_Ihat0(k):
-        raise NotInI0hat(f"index {k} starts with an unbarred 1")
+    _check_index(k, M)
     if not k:
         return CertifiedValue(Fraction(1), Fraction(0), M)
     key = (k, q.q, M)
     hit = _zeta_cache.get(key)
     if hit is not None:
         return hit
-    a, b = q.q.numerator, q.q.denominator
-    nums, kappa, weight = _suffix_numerators(k, a, b, M)
-    den = b**weight * _gamma_prefix(kappa, a, b, M)[M]
-    value = Fraction(nums[M], den)
+    value = _combined_partial_sum([(k, 1)], q.q.numerator, q.q.denominator, M)
     out = CertifiedValue(value, tail_bound(index_dep(k), q.q, M), M)
     _zeta_cache[key] = out
     return out
@@ -212,17 +250,18 @@ def polylog_partial(k: Index, t: Fraction, q: QValue, M: int) -> CertifiedValue:
 def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:
     """Z_q of an e-polynomial supported on I0-hat: h acts as 1 - q.
 
-    Linear combination of certified partial sums; tail bounds combine with
-    absolute-value weights.
+    The partial sums are combined over one shared denominator (see
+    _combined_partial_sum); tail bounds combine with absolute-value weights.
     """
-    value = Fraction(0)
+    terms = []
     bound = Fraction(0)
     one_minus_q = 1 - q.q
     for k, c in x.terms.items():
         scalar = c.substitute(one_minus_q)
-        part = zeta_q_partial(k, q, M)
-        value += scalar * part.value
-        bound += abs(scalar) * part.tail_bound
+        _check_index(k, M)
+        terms.append((k, scalar))
+        bound += abs(scalar) * tail_bound(index_dep(k), q.q, M)
+    value = _combined_partial_sum(terms, q.q.numerator, q.q.denominator, M)
     return CertifiedValue(value, bound, M)
 
 

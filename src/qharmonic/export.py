@@ -108,14 +108,18 @@ def _check_weight(max_weight: int):
         raise OutOfRange(f"max_weight exceeds the export ceiling {MAX_EXPORT_WEIGHT}")
 
 
+def relation_records(kind: str, max_n: int, max_weight: int, **kwargs) -> list[dict]:
+    """The records of one relation kind; empty when the sizes select none."""
+    if kind == "derivation":
+        return derivation_records(max_n, max_weight, **kwargs)
+    if kind == "ohno":
+        return ohno_records(max_n, max_weight, **kwargs)
+    raise ValueError(f"unknown relation kind {kind!r}")
+
+
 def export_relations(kind: str, max_n: int, max_weight: int, fmt: str = "json", **kwargs) -> str:
     """Render records in the requested format; returns the file contents."""
-    if kind == "derivation":
-        records = derivation_records(max_n, max_weight, **kwargs)
-    elif kind == "ohno":
-        records = ohno_records(max_n, max_weight, **kwargs)
-    else:
-        raise ValueError(f"unknown relation kind {kind!r}")
+    records = relation_records(kind, max_n, max_weight, **kwargs)
     if fmt == "json":
         return render_json(records)
     if fmt == "csv":

@@ -171,6 +171,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "no case" in err and "0/0" not in out
 
+    @pytest.mark.parametrize("suite", ["zn-duality", "ohno", "ones-bar"])
+    def test_empty_n_range(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", suite, "--n", "5:4")
+        assert code == 2
+        assert out == "" and "--n 5:4 is an empty range" in err
+
     def test_quiet(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "ones-bar", "--n", "2:6", "--quiet")
         assert code == 0
@@ -249,6 +255,51 @@ class TestExport:
         assert code == 0
         records = parse_json(out_path.read_text())
         assert records and all(r["verified"] for r in records)
+
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-weight", "--max-m"])
+    def test_negative_export_size(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--kind", "ohno", flag, "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "derivation", "--max-n", "0"),
+            ("--kind", "derivation", "--max-weight", "0"),
+            ("--kind", "ohno", "--max-n", "1"),
+            ("--kind", "ohno", "--max-n", "2", "--max-weight", "1", "--format", "csv"),
+        ],
+    )
+    def test_export_selecting_no_record(self, capsys, argv):
+        code, out, err = run_cli(capsys, "export", *argv)
+        assert code == 2
+        assert out == "" and "no record" in err
+
+
+class TestProfile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "zetaq", "2", "--q", "1/2", "--M", "10"),
+            ("export", "--kind", "derivation", "--max-n", "1", "--max-weight", "2"),
+            ("verify", "derivation", "--max-n", "1", "--max-weight", "2", "--quiet"),
+            ("zn", "2", "--n", "3"),
+        ],
+    )
+    def test_stdout_unchanged(self, capsys, argv):
+        code, plain, _ = run_cli(capsys, *argv)
+        code_p, profiled, err = run_cli(capsys, "--profile", *argv)
+        assert code == code_p == 0
+        assert profiled == plain
+        assert "Ordered by: internal time" in err and "tottime" in err
+
+    def test_error_still_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "--profile", "dual", "2,x,1")
+        assert code == 2
+        assert out == "" and "error" in err and "tottime" in err
 
 
 class TestEntryPoint:

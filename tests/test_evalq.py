@@ -1,15 +1,26 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qharmonic.algebra import BAR1, EPoly, e_to_word, enumerate_indices_up_to, word_to_e
+from qharmonic.algebra import (
+    BAR1,
+    EPoly,
+    e_to_word,
+    enumerate_indices_up_to,
+    index_dep,
+    word_to_e,
+)
 from qharmonic.coeff import Laurent
 from qharmonic.errors import Divergent, NotInI0hat, OutOfRange
 from qharmonic.evalq import (
     CertifiedValue,
     QValue,
     Zq_eval,
+    _gamma_prefix,
+    _suffix_numerators,
     f_basis_expand,
     f_factor,
     polylog_partial,
@@ -21,6 +32,51 @@ from qharmonic.products import shuffle_q, stuffle_q
 
 H = Laurent.h
 HALF = QValue(Fraction(1, 2))
+IHAT0_4 = enumerate_indices_up_to(4, "Ihat0")
+Q_VALUES = [QValue(Fraction(n, d)) for n, d in ((1, 2), (1, 3), (2, 7), (5, 6))]
+TRUNCATIONS = [1, 2, 17, 120]
+
+
+# --- oracles: the Fraction-accumulating routes the shared denominator replaced
+
+
+def tail_bound_summed(depth: int, q: Fraction, M: int) -> Fraction:
+    """The counting bound as closed form minus the summed finite part."""
+    if depth == 0:
+        return Fraction(0)
+    closed = q**depth / (1 - q) ** depth
+    finite = sum((comb(m - 1, depth - 1) * q**m for m in range(depth, M + 1)), Fraction(0))
+    return closed - finite
+
+
+def zeta_value_reduced(k, q: QValue, M: int) -> Fraction:
+    """One reduced Fraction per index, from the integer-numerator DP."""
+    if M < 1:
+        raise OutOfRange("M >= 1")
+    if k and k[0] == 1:
+        raise NotInI0hat(f"index {k} starts with an unbarred 1")
+    a, b = q.q.numerator, q.q.denominator
+    nums, kappa, weight = _suffix_numerators(k, a, b, M)
+    return Fraction(nums[M], b**weight * _gamma_prefix(kappa, a, b, M)[M])
+
+
+def zq_eval_summed(x: EPoly, q: QValue, M: int) -> CertifiedValue:
+    """Z_q as a running Fraction sum over the terms, one gcd or more per term."""
+    value = Fraction(0)
+    bound = Fraction(0)
+    for k, c in x.terms.items():
+        scalar = c.substitute(1 - q.q)
+        value += scalar * zeta_value_reduced(k, q, M)
+        bound += abs(scalar) * tail_bound_summed(index_dep(k), q.q, M)
+    return CertifiedValue(value, bound, M)
+
+
+laurents = st.dictionaries(
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    max_size=4,
+).map(Laurent)
+epolys = st.dictionaries(st.sampled_from(IHAT0_4), laurents, max_size=6).map(EPoly)
 
 
 def zeta_brute(k, q: Fraction, M: int) -> Fraction:
@@ -107,6 +163,14 @@ class TestPolylog:
         want = zeta_q_partial((2,), HALF, 50)
         assert got.value == want.value
 
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 7)])
+    def test_at_one_equals_zeta_on_ihat0(self, q):
+        qv = QValue(q)
+        for k in IHAT0_4:
+            got = polylog_partial(k, Fraction(1), qv, 25)
+            want = zeta_q_partial(k, qv, 25)
+            assert (got.value, got.tail_bound) == (want.value, want.tail_bound), k
+
     def test_divergent(self):
         with pytest.raises(Divergent):
             polylog_partial((1,), Fraction(1), HALF, 10)
@@ -136,8 +200,32 @@ class TestZqEval:
 
     def test_zero_and_unit(self):
         assert Zq_eval(EPoly.zero(), HALF, 5).value == 0
+        cv = Zq_eval(EPoly.zero(), HALF, 0)
+        assert (cv.value, cv.tail_bound) == (0, 0)
         cv = Zq_eval(EPoly.one(), HALF, 5)
         assert (cv.value, cv.tail_bound) == (1, 0)
+
+    @given(epolys, st.sampled_from(Q_VALUES), st.sampled_from(TRUNCATIONS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_summed_oracle(self, x, q, M):
+        got, want = Zq_eval(x, q, M), zq_eval_summed(x, q, M)
+        assert (got.value, got.tail_bound, got.truncation) == (
+            want.value,
+            want.tail_bound,
+            want.truncation,
+        )
+
+    def test_term_outside_ihat0(self):
+        x = EPoly({(2,): 1, (1, 2): H(1, 3)})
+        for evaluate in (Zq_eval, zq_eval_summed):
+            with pytest.raises(NotInI0hat):
+                evaluate(x, HALF, 10)
+
+    def test_truncation_zero_with_a_term(self):
+        for x in (EPoly.gen(2), EPoly.one()):
+            for evaluate in (Zq_eval, zq_eval_summed):
+                with pytest.raises(OutOfRange):
+                    evaluate(x, HALF, 0)
 
     def test_stuffle_relation_numeric(self):
         # Z_q(w *_q w') = Z_q(w) Z_q(w') within certified bounds
@@ -191,6 +279,15 @@ class TestTailBound:
 
     def test_depth_zero(self):
         assert tail_bound(0, Fraction(1, 2), 10) == 0
+
+    @given(
+        st.integers(0, 6),
+        st.sampled_from([q.q for q in Q_VALUES]),
+        st.sampled_from(TRUNCATIONS) | st.integers(-2, 130),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_summed_oracle(self, depth, q, M):
+        assert tail_bound(depth, q, M) == tail_bound_summed(depth, q, M)
 
     def test_certified_value_invariants(self):
         with pytest.raises(ValueError):
