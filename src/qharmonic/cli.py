@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="Phi_X / Psi_X / Delta_X of a word, truncated")
     p.add_argument("which", choices=["phi", "psi", "delta"])
     p.add_argument("target", help="a word like 'ab' or an index like '2'")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=_size, default=4)
 
     p = sub.add_parser("eval", help="certified numeric evaluation")
     p.add_argument("what", choices=["zetaq"])

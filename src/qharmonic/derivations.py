@@ -2,6 +2,11 @@
 Phi_X, Psi_X, Delta_X built from them, plus the index combinatorics feeding
 the Ohno-type relations and the comparison embedding from the classical
 two-letter algebra of multiple zeta values.
+
+Phi_X and Delta_X are concatenation homomorphisms (delta_n, partial_n are
+derivations), computed from cached letter series multiplied along words.
+Psi_X stays on its definition, _exp_apply: delta-factorization derives its
+multiplicativity from Phi_X = Psi_X Delta_X.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from .algebra import (
     left_mul_a,
 )
 from .coeff import Laurent
-from .errors import BadEntry, NotInH0, NotInMzvH1
+from .errors import BadEntry, NotInH0, NotInMzvH1, OutOfRange
 from .products import shuffle_q
 from .series import (
     TruncSeries,
@@ -170,6 +175,8 @@ def _exp_apply(apply_n, w, order: int) -> list:
     prefixes share the already-applied tail. Each stack entry is
     (D_(j_1)...D_(j_r)(w), j_1 + ... + j_r, r).
     """
+    if order < 0:
+        raise OutOfRange(f"series order must be >= 0, got {order}")
     totals = [dict(w.terms)] + [{} for _ in range(order)]
     stack = [(w, 0, 0)]
     while stack:
@@ -185,19 +192,42 @@ def _exp_apply(apply_n, w, order: int) -> list:
     return [type(w)._wrap(t) for t in totals]
 
 
+@lru_cache(maxsize=32)
+def _letter_series(apply_n, letter: str, order: int) -> TruncSeries:
+    """exp(sum X^n D_n) of one letter."""
+    return TruncSeries(tuple(_exp_apply(apply_n, NcPoly.word(letter), order)))
+
+
+def _hom_apply(apply_n, terms: dict, order: int) -> TruncSeries:
+    """exp(sum X^n D_n), D_n a derivation, on {word: coefficient}: words are grouped
+    by first letter, and each group's tail image is left-multiplied by its letter series."""
+    if order < 0:
+        raise OutOfRange(f"series order must be >= 0, got {order}")
+    groups: dict[str, dict] = {}
+    for word, c in terms.items():
+        groups.setdefault(word[:1], {})[word[1:]] = c
+    out = TruncSeries((NcPoly(groups.pop("", None)),) + (NcPoly.zero(),) * order)
+    for letter, tails in groups.items():
+        head = _letter_series(apply_n, letter, order)
+        out = out + ts_mul(operator.mul, head, _hom_apply(apply_n, tails, order))
+    return out
+
+
 def Phi_X(w: NcPoly, order: int) -> TruncSeries:
     """Phi_X = exp(sum X^n delta_n) applied to w, truncated."""
-    return TruncSeries(tuple(_exp_apply(delta_n, w, order)))
+    return _hom_apply(delta_n, w.terms, order)
 
 
 def Psi_X(w: NcPoly, order: int) -> TruncSeries:
     """Psi_X = exp(sum X^n d_n) applied to w, truncated."""
+    # Not a homomorphism route: verify derives Psi_X's multiplicativity
+    # from Phi_X = Psi_X Delta_X, so assuming it here would be circular.
     return TruncSeries(tuple(_exp_apply(d_n, w, order)))
 
 
 def Delta_X(w: NcPoly, order: int) -> TruncSeries:
     """Delta_X = exp(sum X^n partial_n) applied to w, truncated."""
-    return TruncSeries(tuple(_exp_apply(partial_n, w, order)))
+    return _hom_apply(partial_n, w.terms, order)
 
 
 def Psi_X_series(s: TruncSeries) -> TruncSeries:

@@ -68,6 +68,13 @@ class TestCalculators:
         assert lines[0] == "X^0: a"
         assert lines[1] == "X^1: -aab - h*ab"
 
+    def test_series_negative_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "delta", "ab", "--order", "-1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be >= 0" in out.err
+
     def test_eval_zetaq(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "zetaq", "2", "--q", "1/2", "--M", "3")
         assert code == 0

@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, word_to_e
 from qharmonic.coeff import Laurent
@@ -12,6 +12,8 @@ from qharmonic.derivations import (
     Phi_X,
     Psi_X,
     Psi_X_series,
+    _exp_apply,
+    _letter_series,
     a_s_index,
     d_n,
     d_power_series,
@@ -24,7 +26,7 @@ from qharmonic.derivations import (
     rho_s,
     z_word,
 )
-from qharmonic.errors import NotInH0, NotInMzvH1
+from qharmonic.errors import NotInH0, NotInMzvH1, OutOfRange
 from qharmonic.products import shuffle_q
 from qharmonic.series import (
     TruncSeries,
@@ -218,6 +220,44 @@ class TestExpHomomorphisms:
     def test_psi_series_on_constant(self):
         w = NcPoly.word("ab")
         assert Psi_X_series(TruncSeries((w,) + (NcPoly.zero(),) * 3)) == Psi_X(w, 3)
+
+
+laurent_coeffs = st.dictionaries(
+    st.integers(-2, 2), st.fractions(-3, 3, max_denominator=4).filter(bool), min_size=1, max_size=2
+).map(Laurent)
+nc_polys = st.dictionaries(st.text(alphabet="ab", max_size=4), laurent_coeffs, max_size=4).map(NcPoly)
+
+
+class TestHomomorphismRoute:
+    """Delta_X and Phi_X multiply cached letter series along the words;
+    the oracle is _exp_apply, the exponential applied to each word."""
+
+    @pytest.mark.parametrize(
+        "op, derivation", [(Delta_X, partial_n), (Phi_X, delta_n)], ids=["Delta_X", "Phi_X"]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(x=nc_polys, order=st.integers(0, 4))
+    @example(x=NcPoly.zero(), order=0)
+    @example(x=NcPoly.zero(), order=3)
+    @example(x=NcPoly({"": H(-2, 3), "ba": H(2), "aab": 1}), order=2)
+    def test_agrees_with_definition(self, op, derivation, x, order):
+        _letter_series.cache_clear()
+        assert op(x, order) == TruncSeries(tuple(_exp_apply(derivation, x, order)))
+
+    @pytest.mark.parametrize("derivation", [partial_n, delta_n])
+    @settings(max_examples=40, deadline=None)
+    @given(u=words | st.just(""), v=words | st.just(""), order=st.integers(0, 3))
+    def test_definition_is_multiplicative(self, derivation, u, v, order):
+        def image(w):
+            return TruncSeries(tuple(_exp_apply(derivation, NcPoly.word(w), order)))
+
+        assert image(u + v) == ts_mul(operator.mul, image(u), image(v))
+
+    @pytest.mark.parametrize("op", [Delta_X, Phi_X, Psi_X])
+    @pytest.mark.parametrize("w", [NcPoly.zero(), NcPoly.word("ab")])
+    def test_negative_order_rejected(self, op, w):
+        with pytest.raises(OutOfRange):
+            op(w, -1)
 
 
 class TestRho:
