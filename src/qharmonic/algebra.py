@@ -251,9 +251,9 @@ class LinComb:
 
     def __mul__(self, other):
         """Concatenation product, or scalar action of the Laurent ring."""
-        if isinstance(other, (Laurent, *_scalar)):
-            return self.scale(other)
         if type(other) is not type(self):
+            if isinstance(other, (Laurent, *_scalar)):
+                return self.scale(other)
             return NotImplemented
         out: dict = {}
         for k1, c1 in self.terms.items():

@@ -5,6 +5,11 @@ formal variable h specializes to 1-q for numeric evaluation and to
 1-zeta_n for evaluation at a root of unity. Rationals are
 fractions.Fraction throughout, except that a Laurent coefficient which
 is an integer is stored as an int; nothing here is ever floating point.
+
+The algebra is graded by weight (deg a = deg h = 1, deg b = 0) and every
+operator preserves or shifts it, so the coefficient of each word is a
+single monomial c*h^j; Laurent products take a fast path for monomial
+times monomial and keep the general convolution for other shapes.
 """
 from __future__ import annotations
 
@@ -35,8 +40,9 @@ class Laurent:
     Stored sparsely as {exponent: coefficient} with no zero coefficients;
     the empty map is the zero element. A coefficient is an int when it is
     integral and a Fraction otherwise, so the common +-h^j terms stay in
-    fast int arithmetic. Values are immutable by convention: all
-    operations return fresh objects.
+    fast int arithmetic. Values are immutable: an operation may return
+    an operand itself (a product with the unit does), so nothing may
+    change the terms of a Laurent in place.
 
     >>> str(Laurent({-1: Fraction(-2), 0: 1, 2: Fraction(3, 2)}))
     '-2*h^-1 + 1 + 3/2*h^2'
@@ -45,9 +51,9 @@ class Laurent:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | int | Fraction = 0):
-        if isinstance(terms, Laurent):
+        if type(terms) is Laurent:
             self.terms = dict(terms.terms)
-        elif isinstance(terms, Mapping):
+        elif type(terms) is dict or isinstance(terms, Mapping):
             self.terms = {e: _exact(c) for e, c in terms.items() if c != 0}
         else:
             c = _exact(terms)
@@ -70,14 +76,18 @@ class Laurent:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _scalar):
+        if type(other) is not Laurent:
+            if not isinstance(other, _scalar):
+                return NotImplemented
             other = Laurent(other)
-        if not isinstance(other, Laurent):
-            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        # A constant hashes as the scalar it equals, zero as 0.
+        t = self.terms
+        if not t or (len(t) == 1 and 0 in t):
+            return hash(t.get(0, 0))
+        return hash(tuple(sorted(t.items())))
 
     def __neg__(self) -> "Laurent":
         res = Laurent.__new__(Laurent)
@@ -85,10 +95,10 @@ class Laurent:
         return res
 
     def __add__(self, other) -> "Laurent":
-        if isinstance(other, _scalar):
+        if type(other) is not Laurent:
+            if not isinstance(other, _scalar):
+                return NotImplemented
             other = Laurent(other)
-        if not isinstance(other, Laurent):
-            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -109,15 +119,28 @@ class Laurent:
         return Laurent(other) + (-self)
 
     def __mul__(self, other) -> "Laurent":
-        if not isinstance(other, Laurent):
+        if type(other) is not Laurent:
             if not isinstance(other, _scalar):
                 return NotImplemented
             c = _exact(other)
             return Laurent({e: v * c for e, v in self.terms.items()})
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1:
+            # The weight grading makes almost every product monomial x monomial.
+            (e1, c1), = a.items()
+            (e2, c2), = b.items()
+            if not e1 and c1 == 1:
+                return other
+            if not e2 and c2 == 1:
+                return self
+            c = c1 * c2
+            res = Laurent.__new__(Laurent)
+            res.terms = {e1 + e2: c if type(c) is int else _exact(c)}
+            return res
         out: dict[int, int | Fraction] = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
         res = Laurent.__new__(Laurent)
@@ -152,14 +175,15 @@ class Laurent:
 
         Negative exponents need value to be invertible; rings signal that
         through __pow__ with a negative exponent (Fraction and the
-        cyclotomic types here all do).
+        cyclotomic types here all do). An int value is then taken as a
+        Fraction, so that its inverse stays exact.
         """
         if not self.terms:
             return 0 * value if not isinstance(value, _scalar) else Fraction(0)
+        if isinstance(value, int) and min(self.terms) < 0:
+            value = Fraction(value)
         acc = None
         for e, c in sorted(self.terms.items()):
-            if e < 0 and isinstance(value, int):
-                raise NonInvertible(f"h^{e} at non-invertible value {value!r}")
             try:
                 term = c * value**e
             except ZeroDivisionError as exc:

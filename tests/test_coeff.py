@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qharmonic.coeff import (
     Laurent,
@@ -71,8 +71,23 @@ class TestLaurent:
     def test_substitute_needs_inverse(self):
         with pytest.raises(NonInvertible):
             Laurent.h(-1).substitute(0)
+        with pytest.raises(NonInvertible):
+            Laurent({-2: 3, 1: 1}).substitute(0)
 
-    @given(laurents, laurents, st.fractions(min_value="1/7", max_value="9", max_denominator=9))
+    def test_substitute_int_at_negative_exponent(self):
+        # an int value is a unit of Q: its inverse is an exact Fraction
+        got = Laurent.h(-1).substitute(2)
+        assert got == Fraction(1, 2) and type(got) is Fraction
+        assert Laurent({-2: 3, 1: 1}).substitute(-1) == 2
+        assert Laurent.h(-3, 2).substitute(1) == 2
+        assert Laurent.h(2).substitute(3) == 9
+
+    @given(
+        laurents,
+        laurents,
+        st.fractions(min_value="1/7", max_value="9", max_denominator=9)
+        | st.integers(-5, 5).filter(bool),
+    )
     def test_substitute_is_ring_hom(self, a, b, v):
         assert (a * b).substitute(v) == a.substitute(v) * b.substitute(v)
 
@@ -98,6 +113,14 @@ class TestLaurentExactness:
     """Integral coefficients are stored as int, the rest as Fraction; the
     two forms compare, hash and print alike, and no float ever appears."""
 
+    def test_hash_agrees_with_scalar_equality(self):
+        # Laurent(1) == 1 and Laurent() == 0, so they must hash alike
+        table = {Laurent(1): "one", Laurent(): "zero", Laurent(Fraction(1, 2)): "half"}
+        assert table.get(1) == "one" and table.get(0) == "zero"
+        assert table.get(Fraction(1, 2)) == "half" and table.get(Laurent.h()) is None
+        assert {1, 0, Fraction(1, 2)} == {Laurent(1), Laurent(), Laurent(Fraction(1, 2))}
+        assert Laurent({0: 2}) in {2} and Laurent.h(1, 2) not in {2}
+
     def test_int_and_fraction_forms_agree(self):
         a, b = Laurent({0: 1}), Laurent({0: Fraction(1)})
         assert a == b and hash(a) == hash(b)
@@ -113,7 +136,11 @@ class TestLaurentExactness:
         st.fractions(min_value="1/7", max_value="9", max_denominator=9),
     )
     def test_operations_stay_exact(self, a, b, s, n, v):
+        before = dict(a.terms), dict(b.terms)
         results = [a + b, a - b, a * b, -a, a * s, s * a, a**n, a + s, s - a]
+        # a product with the unit returns an operand itself, so no
+        # operation may have changed an operand in place
+        assert (a.terms, b.terms) == before
         for x in results:
             for c in x.terms.values():
                 assert_exact(c)
@@ -122,6 +149,41 @@ class TestLaurentExactness:
         value = a.substitute(v)
         assert type(value) in (int, Fraction)
         assert_exact(a.constant())
+
+
+monomial_coeffs = st.sampled_from(
+    [s * c for s in (1, -1) for c in (1, 2, Fraction(1, 2), Fraction(3, 4))]
+)
+monomials = st.builds(Laurent.h, st.integers(-3, 3), monomial_coeffs)
+
+
+class TestMonomialProduct:
+    """Monomial x monomial, the shape the weight grading makes common,
+    takes a fast path; schoolbook stays the reference."""
+
+    @given(monomials, monomials)
+    @example(Laurent.h(0, 1), Laurent.h(2, Fraction(-3, 4)))
+    @example(Laurent.h(1, 1), Laurent.h(2, Fraction(-3, 4)))
+    @example(Laurent.h(2, Fraction(-3, 4)), Laurent.h(1, 1))
+    @example(Laurent.h(0, -1), Laurent.h(-2, 2))
+    @example(Laurent.h(1, Fraction(1, 2)), Laurent.h(-1, 2))
+    def test_matches_schoolbook(self, a, b):
+        got = a * b
+        assert got.terms == schoolbook(a.terms, b.terms)
+        for c in got.terms.values():
+            assert_exact(c)
+
+    def test_integral_product_is_stored_as_int(self):
+        got = Laurent.h(1, Fraction(1, 2)) * Laurent.h(-1, 2)
+        assert got.terms == {0: 1} and type(got.terms[0]) is int
+        got = Laurent.h(2, Fraction(3, 4)) * Laurent.h(1, Fraction(-4, 3))
+        assert got.terms == {3: -1} and type(got.terms[3]) is int
+
+    def test_unit_returns_the_other_operand(self):
+        x = Laurent.h(-2, Fraction(3, 4))
+        assert Laurent.one() * x is x and x * Laurent.one() is x
+        assert Laurent.h(1) * x == Laurent.h(-1, Fraction(3, 4))
+        assert Laurent.h(0, -1) * x == -x
 
 
 unipolys = st.lists(rationals, max_size=5).map(UniPoly)

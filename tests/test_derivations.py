@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -210,12 +211,16 @@ class TestExpHomomorphisms:
         assert got.coeffs == (NcPoly.word("a"), NcPoly({"aab": -1, "ab": H(1, -1)}))
 
     def test_multiplicative(self):
-        # Phi_X is an algebra homomorphism: check on a pair of words
+        # Psi_X(uv) = Psi_X(u) Psi_X(v) on all pairs of words of length 1..2;
+        # Psi_X is applied through its definition _exp_apply, so this is a
+        # property of d_n that the route does not build in
         order = 3
-        u, v = NcPoly.word("ab"), NcPoly.word("b")
-        lhs = Phi_X(u * v, order)
-        rhs = ts_mul(operator.mul, Phi_X(u, order), Phi_X(v, order))
-        assert lhs == rhs
+        short = ["a", "b", "aa", "ab", "ba", "bb"]
+        for u, v in iproduct(short, short):
+            x, y = NcPoly.word(u), NcPoly.word(v)
+            lhs = Psi_X(x * y, order)
+            rhs = ts_mul(operator.mul, Psi_X(x, order), Psi_X(y, order))
+            assert lhs == rhs, (u, v)
 
     def test_psi_series_on_constant(self):
         w = NcPoly.word("ab")
@@ -258,6 +263,44 @@ class TestHomomorphismRoute:
     def test_negative_order_rejected(self, op, w):
         with pytest.raises(OutOfRange):
             op(w, -1)
+
+
+GRADED_WORDS = ["".join(t) for m in range(4) for t in iproduct("ab", repeat=m)]
+
+
+def weight_of(x: NcPoly) -> set:
+    """The weights #a + j of the terms c*h^j*w of x; each coefficient must
+    be a single monomial."""
+    out = set()
+    for w, c in x.terms.items():
+        assert len(c.terms) == 1, (w, c)
+        (j,) = c.terms
+        out.add(w.count("a") + j)
+    return out
+
+
+class TestWeightGrading:
+    """deg a = deg h = 1, deg b = 0: the derivations raise the weight by n,
+    sh_q adds weights, and the X^j coefficient of Phi_X, Psi_X and Delta_X
+    raises it by j. So every coefficient of a word is a monomial c*h^j."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("op", [partial_n, delta_n, d_n], ids=["partial", "delta", "d"])
+    def test_derivations(self, op, n):
+        for w in GRADED_WORDS:
+            assert weight_of(op(n, NcPoly.word(w))) <= {w.count("a") + n}, w
+
+    def test_shuffle_q(self):
+        for w in GRADED_WORDS:
+            for v in GRADED_WORDS:
+                got = shuffle_q(NcPoly.word(w), NcPoly.word(v))
+                assert weight_of(got) == {w.count("a") + v.count("a")}, (w, v)
+
+    @pytest.mark.parametrize("op", [Phi_X, Psi_X, Delta_X])
+    def test_exp_homomorphisms(self, op):
+        for w in GRADED_WORDS:
+            for j, coeff in enumerate(op(NcPoly.word(w), 3).coeffs):
+                assert weight_of(coeff) <= {w.count("a") + j}, (w, j)
 
 
 class TestRho:
