@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .cyclo import ohno_check, zn_map
 from .derivations import Delta_X, Phi_X, Psi_X, delta_n, partial_n, partial_n_e
-from .errors import QHarmonicError, UsageError
+from .errors import OutOfRange, QHarmonicError, UsageError
 from .evalq import QValue, zeta_q_partial
 from .export import relation_records, render_csv, render_json
 from .products import shuffle_q, stuffle_classical, stuffle_q
@@ -67,6 +67,14 @@ def _parse_n_range(text: str) -> range:
     return n_range
 
 
+def _parse_q(text: str) -> Fraction:
+    """A rational q with 0 < q < 1; anything else is a usage error (exit 2)."""
+    try:
+        return QValue(Fraction(text)).q
+    except (ValueError, ZeroDivisionError, OutOfRange):
+        raise UsageError(f"--q needs a rational in (0, 1) such as 1/2, got {text!r}") from None
+
+
 def _parse_primes(text: str) -> tuple[int, ...]:
     return tuple(_size(x) for x in text.split(","))
 
@@ -91,7 +99,7 @@ def _add_common_verify_args(p: argparse.ArgumentParser):
     p.add_argument("--max-m", type=_size, default=None, help="Ohno shift ceiling")
     p.add_argument("--n", type=_parse_n_range, default=None, help="n or n range as A:B (inclusive)")
     p.add_argument("--p", type=_parse_primes, default=None, help="comma separated primes")
-    p.add_argument("--q", type=Fraction, default=None, help="rational q in (0,1), e.g. 1/2")
+    p.add_argument("--q", type=_parse_q, default=None, help="rational q in (0,1), e.g. 1/2")
     p.add_argument("--M", type=_size, default=None, help="partial sum truncation")
     p.add_argument("--index", default=None, help="single index, e.g. 2,1 (ohno only)")
     p.add_argument("--m", type=_size, default=None, help="single Ohno shift (ohno only)")
@@ -139,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="certified numeric evaluation")
     p.add_argument("what", choices=["zetaq"])
     p.add_argument("index")
-    p.add_argument("--q", default="1/2")
+    p.add_argument("--q", type=_parse_q, default="1/2")
     p.add_argument("--M", type=int, default=50)
 
     p = sub.add_parser("zn", help="z_n(k; zeta_n) exactly in Q(zeta_n)")
@@ -255,7 +263,7 @@ def _dispatch(args) -> int:
         _print_series(op(w, args.order), out)
     elif args.command == "eval":
         k = parse_index(args.index)
-        cv = zeta_q_partial(k, QValue(Fraction(args.q)), args.M)
+        cv = zeta_q_partial(k, QValue(args.q), args.M)
         print(cv, file=out)
     elif args.command == "zn":
         val = zn_map(EPoly({parse_index(args.index): 1}), args.n)

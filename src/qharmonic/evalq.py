@@ -1,8 +1,7 @@
 """Certified exact evaluation of multiple harmonic q-series at rational q.
 
-Everything here is rational arithmetic: a partial sum is computed exactly
-and wrapped together with an exact upper bound on the dropped tail. The
-tail bound counts decreasing tuples by their largest element:
+Everything here is exact: a partial sum comes with an exact upper bound on
+the dropped tail, which counts decreasing tuples by their largest element:
 
     |F_(k_1)(m)| <= q^m  for k_1 != 1   and   |F_k(m)| <= 1 for every k,
 
@@ -14,18 +13,21 @@ At q = a/b the partial sum of zeta_q(k) over m_1 <= M is an integer
 N_k over b^W_k G^K_k, where G = prod_(m<=M) (b^m - a^m), W_k is the weight
 of k and K_k its largest entry weight. Z_q of an e-polynomial therefore
 sums integer numerators over one shared denominator L b^W G^K (L the lcm
-of the coefficient denominators at h = 1 - q) and builds one Fraction:
-one gcd per call, not one or more per term. The tail bound is likewise
-one closed-form Fraction per (depth, q, M).
+of the coefficient denominators at h = 1 - q), left unreduced: bound
+checks cross-multiply, and a value is reduced only when it is read or
+printed. The tail bound is one closed-form Fraction per (depth, q, M).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, lcm
+from operator import mul
 
 from .algebra import BAR1, EPoly, Index, in_Ihat0, index_dep
+from .coeff import Laurent
 from .errors import Divergent, NotInI0hat, OutOfRange
 
 #: Parameters used by the acceptance-level numeric checks.
@@ -46,24 +48,56 @@ class QValue:
             raise OutOfRange(f"q must satisfy 0 < q < 1, got {q}")
 
 
-@dataclass(frozen=True)
 class CertifiedValue:
     """An exact partial sum plus an exact bound on the dropped tail.
 
-    The true value lies in [value - tail_bound, value + tail_bound].
+    The true value lies in [value - tail_bound, value + tail_bound]. The
+    sum is kept as num/den (den > 0), possibly unreduced; `value` reduces
+    it on first read. Equality and hashing go by value, like a Fraction.
     """
 
-    value: Fraction
-    tail_bound: Fraction
-    truncation: int
+    __slots__ = ("num", "den", "tail_bound", "truncation", "_value")
 
-    def __post_init__(self):
-        if self.tail_bound < 0:
+    def __init__(self, value, tail_bound: Fraction, truncation: int):
+        value = Fraction(value)
+        self.num, self.den, self._value = value.numerator, value.denominator, value
+        self.tail_bound, self.truncation = tail_bound, truncation
+        if tail_bound < 0:
             raise ValueError("tail bounds are nonnegative")
 
+    @classmethod
+    def _unreduced(cls, num: int, den: int, tail_bound: Fraction, truncation: int):
+        out = cls(0, tail_bound, truncation)
+        out.num, out.den, out._value = num, den, None
+        return out
+
+    @property
+    def value(self) -> Fraction:
+        if self._value is None:
+            self._value = Fraction(self.num, self.den)
+        return self._value
+
+    def certifies_zero(self) -> bool:
+        """|value| <= tail_bound, by integer cross-multiplication."""
+        tb = self.tail_bound
+        return abs(self.num) * tb.denominator <= tb.numerator * self.den
+
     def overlaps(self, other: "CertifiedValue") -> bool:
-        gap = abs(self.value - other.value)
-        return gap <= self.tail_bound + other.tail_bound
+        tb = self.tail_bound + other.tail_bound
+        gap = abs(self.num * other.den - other.num * self.den)
+        return gap * tb.denominator <= tb.numerator * self.den * other.den
+
+    def _key(self):
+        return self.value, self.tail_bound, self.truncation
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "CertifiedValue(value={!r}, tail_bound={!r}, truncation={!r})".format(*self._key())
 
     def __str__(self):
         return f"{self.value} +/- {self.tail_bound} (M={self.truncation})"
@@ -75,14 +109,6 @@ def q_int(m: int, q: QValue | Fraction) -> Fraction:
         raise OutOfRange("q-integers need m >= 1")
     qq = q.q if isinstance(q, QValue) else Fraction(q)
     return (1 - qq**m) / (1 - qq)
-
-
-def f_factor(entry, m: int, q: Fraction) -> Fraction:
-    """F_k(m): q^((k-1)m)/[m]^k for integer k, q^m/[m] for 1bar."""
-    br = q_int(m, q)
-    if entry is BAR1:
-        return q**m / br
-    return q ** ((entry - 1) * m) / br**entry
 
 
 @lru_cache(maxsize=1024)
@@ -108,7 +134,7 @@ def tail_bound(depth: int, q: Fraction, M: int) -> Fraction:
 # so the cumulative sums over a suffix s of the index have the fixed
 # denominator b^W(s) * prod_(i<=m) g_i^K(s) with W the suffix weight and
 # K its largest entry weight. Keeping only the integer numerators makes the
-# whole DP gcd-free; one Fraction is formed at the very end.
+# whole DP gcd-free.
 
 
 @lru_cache(maxsize=None)
@@ -118,16 +144,7 @@ def _gammas(a: int, b: int, M: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _gamma_prefix(delta: int, a: int, b: int, M: int) -> tuple[int, ...]:
-    g = _gammas(a, b, M)
-    out = [1]
-    for m in range(1, M + 1):
-        out.append(out[-1] * g[m] ** delta)
-    return tuple(out)
-
-
-def _entry_profile(entry) -> tuple[int, int]:
-    # (denominator exponent of g_m, weight) for one entry
-    return (1, 1) if entry is BAR1 else (entry, entry)
+    return tuple(accumulate((g**delta for g in _gammas(a, b, M)[1:]), mul, initial=1))
 
 
 @lru_cache(maxsize=None)
@@ -136,11 +153,15 @@ def _suffix_numerators(suffix: Index, a: int, b: int, M: int) -> tuple[tuple[int
     over the denominator b^W * prod_(i<=m) g_i^K; returns (N, K, W)."""
     if not suffix:
         return tuple([1] * (M + 1)), 0, 0
-    head, rest = suffix[0], suffix[1:]
-    sub, k_rest, w_rest = _suffix_numerators(rest, a, b, M)
-    v, wt = _entry_profile(head)
+    return _head_step(suffix[0], _suffix_numerators(suffix[1:], a, b, M), a, b, M)
+
+
+def _head_step(head, rest, a: int, b: int, M: int, outer=None):
+    """(N, K, W) for `head` followed by a suffix with (N, K, W) = `rest`; the
+    m-th term is multiplied by outer[m] when `outer` is given."""
+    sub, k_rest, w_rest = rest
+    v = 1 if head is BAR1 else head  # exponent of g_m in F_head(m), and its weight
     kappa = max(v, k_rest)
-    weight = wt + w_rest
     g = _gammas(a, b, M)
     pp = _gamma_prefix(kappa - k_rest, a, b, M) if kappa != k_rest else None
     ba = b - a
@@ -148,40 +169,37 @@ def _suffix_numerators(suffix: Index, a: int, b: int, M: int) -> tuple[tuple[int
     acc = 0
     for m in range(1, M + 1):
         # numerator of F_head(m) * cum_rest(m-1), over the common denominator
-        if head is BAR1:
-            term = a**m * ba * sub[m - 1]
-        else:
-            term = a ** ((head - 1) * m) * ba**head * b**m * sub[m - 1]
+        term = (a**m * ba if head is BAR1 else a ** ((head - 1) * m) * ba**head * b**m) * sub[m - 1]
         if kappa > v:
             term *= g[m] ** (kappa - v)
         if pp is not None:
             term *= pp[m - 1]
+        if outer is not None:
+            term *= outer[m]
         acc = acc * g[m] ** kappa + term
         out[m] = acc
-    return tuple(out), kappa, weight
+    return tuple(out), kappa, v + w_rest
 
 
-def _combined_partial_sum(terms, a: int, b: int, M: int) -> Fraction:
-    """sum of c * (partial sum of zeta_q(k) over m_1 <= M) for (k, c) in terms,
-    at q = a/b, with rational weights c (int or Fraction).
+def _combined_partial_sum(terms, a: int, b: int, M: int) -> tuple[int, int]:
+    """Unreduced (num, den), den > 0, of sum c * (partial sum of zeta_q(k)
+    over m_1 <= M) for (k, c) in terms at q = a/b, c rational.
 
-    Each partial sum is N_k/(b^W_k G^K_k) with G = prod_(m<=M) g_m, so with
-    L the lcm of the weight denominators, W = max W_k and K = max K_k the
-    whole combination is one integer over L b^W G^K: a single gcd.
+    Each partial sum is N_k/(b^W_k G^K_k) with G = prod_(m<=M) g_m, so the
+    combination is one integer over L b^W G^K (L the lcm of the c
+    denominators, W = max W_k, K = max K_k). Terms are summed per K_k
+    first, so each group takes one big product by G^(K - K_k).
     """
     parts = [(c, *_suffix_numerators(k, a, b, M)) for k, c in terms]
-    if not parts:
-        return Fraction(0)
     den_l = lcm(*(c.denominator for c, *_ in parts))
-    top_k = max(kappa for _, _, kappa, _ in parts)
-    top_w = max(weight for *_, weight in parts)
-    num = 0
+    top_k = max((kappa for _, _, kappa, _ in parts), default=0)
+    top_w = max((weight for *_, weight in parts), default=0)
+    groups: dict[int, int] = {}
     for c, nums, kappa, weight in parts:
-        num += (
-            c.numerator * (den_l // c.denominator) * nums[M]
-            * b ** (top_w - weight) * _gamma_prefix(top_k - kappa, a, b, M)[M]
-        )
-    return Fraction(num, den_l * b**top_w * _gamma_prefix(top_k, a, b, M)[M])
+        scale = c.numerator * (den_l // c.denominator) * b ** (top_w - weight)
+        groups[kappa] = groups.get(kappa, 0) + scale * nums[M]
+    num = sum(s * _gamma_prefix(top_k - kappa, a, b, M)[M] for kappa, s in groups.items())
+    return num, den_l * b**top_w * _gamma_prefix(top_k, a, b, M)[M]
 
 
 _zeta_cache: dict[tuple[Index, Fraction, int], CertifiedValue] = {}
@@ -203,48 +221,34 @@ def zeta_q_partial(k: Index, q: QValue, M: int) -> CertifiedValue:
     if not k:
         return CertifiedValue(Fraction(1), Fraction(0), M)
     key = (k, q.q, M)
-    hit = _zeta_cache.get(key)
-    if hit is not None:
-        return hit
-    value = _combined_partial_sum([(k, 1)], q.q.numerator, q.q.denominator, M)
-    out = CertifiedValue(value, tail_bound(index_dep(k), q.q, M), M)
-    _zeta_cache[key] = out
-    return out
+    if key not in _zeta_cache:
+        num, den = _combined_partial_sum([(k, 1)], q.q.numerator, q.q.denominator, M)
+        _zeta_cache[key] = CertifiedValue._unreduced(num, den, tail_bound(index_dep(k), q.q, M), M)
+    return _zeta_cache[key]
 
 
 def polylog_partial(k: Index, t: Fraction, q: QValue, M: int) -> CertifiedValue:
     """Partial sum of the one-variable multiple polylogarithm L_k(t).
 
-    Needs 0 < t < 1, or t = 1 with k in I0-hat. The tail factor is
-    u = t q when the leading entry is not an unbarred 1 (then
+    Needs M >= 1 and 0 < t < 1, or t = 1 with k in I0-hat. The sum is the
+    head step of the zeta_q DP with its m-th term weighted by t^m, which at
+    t = c/d is c^m d^(M-m) over d^M. The tail is the counting bound with
+    u = t q in place of q when the leading entry is not an unbarred 1 (then
     |t^m F_(k_1)(m)| <= (tq)^m) and u = t otherwise.
     """
     t = Fraction(t)
+    if not (0 < t <= 1) or M < 1:
+        raise OutOfRange(f"need 0 < t <= 1 and M >= 1, got t = {t}, M = {M}")
     if not k:
         return CertifiedValue(Fraction(1), Fraction(0), M)
-    if not (0 < t <= 1):
-        raise OutOfRange("t must satisfy 0 < t <= 1")
     if t == 1 and k[0] == 1:
         raise Divergent("L_k(1) diverges when the index starts with 1")
-    qq = q.q
-    r = len(k)
-    # cum[j][m] = sum over m >= m_(j+1) > ... > m_r of the inner factors
-    cum_prev = [Fraction(1)] * (M + 1)
-    for j in range(r - 1, 0, -1):
-        cum = [Fraction(0)] * (M + 1)
-        acc = Fraction(0)
-        for m in range(1, M + 1):
-            acc += f_factor(k[j], m, qq) * cum_prev[m - 1]
-            cum[m] = acc
-        cum_prev = cum
-    value = sum(
-        (t**m * f_factor(k[0], m, qq) * cum_prev[m - 1] for m in range(1, M + 1)),
-        Fraction(0),
-    )
-    u = t if k[0] == 1 else t * qq
-    closed = u**r / (1 - u) ** r
-    finite = sum((comb(m - 1, r - 1) * u**m for m in range(r, M + 1)), Fraction(0))
-    return CertifiedValue(value, closed - finite, M)
+    (a, b), (c, d) = q.q.as_integer_ratio(), t.as_integer_ratio()
+    outer = [c**m * d ** (M - m) for m in range(M + 1)]
+    nums, kappa, weight = _head_step(k[0], _suffix_numerators(k[1:], a, b, M), a, b, M, outer)
+    den = d**M * b**weight * _gamma_prefix(kappa, a, b, M)[M]
+    u = t if k[0] == 1 else t * q.q
+    return CertifiedValue._unreduced(nums[M], den, tail_bound(len(k), u, M), M)
 
 
 def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:
@@ -253,16 +257,13 @@ def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:
     The partial sums are combined over one shared denominator (see
     _combined_partial_sum); tail bounds combine with absolute-value weights.
     """
-    terms = []
-    bound = Fraction(0)
-    one_minus_q = 1 - q.q
-    for k, c in x.terms.items():
-        scalar = c.substitute(one_minus_q)
+    h = 1 - q.q
+    terms = [(k, c.substitute(h)) for k, c in x.terms.items()]
+    for k, _ in terms:
         _check_index(k, M)
-        terms.append((k, scalar))
-        bound += abs(scalar) * tail_bound(index_dep(k), q.q, M)
-    value = _combined_partial_sum(terms, q.q.numerator, q.q.denominator, M)
-    return CertifiedValue(value, bound, M)
+    bound = sum((abs(c) * tail_bound(index_dep(k), q.q, M) for k, c in terms), Fraction(0))
+    num, den = _combined_partial_sum(terms, q.q.numerator, q.q.denominator, M)
+    return CertifiedValue._unreduced(num, den, bound, M)
 
 
 def f_basis_expand(k: int, l: int):
@@ -274,8 +275,6 @@ def f_basis_expand(k: int, l: int):
     k-l = 2, m = 1.) For l = k the leading term falls onto F_1bar with
     powers of q-1 = -h.
     """
-    from .coeff import Laurent
-
     if k < 1 or l < 0 or l > k:
         raise OutOfRange("need k >= 1 and 0 <= l <= k")
     if l < k:

@@ -64,7 +64,7 @@ def derivation_records(max_n: int, max_weight: int, q=None, M: int = DEFAULT_M) 
                     "n": n,
                     "word": _index_tokens(w),
                     "terms": _terms_payload(rel),
-                    "verified": bool(abs(cv.value) <= cv.tail_bound),
+                    "verified": cv.certifies_zero(),
                 }
             )
     return records

@@ -100,7 +100,7 @@ def suite_double_shuffle(q: Fraction = DEFAULT_Q, M: int = DEFAULT_M, max_weight
                 st = stuffle_q(e1, e2)
                 sh = word_to_e(shuffle_q(e_to_word(e1), e_to_word(e2)))
                 resid = Zq_eval(st - sh, qv, M)
-                if abs(resid.value) > resid.tail_bound:
+                if not resid.certifies_zero():
                     return False, f"double-shuffle residual {resid}"
                 v1, v2 = Zq_eval(e1, qv, M), Zq_eval(e2, qv, M)
                 vs = Zq_eval(st, qv, M)
@@ -132,7 +132,7 @@ def suite_derivation(
         for w in words:
             def check(n=n, w=w):
                 cv = Zq_eval(partial_n_e(n, EPoly({w: 1})), qv, M)
-                if abs(cv.value) <= cv.tail_bound:
+                if cv.certifies_zero():
                     return True, None
                 return False, f"Z_q(partial_{n} e_{_idx_label(w)}) = {cv}"
 

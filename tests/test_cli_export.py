@@ -309,16 +309,37 @@ class TestProfile:
         assert out == "" and "error" in err and "tottime" in err
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """qsh in a child interpreter that imports the same package as this process."""
+    src = str(Path(qharmonic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qharmonic.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+#: --q values that are not a rational in (0, 1).
+BAD_Q = ("1/0", "abc", "3/2", "0")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the child imports the same package as this process, installed or not
-        src = str(Path(qharmonic.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qharmonic.cli", "dual", "2,3,1"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_module("dual", "2,3,1")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1,2,1,2"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "zetaq", "2", "--q", q) for q in BAD_Q]
+        + [("verify", "double-shuffle", "--q", q, "--max-weight", "1") for q in BAD_Q]
+        + [("eval", "zetaq", "2", "--M", "0")],
+    )
+    def test_malformed_flag_exits_2(self, argv):
+        # exit 1 means a counterexample, so a bad flag must never reach it
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

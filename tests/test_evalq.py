@@ -22,7 +22,6 @@ from qharmonic.evalq import (
     _gamma_prefix,
     _suffix_numerators,
     f_basis_expand,
-    f_factor,
     polylog_partial,
     q_int,
     tail_bound,
@@ -38,6 +37,14 @@ TRUNCATIONS = [1, 2, 17, 120]
 
 
 # --- oracles: the Fraction-accumulating routes the shared denominator replaced
+
+
+def f_factor(entry, m: int, q: Fraction) -> Fraction:
+    """F_k(m): q^((k-1)m)/[m]^k for integer k, q^m/[m] for 1bar."""
+    br = q_int(m, q)
+    if entry is BAR1:
+        return q**m / br
+    return q ** ((entry - 1) * m) / br**entry
 
 
 def tail_bound_summed(depth: int, q: Fraction, M: int) -> Fraction:
@@ -158,6 +165,15 @@ class TestPolylog:
         cv = polylog_partial((), Fraction(1, 2), HALF, 4)
         assert (cv.value, cv.tail_bound) == (1, 0)
 
+    def test_empty_index_still_checks_t(self):
+        with pytest.raises(OutOfRange):
+            polylog_partial((), 5, HALF, 4)
+
+    def test_truncation_below_one(self):
+        for M in (0, -3):
+            with pytest.raises(OutOfRange):
+                polylog_partial((2,), 1, HALF, M)
+
     def test_at_one_equals_zeta(self):
         got = polylog_partial((2,), Fraction(1), HALF, 50)
         want = zeta_q_partial((2,), HALF, 50)
@@ -176,18 +192,23 @@ class TestPolylog:
             polylog_partial((1,), Fraction(1), HALF, 10)
 
     def test_matches_brute_force(self):
-        q = Fraction(1, 2)
-        t = Fraction(2, 3)
-        for k in [(1,), (2, 1), (BAR1,), (1, 1)]:
-            got = polylog_partial(k, t, HALF, 8)
-            want = Fraction(0)
-            for combo in combinations(range(1, 9), len(k)):
-                ms = tuple(reversed(combo))
-                term = t ** ms[0]
-                for entry, m in zip(k, ms):
-                    term *= f_factor(entry, m, q)
-                want += term
-            assert got.value == want
+        # the value against the brute-force sum, the tail against the closed
+        # form minus the summed finite part at u = tq, or u = t for a leading 1
+        M = 8
+        for q in (Fraction(1, 2), Fraction(2, 7)):
+            for t in (Fraction(2, 3), Fraction(1, 5)):
+                for k in enumerate_indices_up_to(3, "Ihat"):
+                    got = polylog_partial(k, t, QValue(q), M)
+                    want = Fraction(0) if k else Fraction(1)
+                    for combo in combinations(range(1, M + 1), len(k)) if k else ():
+                        ms = tuple(reversed(combo))
+                        term = t ** ms[0]
+                        for entry, m in zip(k, ms):
+                            term *= f_factor(entry, m, q)
+                        want += term
+                    u = t if k and k[0] == 1 else t * q
+                    assert got.value == want, (q, t, k)
+                    assert got.tail_bound == tail_bound_summed(len(k), u, M), (q, t, k)
 
 
 class TestZqEval:
@@ -246,6 +267,98 @@ class TestZqEval:
         sh = word_to_e(shuffle_q(e_to_word(w1), e_to_word(w2)))
         cv = Zq_eval(st_ - sh, HALF, 80)
         assert abs(cv.value) <= cv.tail_bound
+
+
+class TestUnreduced:
+    """CertifiedValue keeps num/den unreduced; every comparison agrees with
+    the reduced Fraction."""
+
+    @given(epolys, st.sampled_from(Q_VALUES), st.sampled_from(TRUNCATIONS))
+    @settings(max_examples=150, deadline=None)
+    def test_certifies_zero_matches_fraction_check(self, x, q, M):
+        cv = Zq_eval(x, q, M)
+        assert cv.den > 0
+        assert cv.certifies_zero() == (abs(cv.value) <= cv.tail_bound)
+
+    @given(epolys, epolys, st.sampled_from(Q_VALUES), st.sampled_from([1, 2, 17]))
+    @settings(max_examples=60, deadline=None)
+    def test_overlaps_matches_fraction_check(self, x, y, q, M):
+        a, b = Zq_eval(x, q, M), Zq_eval(y, q, M)
+        assert a.overlaps(b) == (abs(a.value - b.value) <= a.tail_bound + b.tail_bound)
+
+    @pytest.mark.parametrize(
+        "num, den, bound, want",
+        [
+            (6, 16, Fraction(3, 8), True),  # |value| = bound
+            (7, 16, Fraction(3, 8), False),
+            (-6, 16, Fraction(3, 8), True),
+            (-7, 16, Fraction(3, 8), False),
+            (0, 10**40, Fraction(0), True),
+            (1, 10**40, Fraction(0), False),
+            (0, 3, Fraction(1, 5), True),
+        ],
+    )
+    def test_certifies_zero_boundary(self, num, den, bound, want):
+        cv = CertifiedValue._unreduced(num, den, bound, 7)
+        assert cv.certifies_zero() is want
+        assert (abs(cv.value) <= cv.tail_bound) is want
+
+    def test_overlaps_boundary(self):
+        a = CertifiedValue._unreduced(2, 8, Fraction(1, 8), 3)  # [1/8, 3/8]
+        assert a.overlaps(CertifiedValue._unreduced(10, 40, Fraction(1, 100), 3))
+        assert a.overlaps(CertifiedValue(Fraction(1, 2), Fraction(1, 8), 3))  # touch at 3/8
+        assert not a.overlaps(CertifiedValue(Fraction(1, 2), Fraction(1, 9), 3))
+        assert a.overlaps(CertifiedValue._unreduced(-2, 8, Fraction(3, 8), 3))  # touch at 1/8
+        assert not a.overlaps(CertifiedValue._unreduced(-2, 8, Fraction(1, 4), 3))
+
+    def test_equals_its_reduced_twin(self):
+        cv = CertifiedValue._unreduced(6, 16, Fraction(1, 8), 3)
+        twin = CertifiedValue(Fraction(3, 8), Fraction(1, 8), 3)
+        assert (cv.num, cv.den) == (6, 16)
+        assert cv == twin and hash(cv) == hash(twin)
+        assert str(cv) == str(twin) == "3/8 +/- 1/8 (M=3)"
+        assert {cv: 1}[twin] == 1
+        assert cv != CertifiedValue(Fraction(3, 8), Fraction(1, 8), 4)
+        assert cv != CertifiedValue(Fraction(3, 8), Fraction(1, 9), 3)
+
+    def test_evaluators_leave_the_sum_unreduced(self):
+        cv = zeta_q_partial((2,), HALF, 3)
+        assert cv.value == Fraction(cv.num, cv.den) == Fraction(575, 882)
+        assert cv.den > 882
+        assert cv == CertifiedValue(Fraction(575, 882), Fraction(1, 8), 3)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 7)])
+    def test_mixed_kappa_oracle(self, q):
+        # kappa 1 (1bar), 2 ((2), (2,1bar)) and 3 ((3,1)), Fraction weights
+        x = EPoly(
+            {
+                (BAR1,): Fraction(3, 5),
+                (2,): H(-1, Fraction(1, 3)),
+                (2, BAR1): H(1, Fraction(-7, 4)),
+                (3, 1): Fraction(2, 9),
+            }
+        )
+        M = 7
+        cv = Zq_eval(x, QValue(q), M)
+        want = sum(
+            (c.substitute(1 - q) * zeta_brute(k, q, M) for k, c in x.terms.items()), Fraction(0)
+        )
+        assert cv.value == want
+        assert cv.tail_bound == sum(
+            abs(c.substitute(1 - q)) * tail_bound_summed(index_dep(k), q, M)
+            for k, c in x.terms.items()
+        )
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 7)])
+    def test_combination_that_cancels_exactly(self, q):
+        # truncated sums obey the q-stuffle exactly: Z(e_2) Z(e_3) = Z(e_2 *_q e_3),
+        # so c e_3 - e_2 *_q e_3 with c = Z(e_2) is 0 across kappa = 3, 4, 5
+        qv, M = QValue(q), 9
+        c = Zq_eval(EPoly.gen(2), qv, M).value
+        x = EPoly({(3,): Laurent({0: c})}) - stuffle_q(EPoly.gen(2), EPoly.gen(3))
+        cv = Zq_eval(x, qv, M)
+        assert cv.num == 0 and cv.value == 0
+        assert cv.certifies_zero() and cv.tail_bound > 0
 
 
 class TestFBasis:

@@ -1,6 +1,9 @@
 """Mutation tests: a suite fed one wrong coefficient must report FAIL."""
-from qharmonic import verify
+import pytest
+
+from qharmonic import export, verify
 from qharmonic.algebra import EPoly, NcPoly, index_sort_key
+from qharmonic.evalq import CertifiedValue
 from qharmonic.series import TruncSeries
 
 
@@ -36,6 +39,28 @@ def test_double_shuffle_catches_a_wrong_stuffle(monkeypatch):
     monkeypatch.setattr(verify, "stuffle_q", lambda x, y: bump_one_coefficient(good(x, y)))
     reports = verify.suite_double_shuffle(M=40, max_weight=2)
     assert_all_fail_with_witness(reports, "double-shuffle residual")
+
+
+def test_export_catches_a_wrong_partial_n(monkeypatch):
+    good = export.partial_n_e
+    monkeypatch.setattr(export, "partial_n_e", lambda n, x: bump_one_coefficient(good(n, x)))
+    records = export.derivation_records(1, 2, M=40)
+    assert records and not any(r["verified"] for r in records)
+
+
+def test_bound_checks_never_reduce(monkeypatch):
+    """The derivation checks decide |value| <= bound without reading .value."""
+
+    def no_reduction(self):
+        raise AssertionError("the check reduced a certified value")
+
+    monkeypatch.setattr(CertifiedValue, "value", property(no_reduction))
+    with pytest.raises(AssertionError):
+        CertifiedValue._unreduced(1, 2, 0, 1).value
+    reports = verify.suite_derivation(M=40, max_n=1, max_weight=2)
+    assert reports and all(r.ok for r in reports)
+    records = export.derivation_records(1, 2, M=40)
+    assert records and all(r["verified"] is True for r in records)
 
 
 def bump_delta_x(monkeypatch):
