@@ -22,7 +22,7 @@ from .algebra import (
     parse_index,
     word_to_e,
 )
-from .coeff import Laurent, ModPoly, Rational, UniPoly, poly_ext_gcd
+from .coeff import Laurent, ModPoly, Rational, UniPoly
 from .cyclo import (
     CycField,
     CycNum,

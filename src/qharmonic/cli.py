@@ -9,6 +9,7 @@ import argparse
 import inspect
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .algebra import (
     EPoly,
@@ -76,7 +77,12 @@ def _parse_q(text: str) -> Fraction:
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
-    return tuple(_size(x) for x in text.split(","))
+    """Comma separated primes; any other value is a usage error (exit 2)."""
+    primes = tuple(_size(x) for x in text.split(","))
+    for p in primes:
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise UsageError(f"--p takes primes only, got {p}")
+    return primes
 
 
 #: qsh verify flag (its argparse dest) -> the suite parameter it sets.
@@ -162,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["derivation", "ohno"], required=True)
     p.add_argument("--max-n", type=_size, default=3)
     p.add_argument("--max-weight", type=_size, default=4)
-    p.add_argument("--max-m", type=_size, default=2)
+    p.add_argument("--max-m", type=_size, default=None, help="Ohno shift ceiling (ohno only, default 2)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     return ap
@@ -193,7 +199,7 @@ def _suite_kwargs(args) -> dict:
 def _cmd_single_ohno(args, out) -> int:
     others = [d for d in _SUITE_PARAMS if d != "n" and getattr(args, d) is not None]
     single = None not in (args.index, args.m, args.n) and len(args.n) == 1
-    if args.suite != "ohno" or not single or others:
+    if args.suite != "ohno" or not single or others or args.quiet:
         raise UsageError("one Ohno instance is verify ohno --index K --n N --m M, no other flag")
     k = parse_index(args.index)
     n = args.n[0]
@@ -223,7 +229,11 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_export(args, out):
-    kwargs = {"max_m": args.max_m} if args.kind == "ohno" else {}
+    kwargs = {}
+    if args.max_m is not None:
+        if args.kind != "ohno":
+            raise UsageError(f"export --kind {args.kind} does not take --max-m")
+        kwargs["max_m"] = args.max_m
     records = relation_records(args.kind, args.max_n, args.max_weight, **kwargs)
     if not records:
         raise UsageError(f"the flags select no record of export --kind {args.kind}")

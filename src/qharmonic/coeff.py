@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: the Laurent ring Q[h, h^-1] and dense polynomials.
+"""Exact scalar arithmetic: the Laurent ring Q[h, h^-1], and the dense
+polynomials that hold Phi_n and the .poly forms of cyclotomic values.
 
 Every coefficient in this package lives in the Laurent ring, where the
 formal variable h specializes to 1-q for numeric evaluation and to
@@ -17,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import BothZero, NonInvertible
+from .errors import NonInvertible
 
 #: The exact rational scalar type used everywhere in this package.
 Rational = Fraction
@@ -253,8 +254,8 @@ def _parse_monomial(body: str) -> tuple[int, Fraction]:
 class UniPoly:
     """A dense univariate polynomial over Q, ascending coefficients.
 
-    Degrees stay small here (below phi(n) for moderate n), so the dense
-    representation is the simple and fast choice.
+    Only what cyclotomic_poly needs lives here: exact division, equality
+    and printing. Ring arithmetic on these values is test-side.
     """
 
     __slots__ = ("coeffs",)
@@ -275,9 +276,6 @@ class UniPoly:
     def leading(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, _scalar):
             other = UniPoly([other])
@@ -287,38 +285,6 @@ class UniPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        if isinstance(other, _scalar):
-            other = UniPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UniPoly(a)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _scalar):
-            other = UniPoly([other])
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, _scalar):
-            return UniPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other: "UniPoly"):
         if other.is_zero():
@@ -335,15 +301,6 @@ class UniPoly:
             for j, c in enumerate(other.coeffs):
                 rem[i - d + j] -= f * c
         return UniPoly(quo), UniPoly(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        inv = 1 / self.leading()
-        return UniPoly([c * inv for c in self.coeffs])
 
     def __str__(self):
         return poly_str(self.coeffs, "x")
@@ -369,25 +326,10 @@ def poly_str(coeffs, var: str) -> str:
     return "".join(parts) or "0"
 
 
-def poly_ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g, g monic."""
-    if a.is_zero() and b.is_zero():
-        raise BothZero("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    s0, s1 = UniPoly([1]), UniPoly()
-    t0, t1 = UniPoly(), UniPoly([1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead = r0.leading()
-    inv = 1 / lead
-    return r0.monic(), s0 * inv, t0 * inv
-
-
 class ModPoly:
-    """A dense polynomial over the field with p elements (p prime)."""
+    """A dense polynomial over the field with p elements (p prime): the
+    .poly form of a PrimeCycNum. Ring arithmetic beyond the product is
+    test-side."""
 
     __slots__ = ("p", "coeffs")
 
@@ -398,12 +340,6 @@ class ModPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         return (
             isinstance(other, ModPoly)
@@ -413,19 +349,6 @@ class ModPoly:
 
     def __hash__(self):
         return hash((self.p, self.coeffs))
-
-    def __add__(self, other: "ModPoly"):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = (a[i] + c) % self.p
-        return ModPoly(self.p, a)
-
-    def __neg__(self):
-        return ModPoly(self.p, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -438,46 +361,7 @@ class ModPoly:
                 out[i + j] = (out[i + j] + a * b) % self.p
         return ModPoly(self.p, out)
 
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "ModPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        quo = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree()
-        lead_inv = pow(other.coeffs[-1], -1, p)
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            f = rem[i] * lead_inv % p
-            quo[i - d] = f
-            for j, c in enumerate(other.coeffs):
-                rem[i - d + j] = (rem[i - d + j] - f * c) % p
-        return ModPoly(p, quo), ModPoly(p, rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __str__(self):
         return poly_str(self.coeffs, "x") + f" (mod {self.p})"
 
     __repr__ = __str__
-
-
-def modpoly_ext_gcd(a: ModPoly, b: ModPoly) -> tuple[ModPoly, ModPoly, ModPoly]:
-    """Extended Euclid over GF(p)[x]: (g, s, t) with s*a + t*b = g, g monic."""
-    if a.is_zero() and b.is_zero():
-        raise BothZero("gcd(0, 0) is undefined")
-    p = a.p
-    r0, r1 = a, b
-    s0, s1 = ModPoly(p, [1]), ModPoly(p)
-    t0, t1 = ModPoly(p), ModPoly(p, [1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    inv = pow(r0.coeffs[-1], -1, p)
-    return r0 * inv, s0 * inv, t0 * inv

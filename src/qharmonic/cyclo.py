@@ -9,12 +9,16 @@ division-free fold by Phi_n and one gcd. The prime quotient
 Z[zeta_p]/(p) = GF(p)[x]/Phi_p(x) is an int vector mod p, folded with
 x^p = 1 and then x^(p-1) = -(1 + ... + x^(p-2)). That ring has
 nilpotents (Phi_p = (x-1)^(p-1) mod p), which is fine -- it is a ring,
-not a field, and the only inverses ever needed are those of the
-cyclotomic units [m], which come from closed forms.
+not a field. Inverses are closed forms: the Galois conjugates over the
+rational norm in Q(zeta_n), u^(p-1)/u(1) by Frobenius in Z[zeta_p]/(p),
+and an explicit sum for each cyclotomic unit [m].
 
-The evaluators group the terms of an e-polynomial by their power of
-h = 1 - zeta: each group is a rational combination of z_n values, and it
-is multiplied once by a cached (1 - zeta)^e.
+One evaluator serves both rings, cyc_field(n) and prime_ring(p). A ring
+supplies zeta(), one(), zero(), q_int_inv(m) = [m]^(-1) and lincomb(pairs),
+its rational linear combination (the mod-p one raises BadDenominator).
+_zn_cum is the cumulative-sum DP over the nested sum; _h_grouped groups
+the terms of an e-polynomial by their power of h = 1 - zeta and
+multiplies each group's combination once by a cached (1 - zeta)^e.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from math import comb, gcd, lcm
 from typing import Iterable
 
 from .algebra import BAR1, EPoly, Index, in_I, index_dep
-from .coeff import ModPoly, UniPoly, modpoly_ext_gcd, poly_ext_gcd, poly_str
+from .coeff import ModPoly, UniPoly, poly_str
 from .derivations import _dual_shift_sum, _ohno_rhs
 from .errors import (
     BadDenominator,
@@ -94,10 +98,60 @@ class CycField:
         c = Fraction(c)
         return CycNum(self, [c.numerator], c.denominator)
 
+    def q_int_inv(self, m: int) -> "CycNum":
+        """[m]^(-1) = (1 - zeta)/(1 - w) at w = zeta^m, 0 < m < n, in closed form.
+
+        With N = n/gcd(n, m) the order of w, (1 - w) sum_(j<N) j w^j = -N
+        because 1 + w + ... + w^(N-1) = 0; so 1/(1 - w) = -(1/N) sum_(j<N) j w^j.
+        """
+        n = self.n
+        order = n // gcd(n, m)
+        vec = [0] * (n + 1)
+        for j in range(1, order):
+            vec[j * m % n] -= j
+            vec[j * m % n + 1] += j
+        return CycNum(self, vec, order)
+
+    def lincomb(self, pairs) -> "CycNum":
+        """sum c*v over (rational c, CycNum v) pairs, with one gcd at the end."""
+        acc: list[int] = []
+        den = 1
+        for c, v in pairs:
+            if not v.num:
+                continue
+            if type(c) is int:
+                cn, vd = c, v.den
+            else:
+                cn, vd = c.numerator, v.den * c.denominator
+            common = lcm(den, vd)
+            if common != den:
+                scale = common // den
+                acc = [x * scale for x in acc]
+                den = common
+            cn *= common // vd
+            if len(acc) < len(v.num):
+                acc.extend([0] * (len(v.num) - len(acc)))
+            for i, x in enumerate(v.num):
+                acc[i] += cn * x
+        return CycNum(self, acc, den)
+
 
 @lru_cache(maxsize=None)
 def cyc_field(n: int) -> CycField:
     return CycField(n)
+
+
+def _power(x, e: int, one):
+    """x^e by repeated squaring in either ring; a negative e inverts x first."""
+    if e < 0:
+        x, e = x.inverse(), -e
+    out = one
+    while e:
+        if e & 1:
+            out = out * x
+        x = x * x
+        e >>= 1
+    return out
 
 
 class CycNum:
@@ -164,7 +218,7 @@ class CycNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _lincomb(self.field, ((1, self), (1, other)))
+        return self.field.lincomb(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -175,7 +229,7 @@ class CycNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _lincomb(self.field, ((1, self), (-1, other)))
+        return self.field.lincomb(((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -202,167 +256,35 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """x^(-1) = c / N(x) with c the product of the Galois conjugates
+        sigma_j(x), zeta -> zeta^j, over the j != 1 prime to n; the norm
+        N(x) = x c is rational and nonzero for x != 0."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        g, s, _ = poly_ext_gcd(self.poly, self.field.modulus)
-        # Phi_n is irreducible over Q, so the gcd with any nonzero residue is 1.
-        assert g.degree() == 0
-        return self.field.element((s * (1 / g.leading())).coeffs)
+        n = self.field.n
+        conj = self.field.one()
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                vec = [0] * n
+                for i, c in enumerate(self.num):
+                    vec[i * j % n] += c
+                conj = conj * CycNum(self.field, vec, self.den)
+        norm = self * conj
+        (c,) = norm.num
+        return conj * Fraction(norm.den, c)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         return self * other.inverse()
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, self.field.one())
 
     def __str__(self):
         return poly_str([Fraction(c, self.den) for c in self.num], "z")
 
     def __repr__(self):
         return f"{self} (n={self.field.n})"
-
-
-def _lincomb(field: CycField, pairs) -> CycNum:
-    """sum c*v over (rational c, CycNum v) pairs, with one gcd at the end."""
-    acc: list[int] = []
-    den = 1
-    for c, v in pairs:
-        if not v.num:
-            continue
-        if type(c) is int:
-            cn, vd = c, v.den
-        else:
-            cn, vd = c.numerator, v.den * c.denominator
-        common = lcm(den, vd)
-        if common != den:
-            scale = common // den
-            acc = [x * scale for x in acc]
-            den = common
-        cn *= common // vd
-        if len(acc) < len(v.num):
-            acc.extend([0] * (len(v.num) - len(acc)))
-        for i, x in enumerate(v.num):
-            acc[i] += cn * x
-    return CycNum(field, acc, den)
-
-
-@lru_cache(maxsize=None)
-def _one_minus_root_inv(n: int, m: int) -> CycNum:
-    """1/(1 - w) for w = zeta_n^m != 1, in closed form.
-
-    With N = n/gcd(n, m) the order of w, (1 - w) sum_(j<N) j w^j = -N
-    because 1 + w + ... + w^(N-1) = 0; so 1/(1 - w) = -(1/N) sum_(j<N) j w^j.
-    """
-    order = n // gcd(n, m)
-    vec = [0] * n
-    for j in range(1, order):
-        vec[j * m % n] -= j
-    return CycNum(cyc_field(n), vec, order)
-
-
-@lru_cache(maxsize=None)
-def _q_int_inv_cyc(n: int, m: int) -> CycNum:
-    """[m]^(-1) at q = zeta_n, 0 < m < n: [m] = (1 - zeta^m)/(1 - zeta)."""
-    return _h_power_cyc(n, 1) * _one_minus_root_inv(n, m)
-
-
-@lru_cache(maxsize=None)
-def _h_power_cyc(n: int, e: int) -> CycNum:
-    """h^e at h = 1 - zeta_n, for any integer e."""
-    if e < 0:
-        return _one_minus_root_inv(n, 1) ** (-e)
-    return CycNum(cyc_field(n), [1, -1]) ** e
-
-
-@lru_cache(maxsize=None)
-def _f_factor_cyc(n: int, entry, m: int) -> CycNum:
-    fld = cyc_field(n)
-    zeta_m = fld.zeta() ** m
-    if entry is BAR1:
-        return zeta_m * _q_int_inv_cyc(n, m)
-    return fld.zeta() ** ((entry - 1) * m) * _q_int_inv_cyc(n, m) ** entry
-
-
-@lru_cache(maxsize=None)
-def _zn_cum(n: int, suffix: Index) -> tuple:
-    """cum[m] = sum over m >= m_1 > ... > m_r >= 1 of prod F at q = zeta_n."""
-    fld = cyc_field(n)
-    if not suffix:
-        return tuple([fld.one()] * n)
-    head, rest = suffix[0], suffix[1:]
-    sub = _zn_cum(n, rest)
-    out = [fld.zero()]
-    acc = fld.zero()
-    for m in range(1, n):
-        acc = acc + _f_factor_cyc(n, head, m) * sub[m - 1]
-        out.append(acc)
-    return tuple(out)
-
-
-def zn_eval(k: Index, n: int) -> CycNum:
-    """z_n(k; zeta_n): the nested sum truncated below n, exactly in Q(zeta_n).
-
-    Defined for every index in I-hat; automatically 0 when dep(k) >= n.
-    """
-    if n < 2:
-        raise OutOfRange("z_n needs n >= 2")
-    return _zn_cum(n, tuple(k))[n - 1]
-
-
-def _h_grouped(x: EPoly, n: int, value) -> CycNum:
-    """sum over terms c(h) e_k of x of c(1 - zeta_n) value(k): the values
-    sharing a power of h are combined first, then multiplied once."""
-    fld = cyc_field(n)
-    groups: dict[int, list] = {}
-    for k, c in x.terms.items():
-        v = value(k)
-        for e, coeff in c.terms.items():
-            groups.setdefault(e, []).append((coeff, v))
-    out = fld.zero()
-    for e, pairs in groups.items():
-        part = _lincomb(fld, pairs)
-        out = out + (part if e == 0 else part * _h_power_cyc(n, e))
-    return out
-
-
-def zn_map(x: EPoly, n: int) -> CycNum:
-    """Linear extension of zn_eval with h acting as 1 - zeta_n."""
-    return _h_grouped(x, n, lambda k: _zn_cum(n, k)[n - 1])
-
-
-def ones_bar_closed_form(n: int, r: int) -> CycNum:
-    """z_n({1bar}^r) = ((-1)^r / n) C(n, r+1) (1 - zeta_n)^r."""
-    if not (0 <= r < n):
-        raise OutOfRange("need 0 <= r < n")
-    return Fraction((-1) ** r * comb(n, r + 1), n) * _h_power_cyc(n, r)
-
-
-def A_m_helper(m: int, x: EPoly, n: int) -> CycNum:
-    """The sum with the outer variable pinned to m, at q = zeta_n.
-
-    A_m(e_k) = F_(k_1)(m) * (truncated sum below m over the rest);
-    A_m(1) = 1 by convention.
-    """
-    if not (1 <= m < n):
-        raise OutOfRange("need 1 <= m < n")
-    fld = cyc_field(n)
-
-    def value(k):
-        if not k:
-            return fld.one()
-        return _f_factor_cyc(n, k[0], m) * _zn_cum(n, k[1:])[m - 1]
-
-    return _h_grouped(x, n, value)
 
 
 def _reduce_mod_p(c: Fraction, p: int) -> int:
@@ -469,23 +391,16 @@ class PrimeCycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "PrimeCycNum":
-        phi = ModPoly(self.p, [1] * self.p)  # Phi_p = 1 + x + ... + x^(p-1)
-        g, s, _ = modpoly_ext_gcd(self.poly, phi)
-        if g.degree() != 0:
+        """u^(-1) = u(1)^(-1) u^(p-1). Frobenius fixes GF(p) and x^p = 1, so
+        u^p = u(1): u is a unit exactly when u(1) != 0 mod p, and nilpotent
+        otherwise."""
+        u1 = sum(self.coeffs) % self.p
+        if not u1:
             raise NonInvertible(f"{self} is not a unit in Z[zeta_{self.p}]/({self.p})")
-        return PrimeCycNum(self.p, s)
+        return self ** (self.p - 1) * pow(u1, -1, self.p)
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = PrimeCycNum(self.p, (1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, PrimeCycNum(self.p, (1,)))
 
     def __str__(self):
         return poly_str(self.coeffs, "z") + f" (mod {self.p})"
@@ -493,62 +408,149 @@ class PrimeCycNum:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=None)
-def _h_power_mod_p(p: int, e: int) -> PrimeCycNum:
-    """h^e at h = 1 - zeta_p in Z[zeta_p]/(p); a negative e raises
-    NonInvertible, as (1 - zeta_p)^(p-1) is p times a unit."""
-    return PrimeCycNum(p, [1, -1]) ** e
+class PrimeRing:
+    """Z[zeta_p]/(p), the ring of PrimeCycNum values; n = p is the order of zeta."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, p: int):
+        self.n = p
+
+    def zeta(self) -> PrimeCycNum:
+        return PrimeCycNum(self.n, (0, 1))
+
+    def one(self) -> PrimeCycNum:
+        return PrimeCycNum(self.n, (1,))
+
+    def zero(self) -> PrimeCycNum:
+        return PrimeCycNum(self.n, ())
+
+    def q_int_inv(self, m: int) -> PrimeCycNum:
+        """[m]^(-1) = [m']_(zeta^m) with m m' = 1 mod p, an integral sum:
+        [m] [m']_(zeta^m) = (1 - zeta^(m m'))/(1 - zeta) = 1 as zeta^p = 1."""
+        p = self.n
+        vec = [0] * p
+        for j in range(pow(m, -1, p)):
+            vec[j * m % p] += 1
+        return PrimeCycNum(p, vec)
+
+    def lincomb(self, pairs) -> PrimeCycNum:
+        """sum c*v over (rational c, PrimeCycNum v) pairs; every c is reduced
+        mod p, so one with p in its denominator raises BadDenominator."""
+        p = self.n
+        acc = [0] * (p - 1)
+        for c, v in pairs:
+            s = _reduce_mod_p(c, p)
+            for i, a in enumerate(v.coeffs):
+                acc[i] += s * a
+        return PrimeCycNum(p, acc)
 
 
 @lru_cache(maxsize=None)
-def _f_factor_mod_p(p: int, entry, m: int) -> PrimeCycNum:
-    # [m]^(-1) = [m']_(zeta^m) with m m' = 1 mod p, an integral sum:
-    # [m] [m']_(zeta^m) = (1 - zeta^(m m'))/(1 - zeta) = 1 as zeta^p = 1.
-    vec = [0] * p
-    for j in range(pow(m, -1, p)):
-        vec[j * m % p] += 1
-    br_inv = PrimeCycNum(p, vec)
-    z = PrimeCycNum(p, [0, 1])
+def prime_ring(p: int) -> PrimeRing:
+    return PrimeRing(p)
+
+
+# --- the evaluator, over either ring -----------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _h_power(ring, e: int):
+    """h^e at h = 1 - zeta, for any integer e. In Z[zeta_p]/(p) a negative e
+    raises NonInvertible, as (1 - zeta_p)^(p-1) is p times a unit."""
+    return (ring.one() - ring.zeta()) ** e
+
+
+@lru_cache(maxsize=None)
+def _f_factor(ring, entry, m: int):
+    """F_entry(m) at q = zeta: zeta^((k-1)m)/[m]^k, or zeta^m/[m] for 1bar."""
     if entry is BAR1:
-        return z**m * br_inv
-    return z ** ((entry - 1) * m) * br_inv**entry
+        return ring.zeta() ** m * ring.q_int_inv(m)
+    return ring.zeta() ** ((entry - 1) * m) * ring.q_int_inv(m) ** entry
 
 
 @lru_cache(maxsize=None)
-def _zcyc_cum(p: int, suffix: Index) -> tuple:
-    one = PrimeCycNum(p, (1,))
+def _zn_cum(ring, suffix: Index) -> tuple:
+    """cum[m] = sum over m >= m_1 > ... > m_r >= 1 of prod F at q = zeta, m < n."""
     if not suffix:
-        return tuple([one] * p)
+        return tuple([ring.one()] * ring.n)
     head, rest = suffix[0], suffix[1:]
-    sub = _zcyc_cum(p, rest)
-    zero = PrimeCycNum(p, ())
-    out = [zero]
-    acc = zero
-    for m in range(1, p):
-        acc = acc + _f_factor_mod_p(p, head, m) * sub[m - 1]
+    sub = _zn_cum(ring, rest)
+    out = [ring.zero()]
+    acc = ring.zero()
+    for m in range(1, ring.n):
+        acc = acc + _f_factor(ring, head, m) * sub[m - 1]
         out.append(acc)
     return tuple(out)
+
+
+def _h_grouped(ring, x: EPoly, value):
+    """sum over terms c(h) e_k of x of c(1 - zeta) value(k): the values
+    sharing a power of h are combined first, then multiplied once.
+
+    Every coefficient is reduced before any power of h is taken, so in
+    Z[zeta_p]/(p) a bad denominator is reported ahead of a negative power."""
+    groups: dict[int, list] = {}
+    for k, c in x.terms.items():
+        v = value(k)
+        for e, coeff in c.terms.items():
+            groups.setdefault(e, []).append((coeff, v))
+    parts = [(e, ring.lincomb(pairs)) for e, pairs in groups.items()]
+    out = ring.zero()
+    for e, part in parts:
+        out = out + (part if e == 0 else part * _h_power(ring, e))
+    return out
+
+
+def zn_eval(k: Index, n: int) -> CycNum:
+    """z_n(k; zeta_n): the nested sum truncated below n, exactly in Q(zeta_n).
+
+    Defined for every index in I-hat; automatically 0 when dep(k) >= n.
+    """
+    if n < 2:
+        raise OutOfRange("z_n needs n >= 2")
+    return _zn_cum(cyc_field(n), tuple(k))[n - 1]
+
+
+def zn_map(x: EPoly, n: int) -> CycNum:
+    """Linear extension of zn_eval with h acting as 1 - zeta_n."""
+    fld = cyc_field(n)
+    return _h_grouped(fld, x, lambda k: _zn_cum(fld, k)[n - 1])
+
+
+def ones_bar_closed_form(n: int, r: int) -> CycNum:
+    """z_n({1bar}^r) = ((-1)^r / n) C(n, r+1) (1 - zeta_n)^r."""
+    if not (0 <= r < n):
+        raise OutOfRange("need 0 <= r < n")
+    return Fraction((-1) ** r * comb(n, r + 1), n) * _h_power(cyc_field(n), r)
+
+
+def A_m_helper(m: int, x: EPoly, n: int) -> CycNum:
+    """The sum with the outer variable pinned to m, at q = zeta_n.
+
+    A_m(e_k) = F_(k_1)(m) * (truncated sum below m over the rest);
+    A_m(1) = 1 by convention.
+    """
+    if not (1 <= m < n):
+        raise OutOfRange("need 1 <= m < n")
+    fld = cyc_field(n)
+
+    def value(k):
+        if not k:
+            return fld.one()
+        return _f_factor(fld, k[0], m) * _zn_cum(fld, k[1:])[m - 1]
+
+    return _h_grouped(fld, x, value)
 
 
 def zcyc_mod_p(x: EPoly, p: int) -> PrimeCycNum:
     """The single-prime component of the cyclotomic analogue: z_p(k) mod (p).
 
-    All arithmetic runs directly in GF(p)[x]/Phi_p; h acts as 1 - zeta_p,
-    and rational coefficients need denominators coprime to p. Terms that
-    share a power of h are combined before the one multiply by (1 - zeta_p)^e.
+    The same evaluator as zn_map, run in GF(p)[x]/Phi_p: h acts as
+    1 - zeta_p, and rational coefficients need denominators coprime to p.
     """
-    groups: dict[int, list[int]] = {}
-    for k, c in x.terms.items():
-        v = _zcyc_cum(p, k)[p - 1].coeffs
-        for e, coeff in c.terms.items():
-            s = _reduce_mod_p(coeff, p)
-            acc = groups.setdefault(e, [0] * (p - 1))
-            for i, a in enumerate(v):
-                acc[i] += s * a
-    out = PrimeCycNum(p, ())
-    for e, acc in groups.items():
-        out = out + PrimeCycNum(p, acc) * _h_power_mod_p(p, e)
-    return out
+    ring = prime_ring(p)
+    return _h_grouped(ring, x, lambda k: _zn_cum(ring, k)[p - 1])
 
 
 def ohno_check(k: Index, m: int, n: int):
@@ -570,6 +572,6 @@ def varpi_l_check(k: Index, p: int) -> bool:
     """Check (1 - zeta_p) Zcyc(e_k) = Zcyc(L(e_k)) in Z[zeta_p]/(p)."""
     if not in_I(k):
         raise HasBarEntry("the L map needs indices without 1bar")
-    lhs = _h_power_mod_p(p, 1) * zcyc_mod_p(EPoly({k: 1}), p)
+    lhs = _h_power(prime_ring(p), 1) * zcyc_mod_p(EPoly({k: 1}), p)
     rhs = zcyc_mod_p(l_map_epoly(EPoly({k: 1})), p)
     return lhs == rhs

@@ -9,10 +9,6 @@ class NonInvertible(QHarmonicError):
     """A negative power of h was requested at a non-invertible value."""
 
 
-class BothZero(QHarmonicError):
-    """Extended gcd of the zero polynomial with itself."""
-
-
 class NotInH1(QHarmonicError):
     """A word does not end in b, so it has no e-basis expansion."""
 

@@ -48,7 +48,7 @@ from .derivations import (
     z_word,
 )
 from .errors import BadDenominator, OutOfRange
-from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval
+from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval, zeta_q_partial
 from .products import l_map_epoly, psi_involution, shuffle_q, stuffle_q
 from .series import TruncSeries, geometric, series_one, series_phi, series_psi, ts_log, ts_mul
 
@@ -102,7 +102,7 @@ def suite_double_shuffle(q: Fraction = DEFAULT_Q, M: int = DEFAULT_M, max_weight
                 resid = Zq_eval(st - sh, qv, M)
                 if not resid.certifies_zero():
                     return False, f"double-shuffle residual {resid}"
-                v1, v2 = Zq_eval(e1, qv, M), Zq_eval(e2, qv, M)
+                v1, v2 = zeta_q_partial(w1, qv, M), zeta_q_partial(w2, qv, M)
                 vs = Zq_eval(st, qv, M)
                 prod_resid = abs(vs.value - v1.value * v2.value)
                 prod_bound = (

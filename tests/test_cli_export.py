@@ -139,6 +139,7 @@ class TestVerifyCommand:
             ("fmzv", "--index", "2"),
             ("ohno", "--index", "2", "--n", "5"),
             ("ones-bar", "--n", "2:4", "--max-n", "4"),
+            ("ohno", "--index", "2", "--n", "5", "--m", "1", "--quiet"),
         ],
     )
     def test_flag_the_suite_would_ignore(self, capsys, argv):
@@ -285,6 +286,11 @@ class TestExport:
         assert code == 2
         assert out == "" and "no record" in err
 
+    def test_max_m_only_for_ohno(self, capsys):
+        code, out, err = run_cli(capsys, "export", "--kind", "derivation", "--max-m", "5")
+        assert code == 2
+        assert out == "" and "does not take --max-m" in err
+
 
 class TestProfile:
     @pytest.mark.parametrize(
@@ -335,7 +341,9 @@ class TestEntryPoint:
         "argv",
         [("eval", "zetaq", "2", "--q", q) for q in BAD_Q]
         + [("verify", "double-shuffle", "--q", q, "--max-weight", "1") for q in BAD_Q]
-        + [("eval", "zetaq", "2", "--M", "0")],
+        + [("eval", "zetaq", "2", "--M", "0")]
+        + [("verify", "varpi-l", "--p", "0"), ("verify", "fmzv", "--p", "4"),
+           ("verify", "cyc-ohno", "--p", "9"), ("verify", "fmzv", "--p", "5,1")],
     )
     def test_malformed_flag_exits_2(self, argv):
         # exit 1 means a counterexample, so a bad flag must never reach it

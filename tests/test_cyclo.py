@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from poly_oracle import QPoly
 from qharmonic.algebra import (
     BAR1,
     EPoly,
@@ -15,7 +16,7 @@ from qharmonic.coeff import Laurent, ModPoly, UniPoly
 from qharmonic.cyclo import (
     A_m_helper,
     PrimeCycNum,
-    _f_factor_cyc,
+    _f_factor,
     cyc_field,
     cyclotomic_poly,
     fmzv_reduce,
@@ -41,7 +42,7 @@ class TestCyclotomicPoly:
 
     def test_product_over_divisors(self):
         for n in range(1, 21):
-            prod = UniPoly([1])
+            prod = QPoly([1])
             for d in range(1, n + 1):
                 if n % d == 0:
                     prod = prod * cyclotomic_poly(d)
@@ -86,7 +87,7 @@ def zn_brute(k, n):
         ms = tuple(reversed(combo))
         term = fld.one()
         for entry, m in zip(k, ms):
-            term = term * _f_factor_cyc(n, entry, m)
+            term = term * _f_factor(fld, entry, m)
         total = total + term
     return total
 
@@ -131,15 +132,15 @@ class TestReflection:
             for m in range(1, n):
                 if n - m < 1 or n - m > n - 1:
                     continue
-                assert _f_factor_cyc(n, BAR1, n - m) == -_f_factor_cyc(n, 1, m)
-                assert _f_factor_cyc(n, 1, n - m) == -_f_factor_cyc(n, BAR1, m)
+                assert _f_factor(fld, BAR1, n - m) == -_f_factor(fld, 1, m)
+                assert _f_factor(fld, 1, n - m) == -_f_factor(fld, BAR1, m)
                 for k in range(2, 6):
                     rhs = fld.zero()
                     for j in range(2, k + 1):
                         rhs = rhs + comb(k - 2, j - 2) * one_minus_zeta ** (
                             k - j
-                        ) * _f_factor_cyc(n, j, m)
-                    assert _f_factor_cyc(n, k, n - m) == (-1) ** k * rhs
+                        ) * _f_factor(fld, j, m)
+                    assert _f_factor(fld, k, n - m) == (-1) ** k * rhs
 
 
 class TestAm:
@@ -156,7 +157,8 @@ class TestAm:
 
     def test_two_bars_at_four(self):
         got = A_m_helper(2, EPoly.from_index((BAR1, BAR1)), 4)
-        want = _f_factor_cyc(4, BAR1, 2) * _f_factor_cyc(4, BAR1, 1)
+        f4 = cyc_field(4)
+        want = _f_factor(f4, BAR1, 2) * _f_factor(f4, BAR1, 1)
         assert got == want
 
     def test_range(self):

@@ -1,11 +1,11 @@
 """Differential tests of the int-based cyclotomic arithmetic.
 
 The oracles below are the rational-polynomial types the package used
-before its arithmetic moved to plain ints: a UniPoly residue reduced with
-UniPoly.__divmod__ after every product, a ModPoly residue mod Phi_p, and
-every inverse by extended Euclid. The per-term evaluation routes
-substitute h = 1 - zeta into each coefficient separately. Every fast path
-in qharmonic.cyclo is compared with them.
+before its arithmetic moved to plain ints: a polynomial residue over Q
+reduced by division after every product, one over GF(p) mod Phi_p, and
+every inverse by extended Euclid, all from poly_oracle. The per-term
+evaluation routes substitute h = 1 - zeta into each coefficient
+separately. Every fast path in qharmonic.cyclo is compared with them.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -13,24 +13,17 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poly_oracle import GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
 from qharmonic.algebra import BAR1, EPoly, enumerate_indices_up_to
-from qharmonic.coeff import (
-    Laurent,
-    ModPoly,
-    UniPoly,
-    modpoly_ext_gcd,
-    poly_ext_gcd,
-    poly_str,
-)
+from qharmonic.coeff import Laurent, ModPoly, poly_str
 from qharmonic.cyclo import (
     A_m_helper,
     PrimeCycNum,
-    _f_factor_mod_p,
-    _h_power_cyc,
-    _one_minus_root_inv,
-    _q_int_inv_cyc,
+    _f_factor,
+    _h_power,
     cyc_field,
     cyclotomic_poly,
+    prime_ring,
     zcyc_mod_p,
     zn_eval,
     zn_map,
@@ -40,18 +33,18 @@ from qharmonic.verify import harmonic_sum_mod_p
 
 
 class OracleCycNum:
-    """An element of Q(zeta_n) as a Fraction UniPoly reduced modulo Phi_n."""
+    """An element of Q(zeta_n) as a Fraction QPoly reduced modulo Phi_n."""
 
     __slots__ = ("n", "poly")
 
-    def __init__(self, n: int, poly: UniPoly):
+    def __init__(self, n: int, poly: QPoly):
         self.n = n
         self.poly = poly % cyclotomic_poly(n)
 
     def _coerce(self, other):
         if isinstance(other, OracleCycNum):
             return other
-        return OracleCycNum(self.n, UniPoly([other]))
+        return OracleCycNum(self.n, QPoly([other]))
 
     def __eq__(self, other):
         return self.poly == self._coerce(other).poly
@@ -82,7 +75,7 @@ class OracleCycNum:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = OracleCycNum(self.n, UniPoly([1]))
+        out = OracleCycNum(self.n, QPoly([1]))
         for _ in range(e):
             out = out * self
         return out
@@ -91,16 +84,16 @@ class OracleCycNum:
         return poly_str(self.poly.coeffs, "z")
 
 
-def _phi_mod_p(p: int) -> ModPoly:
-    return ModPoly(p, [1] * p)
+def _phi_mod_p(p: int) -> GFPoly:
+    return GFPoly(p, [1] * p)
 
 
 class OraclePrimeCycNum:
-    """An element of GF(p)[x]/Phi_p as a ModPoly reduced by ModPoly.__divmod__."""
+    """An element of GF(p)[x]/Phi_p as a GFPoly reduced by GFPoly.__divmod__."""
 
     __slots__ = ("p", "poly")
 
-    def __init__(self, p: int, poly: ModPoly):
+    def __init__(self, p: int, poly: GFPoly):
         self.p = p
         self.poly = poly % _phi_mod_p(p)
 
@@ -111,7 +104,7 @@ class OraclePrimeCycNum:
         if other.denominator % self.p == 0:
             raise BadDenominator(f"{other} has no residue mod {self.p}")
         value = other.numerator * pow(other.denominator, -1, self.p)
-        return OraclePrimeCycNum(self.p, ModPoly(self.p, [value]))
+        return OraclePrimeCycNum(self.p, GFPoly(self.p, [value]))
 
     def __eq__(self, other):
         return self.poly == self._coerce(other).poly
@@ -141,7 +134,7 @@ class OraclePrimeCycNum:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = OraclePrimeCycNum(self.p, ModPoly(self.p, [1]))
+        out = OraclePrimeCycNum(self.p, GFPoly(self.p, [1]))
         for _ in range(e):
             out = out * self
         return out
@@ -155,8 +148,8 @@ class OraclePrimeCycNum:
 
 @lru_cache(maxsize=None)
 def oracle_f_factor(n: int, entry, m: int) -> OracleCycNum:
-    zeta = OracleCycNum(n, UniPoly([0, 1]))
-    br_inv = OracleCycNum(n, UniPoly([1] * m)).inverse()
+    zeta = OracleCycNum(n, QPoly([0, 1]))
+    br_inv = OracleCycNum(n, QPoly([1] * m)).inverse()
     if entry is BAR1:
         return zeta**m * br_inv
     return zeta ** ((entry - 1) * m) * br_inv**entry
@@ -165,9 +158,9 @@ def oracle_f_factor(n: int, entry, m: int) -> OracleCycNum:
 @lru_cache(maxsize=None)
 def oracle_cum(n: int, suffix: tuple) -> tuple:
     if not suffix:
-        return tuple(OracleCycNum(n, UniPoly([1])) for _ in range(n))
+        return tuple(OracleCycNum(n, QPoly([1])) for _ in range(n))
     sub = oracle_cum(n, suffix[1:])
-    acc = OracleCycNum(n, UniPoly())
+    acc = OracleCycNum(n, QPoly())
     out = [acc]
     for m in range(1, n):
         acc = acc + oracle_f_factor(n, suffix[0], m) * sub[m - 1]
@@ -176,19 +169,19 @@ def oracle_cum(n: int, suffix: tuple) -> tuple:
 
 
 def oracle_zn_map(x: EPoly, n: int) -> OracleCycNum:
-    h = OracleCycNum(n, UniPoly([1, -1]))
-    out = OracleCycNum(n, UniPoly())
+    h = OracleCycNum(n, QPoly([1, -1]))
+    out = OracleCycNum(n, QPoly())
     for k, c in x.terms.items():
         out = out + c.substitute(h) * oracle_cum(n, k)[n - 1]
     return out
 
 
 def oracle_A_m(m: int, x: EPoly, n: int) -> OracleCycNum:
-    h = OracleCycNum(n, UniPoly([1, -1]))
-    out = OracleCycNum(n, UniPoly())
+    h = OracleCycNum(n, QPoly([1, -1]))
+    out = OracleCycNum(n, QPoly())
     for k, c in x.terms.items():
         value = (
-            OracleCycNum(n, UniPoly([1]))
+            OracleCycNum(n, QPoly([1]))
             if not k
             else oracle_f_factor(n, k[0], m) * oracle_cum(n, k[1:])[m - 1]
         )
@@ -197,12 +190,12 @@ def oracle_A_m(m: int, x: EPoly, n: int) -> OracleCycNum:
 
 
 def oracle_zcyc(x: EPoly, p: int) -> OraclePrimeCycNum:
-    h = OraclePrimeCycNum(p, ModPoly(p, [1, -1]))
-    out = OraclePrimeCycNum(p, ModPoly(p))
+    h = OraclePrimeCycNum(p, GFPoly(p, [1, -1]))
+    out = OraclePrimeCycNum(p, GFPoly(p))
     for k, c in x.terms.items():
         exact = oracle_cum(p, k)[p - 1].poly.coeffs
         value = OraclePrimeCycNum(
-            p, ModPoly(p, [a.numerator * pow(a.denominator, -1, p) for a in exact])
+            p, GFPoly(p, [a.numerator * pow(a.denominator, -1, p) for a in exact])
         )
         out = out + c.substitute(h) * value
     return out
@@ -242,7 +235,7 @@ class TestCycNumAgainstOracle:
     def test_ring_operations(self, n, a, b, e):
         fld = cyc_field(n)
         x, y = fld.element(a), fld.element(b)
-        ox, oy = OracleCycNum(n, UniPoly(a)), OracleCycNum(n, UniPoly(b))
+        ox, oy = OracleCycNum(n, QPoly(a)), OracleCycNum(n, QPoly(b))
         assert same(x, ox) and same(y, oy)
         assert same(x + y, ox + oy)
         assert same(x - y, ox - oy)
@@ -256,7 +249,7 @@ class TestCycNumAgainstOracle:
     @given(small_n, vectors, rationals)
     @settings(max_examples=100, deadline=None)
     def test_scalars(self, n, a, c):
-        x, ox = cyc_field(n).element(a), OracleCycNum(n, UniPoly(a))
+        x, ox = cyc_field(n).element(a), OracleCycNum(n, QPoly(a))
         assert same(x * c, ox * c) and same(c * x, ox * c)
         assert same(x + c, ox + c) and same(c - x, -ox + c)
         assert same(x * c.numerator, ox * c.numerator)
@@ -265,7 +258,7 @@ class TestCycNumAgainstOracle:
     @given(small_n, vectors)
     @settings(max_examples=100, deadline=None)
     def test_inverse(self, n, a):
-        x, ox = cyc_field(n).element(a), OracleCycNum(n, UniPoly(a))
+        x, ox = cyc_field(n).element(a), OracleCycNum(n, QPoly(a))
         if x.is_zero():
             with pytest.raises(ZeroDivisionError):
                 x.inverse()
@@ -286,29 +279,31 @@ class TestClosedFormInverses:
     @settings(max_examples=100, deadline=None)
     def test_one_minus_root(self, n, data):
         m = data.draw(st.integers(1, n - 1))
-        _, s, _ = poly_ext_gcd(UniPoly([1] + [0] * (m - 1) + [-1]), cyclotomic_poly(n))
-        assert _one_minus_root_inv(n, m).poly == s % cyclotomic_poly(n)
+        _, s, _ = poly_ext_gcd(QPoly([1] + [0] * (m - 1) + [-1]), cyclotomic_poly(n))
+        # 1/(1 - zeta^m) = [m]^(-1) h^(-1)
+        fld = cyc_field(n)
+        assert (fld.q_int_inv(m) * _h_power(fld, -1)).poly == s % cyclotomic_poly(n)
 
     @given(small_n, st.data())
     @settings(max_examples=100, deadline=None)
     def test_q_integer(self, n, data):
         m = data.draw(st.integers(1, n - 1))
-        _, s, _ = poly_ext_gcd(UniPoly([1] * m), cyclotomic_poly(n))
-        assert _q_int_inv_cyc(n, m).poly == s % cyclotomic_poly(n)
+        _, s, _ = poly_ext_gcd(QPoly([1] * m), cyclotomic_poly(n))
+        assert cyc_field(n).q_int_inv(m).poly == s % cyclotomic_poly(n)
 
     @given(small_n, st.integers(-4, 4))
     @settings(max_examples=100, deadline=None)
     def test_h_powers(self, n, e):
-        assert same(_h_power_cyc(n, e), OracleCycNum(n, UniPoly([1, -1])) ** e)
+        assert same(_h_power(cyc_field(n), e), OracleCycNum(n, QPoly([1, -1])) ** e)
 
     @given(primes, st.data())
     @settings(max_examples=60, deadline=None)
     def test_q_integer_mod_p(self, p, data):
         m = data.draw(st.integers(1, p - 1))
-        g, s, _ = modpoly_ext_gcd(ModPoly(p, [1] * m), _phi_mod_p(p))
+        g, s, _ = modpoly_ext_gcd(GFPoly(p, [1] * m), _phi_mod_p(p))
         assert g.degree() == 0
         # F_1(m) = [m]^(-1)
-        assert _f_factor_mod_p(p, 1, m).poly == s % _phi_mod_p(p)
+        assert _f_factor(prime_ring(p), 1, m).poly == s % _phi_mod_p(p)
 
 
 # --- grouped evaluation -------------------------------------------------------
@@ -347,6 +342,19 @@ class TestGroupedEvaluation:
         with pytest.raises(NonInvertible):
             zcyc_mod_p(EPoly({(2,): Laurent.h(-1)}), 5)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(2,): Laurent.h(-1), (3,): Laurent(Fraction(1, 5))},
+            {(3,): Laurent(Fraction(1, 5)), (2,): Laurent.h(-1)},
+            {(2,): Laurent.h(-1, Fraction(1, 5))},
+        ],
+    )
+    def test_zcyc_bad_denominator_before_non_invertible(self, terms):
+        # every coefficient is reduced mod p before any power of h is taken
+        with pytest.raises(BadDenominator):
+            zcyc_mod_p(EPoly(terms), 5)
+
 
 # --- Z[zeta_p]/(p) ------------------------------------------------------------
 
@@ -356,7 +364,7 @@ class TestPrimeCycNumAgainstOracle:
     @settings(max_examples=150, deadline=None)
     def test_ring_operations(self, p, a, b, e):
         x, y = PrimeCycNum(p, ModPoly(p, a)), PrimeCycNum(p, b)
-        ox, oy = OraclePrimeCycNum(p, ModPoly(p, a)), OraclePrimeCycNum(p, ModPoly(p, b))
+        ox, oy = OraclePrimeCycNum(p, GFPoly(p, a)), OraclePrimeCycNum(p, GFPoly(p, b))
         pairs = (
             (x, ox), (y, oy), (x + y, ox + oy), (x - y, ox - oy), (-x, -ox),
             (x * y, ox * oy), (x * 3, ox * 3),
@@ -371,6 +379,20 @@ class TestPrimeCycNumAgainstOracle:
         else:
             assert (x**e).poly == want.poly
         assert (x == y) == (ox == oy)
+
+    @given(primes, int_vectors)
+    @settings(max_examples=150, deadline=None)
+    def test_inverse(self, p, a):
+        x, ox = PrimeCycNum(p, a), OraclePrimeCycNum(p, GFPoly(p, a))
+        if sum(x.coeffs) % p == 0:
+            with pytest.raises(NonInvertible):
+                x.inverse()
+            with pytest.raises(NonInvertible):
+                ox.inverse()
+        else:
+            got = x.inverse()
+            assert got.poly == ox.inverse().poly
+            assert x * got == 1
 
     def test_constructor_forms_agree(self):
         coeffs = [1, 2, 3, 4, 5, 6]
