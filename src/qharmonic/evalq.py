@@ -11,22 +11,25 @@ sum_(m>=r) C(m-1, r-1) q^m = q^r/(1-q)^r in closed form.
 
 At q = a/b the partial sum of zeta_q(k) over m_1 <= M is an integer
 N_k over b^W_k G^K_k, where G = prod_(m<=M) (b^m - a^m), W_k is the weight
-of k and K_k its largest entry weight. Z_q of an e-polynomial therefore
-sums integer numerators over one shared denominator L b^W G^K (L the lcm
-of the coefficient denominators at h = 1 - q), left unreduced: bound
-checks cross-multiply, and a value is reduced only when it is read or
-printed. The tail bound is one closed-form Fraction per (depth, q, M).
+of k and K_k its largest entry weight. N_k comes from a DP over the
+suffixes of k in which every layer runs at K_k; the proper suffixes keep
+their tables of numerators (cached per suffix and K_k), k keeps only N_k.
+Z_q of an e-polynomial sums these over one shared denominator L b^W G^K
+(L the lcm of the coefficient denominators at h = 1 - q), left unreduced:
+bound checks cross-multiply, and a value is reduced only when it is read
+or printed. The tail bound is one closed-form Fraction per (depth, q, M).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from .algebra import BAR1, EPoly, Index, in_Ihat0, index_dep
+from .algebra import BAR1, EPoly, Index, entry_wt, in_Ihat0, index_dep, index_wt
 from .coeff import Laurent
 from .errors import Divergent, NotInI0hat, OutOfRange
 
@@ -100,7 +103,14 @@ class CertifiedValue:
         return "CertifiedValue(value={!r}, tail_bound={!r}, truncation={!r})".format(*self._key())
 
     def __str__(self):
-        return f"{self.value} +/- {self.tail_bound} (M={self.truncation})"
+        return f"{_exact_str(self.value)} +/- {_exact_str(self.tail_bound)} (M={self.truncation})"
+
+
+def _exact_str(x: int | Fraction) -> str:
+    """str(x) at any size: Decimal converts an int exactly and is not bound
+    by CPython's 4300-digit limit on int -> str conversion."""
+    num, den = Fraction(x).as_integer_ratio()
+    return str(Decimal(num)) + ("" if den == 1 else f"/{Decimal(den)}")
 
 
 def q_int(m: int, q: QValue | Fraction) -> Fraction:
@@ -131,54 +141,59 @@ def tail_bound(depth: int, q: Fraction, M: int) -> Fraction:
 # At q = a/b the factors take the form
 #     F_k(m) = a^((k-1)m) (b-a)^k b^(m-k) / g_m^k,      g_m = b^m - a^m,
 #     F_1bar(m) = a^m (b-a) / (b g_m),
-# so the cumulative sums over a suffix s of the index have the fixed
-# denominator b^W(s) * prod_(i<=m) g_i^K(s) with W the suffix weight and
-# K its largest entry weight. Keeping only the integer numerators makes the
-# whole DP gcd-free.
+# so for kappa >= every entry weight of a suffix s, the cumulative sums over
+# s have the denominator b^W(s) prod_(i<=m) g_i^kappa, W(s) the weight of s.
+# An index of largest entry weight K runs every layer at K, with f(m) the
+# numerator of F_head(m) g_m^(K-v), v the head's entry weight:
+#     N(m) = N(m-1) g_m^K + f(m) N_rest(m-1),    N_empty(m) = prod_(i<=m) g_i^K,
+# two big-by-small products per step and no gcd. The proper suffixes keep
+# their tables, cached per (suffix, K); an evaluated index keeps only N(M).
 
 
 @lru_cache(maxsize=None)
-def _gammas(a: int, b: int, M: int) -> tuple[int, ...]:
-    return tuple(b**m - a**m for m in range(M + 1))
+def _gamma_powers(delta: int, a: int, b: int, M: int) -> tuple[int, ...]:
+    return tuple((b**m - a**m) ** delta for m in range(M + 1))
 
 
 @lru_cache(maxsize=None)
 def _gamma_prefix(delta: int, a: int, b: int, M: int) -> tuple[int, ...]:
-    return tuple(accumulate((g**delta for g in _gammas(a, b, M)[1:]), mul, initial=1))
+    return tuple(accumulate(_gamma_powers(delta, a, b, M)[1:], mul, initial=1))
 
 
 @lru_cache(maxsize=None)
-def _suffix_numerators(suffix: Index, a: int, b: int, M: int) -> tuple[tuple[int, ...], int, int]:
+def _head_factors(head, kappa: int, a: int, b: int, M: int) -> tuple[int, ...]:
+    """f(0..M): the numerator of F_head(m) over b^v g_m^kappa."""
+    ba, lift = b - a, _gamma_powers(kappa - entry_wt(head), a, b, M)
+    return tuple(
+        (a**m * ba if head is BAR1 else a ** ((head - 1) * m) * ba**head * b**m) * lift[m]
+        for m in range(M + 1)
+    )
+
+
+def _layer(f, suffix: Index, kappa: int, a: int, b: int, M: int):
+    """The step N(m-1), m -> N(m) of a head with factors f over `suffix` at kappa."""
+    gk, sub = _gamma_powers(kappa, a, b, M), _suffix_numerators(suffix, kappa, a, b, M)
+    return lambda acc, m: acc * gk[m] + f[m] * sub[m - 1]
+
+
+@lru_cache(maxsize=None)
+def _suffix_numerators(suffix: Index, kappa: int, a: int, b: int, M: int) -> tuple[int, ...]:
     """Numerators N(0..M) of the cumulative sums over m_1 <= m for `suffix`,
-    over the denominator b^W * prod_(i<=m) g_i^K; returns (N, K, W)."""
+    over b^W prod_(i<=m) g_i^kappa; kappa is at least every entry weight."""
     if not suffix:
-        return tuple([1] * (M + 1)), 0, 0
-    return _head_step(suffix[0], _suffix_numerators(suffix[1:], a, b, M), a, b, M)
+        return _gamma_prefix(kappa, a, b, M)
+    step = _layer(_head_factors(suffix[0], kappa, a, b, M), suffix[1:], kappa, a, b, M)
+    return tuple(accumulate(range(1, M + 1), step, initial=0))
 
 
-def _head_step(head, rest, a: int, b: int, M: int, outer=None):
-    """(N, K, W) for `head` followed by a suffix with (N, K, W) = `rest`; the
-    m-th term is multiplied by outer[m] when `outer` is given."""
-    sub, k_rest, w_rest = rest
-    v = 1 if head is BAR1 else head  # exponent of g_m in F_head(m), and its weight
-    kappa = max(v, k_rest)
-    g = _gammas(a, b, M)
-    pp = _gamma_prefix(kappa - k_rest, a, b, M) if kappa != k_rest else None
-    ba = b - a
-    out = [0] * (M + 1)
-    acc = 0
-    for m in range(1, M + 1):
-        # numerator of F_head(m) * cum_rest(m-1), over the common denominator
-        term = (a**m * ba if head is BAR1 else a ** ((head - 1) * m) * ba**head * b**m) * sub[m - 1]
-        if kappa > v:
-            term *= g[m] ** (kappa - v)
-        if pp is not None:
-            term *= pp[m - 1]
-        if outer is not None:
-            term *= outer[m]
-        acc = acc * g[m] ** kappa + term
-        out[m] = acc
-    return tuple(out), kappa, v + w_rest
+@lru_cache(maxsize=None)
+def _index_numerator(k: Index, a: int, b: int, M: int) -> tuple[int, int, int]:
+    """(N(M), K, W) of k: its partial sum is N(M)/(b^W prod_(m<=M) g_m^K)."""
+    if not k:
+        return 1, 0, 0
+    kappa = max(map(entry_wt, k))
+    step = _layer(_head_factors(k[0], kappa, a, b, M), k[1:], kappa, a, b, M)
+    return reduce(step, range(1, M + 1), 0), kappa, index_wt(k)
 
 
 def _combined_partial_sum(terms, a: int, b: int, M: int) -> tuple[int, int]:
@@ -190,14 +205,14 @@ def _combined_partial_sum(terms, a: int, b: int, M: int) -> tuple[int, int]:
     denominators, W = max W_k, K = max K_k). Terms are summed per K_k
     first, so each group takes one big product by G^(K - K_k).
     """
-    parts = [(c, *_suffix_numerators(k, a, b, M)) for k, c in terms]
+    parts = [(c, *_index_numerator(k, a, b, M)) for k, c in terms]
     den_l = lcm(*(c.denominator for c, *_ in parts))
     top_k = max((kappa for _, _, kappa, _ in parts), default=0)
     top_w = max((weight for *_, weight in parts), default=0)
     groups: dict[int, int] = {}
-    for c, nums, kappa, weight in parts:
+    for c, num, kappa, weight in parts:
         scale = c.numerator * (den_l // c.denominator) * b ** (top_w - weight)
-        groups[kappa] = groups.get(kappa, 0) + scale * nums[M]
+        groups[kappa] = groups.get(kappa, 0) + scale * num
     num = sum(s * _gamma_prefix(top_k - kappa, a, b, M)[M] for kappa, s in groups.items())
     return num, den_l * b**top_w * _gamma_prefix(top_k, a, b, M)[M]
 
@@ -231,7 +246,7 @@ def polylog_partial(k: Index, t: Fraction, q: QValue, M: int) -> CertifiedValue:
     """Partial sum of the one-variable multiple polylogarithm L_k(t).
 
     Needs M >= 1 and 0 < t < 1, or t = 1 with k in I0-hat. The sum is the
-    head step of the zeta_q DP with its m-th term weighted by t^m, which at
+    head layer of the zeta_q DP with its m-th factor weighted by t^m, which at
     t = c/d is c^m d^(M-m) over d^M. The tail is the counting bound with
     u = t q in place of q when the leading entry is not an unbarred 1 (then
     |t^m F_(k_1)(m)| <= (tq)^m) and u = t otherwise.
@@ -244,11 +259,12 @@ def polylog_partial(k: Index, t: Fraction, q: QValue, M: int) -> CertifiedValue:
     if t == 1 and k[0] == 1:
         raise Divergent("L_k(1) diverges when the index starts with 1")
     (a, b), (c, d) = q.q.as_integer_ratio(), t.as_integer_ratio()
-    outer = [c**m * d ** (M - m) for m in range(M + 1)]
-    nums, kappa, weight = _head_step(k[0], _suffix_numerators(k[1:], a, b, M), a, b, M, outer)
+    kappa, weight = max(map(entry_wt, k)), index_wt(k)
+    f = [x * c**m * d ** (M - m) for m, x in enumerate(_head_factors(k[0], kappa, a, b, M))]
+    num = reduce(_layer(f, k[1:], kappa, a, b, M), range(1, M + 1), 0)
     den = d**M * b**weight * _gamma_prefix(kappa, a, b, M)[M]
     u = t if k[0] == 1 else t * q.q
-    return CertifiedValue._unreduced(nums[M], den, tail_bound(len(k), u, M), M)
+    return CertifiedValue._unreduced(num, den, tail_bound(len(k), u, M), M)
 
 
 def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:

@@ -48,7 +48,7 @@ from .derivations import (
     z_word,
 )
 from .errors import BadDenominator, OutOfRange
-from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval, zeta_q_partial
+from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval, _exact_str, zeta_q_partial
 from .products import l_map_epoly, psi_involution, shuffle_q, stuffle_q
 from .series import TruncSeries, geometric, series_one, series_phi, series_psi, ts_log, ts_mul
 
@@ -112,7 +112,8 @@ def suite_double_shuffle(q: Fraction = DEFAULT_Q, M: int = DEFAULT_M, max_weight
                     + v1.tail_bound * v2.tail_bound
                 )
                 if prod_resid > prod_bound:
-                    return False, f"stuffle product residual {prod_resid} > {prod_bound}"
+                    excess = f"{_exact_str(prod_resid)} > {_exact_str(prod_bound)}"
+                    return False, f"stuffle product residual {excess}"
                 return True, None
 
             reports.append(

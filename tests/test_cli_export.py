@@ -2,14 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qharmonic
+from qharmonic import verify
+from qharmonic.algebra import EPoly
 from qharmonic.cli import main
-from qharmonic.evalq import QValue, Zq_eval
+from qharmonic.evalq import QValue, Zq_eval, zeta_q_partial
 from qharmonic.export import (
     export_relations,
     ohno_records,
@@ -80,6 +83,16 @@ class TestCalculators:
         assert code == 0
         assert out.strip() == "575/882 +/- 1/8 (M=3)"
 
+    def test_eval_past_the_digit_limit(self, capsys):
+        # the value has over 4300 digits, CPython's default limit on int -> str
+        code, out, _ = run_cli(capsys, "eval", "zetaq", "4", "--M", "120")
+        assert code == 0
+        value, rest = out.split(" +/- ")
+        assert len(value) > 4300
+        want = zeta_q_partial((4,), QValue(Fraction(1, 2)), 120)
+        assert parse_exact(value) == want.value
+        assert rest == f"{want.tail_bound} (M=120)\n"
+
     def test_zn(self, capsys):
         code, out, _ = run_cli(capsys, "zn", "1bar", "--n", "3")
         assert code == 0
@@ -95,7 +108,27 @@ class TestCalculators:
         assert code == 2
 
 
+def parse_exact(text: str) -> Fraction:
+    """A printed rational of any size: Decimal parses past the digit limit."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
 class TestVerifyCommand:
+    def test_counterexample_past_the_digit_limit(self, capsys, monkeypatch):
+        # a wrong stuffle at the acceptance truncation M = 120 is a FAIL with
+        # its exact witness (exit 1), not a usage error
+        good = verify.stuffle_q
+        monkeypatch.setattr(verify, "stuffle_q", lambda x, y: good(x, y) + EPoly.gen(2))
+        code, out, err = run_cli(capsys, "verify", "double-shuffle", "--max-weight", "2")
+        assert code == 1 and err == ""
+        witnesses = [ln for ln in out.splitlines() if ln.startswith("    witness: ")]
+        assert out.count("[FAIL]") == len(witnesses) > 0
+        residuals = [w.split("residual ")[1].split(" +/- ")[0] for w in witnesses]
+        assert max(map(len, residuals)) > 4300
+        for text in residuals:
+            assert parse_exact(text) != 0
+
     def test_single_ohno_instance(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "ohno", "--index", "2", "--n", "5", "--m", "1"

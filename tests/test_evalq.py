@@ -1,6 +1,9 @@
+import sys
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,9 @@ from qharmonic.evalq import (
     CertifiedValue,
     QValue,
     Zq_eval,
+    _exact_str,
     _gamma_prefix,
+    _index_numerator,
     _suffix_numerators,
     f_basis_expand,
     polylog_partial,
@@ -32,6 +37,7 @@ from qharmonic.products import shuffle_q, stuffle_q
 H = Laurent.h
 HALF = QValue(Fraction(1, 2))
 IHAT0_4 = enumerate_indices_up_to(4, "Ihat0")
+IHAT0_5 = enumerate_indices_up_to(5, "Ihat0")
 Q_VALUES = [QValue(Fraction(n, d)) for n, d in ((1, 2), (1, 3), (2, 7), (5, 6))]
 TRUNCATIONS = [1, 2, 17, 120]
 
@@ -63,8 +69,8 @@ def zeta_value_reduced(k, q: QValue, M: int) -> Fraction:
     if k and k[0] == 1:
         raise NotInI0hat(f"index {k} starts with an unbarred 1")
     a, b = q.q.numerator, q.q.denominator
-    nums, kappa, weight = _suffix_numerators(k, a, b, M)
-    return Fraction(nums[M], b**weight * _gamma_prefix(kappa, a, b, M)[M])
+    num, kappa, weight = _index_numerator(k, a, b, M)
+    return Fraction(num, b**weight * _gamma_prefix(kappa, a, b, M)[M])
 
 
 def zq_eval_summed(x: EPoly, q: QValue, M: int) -> CertifiedValue:
@@ -76,6 +82,49 @@ def zq_eval_summed(x: EPoly, q: QValue, M: int) -> CertifiedValue:
         value += scalar * zeta_value_reduced(k, q, M)
         bound += abs(scalar) * tail_bound_summed(index_dep(k), q.q, M)
     return CertifiedValue(value, bound, M)
+
+
+# --- oracle: the suffix DP at each suffix's own K, lifting the table of the
+# suffix by a prefix product whenever the head's weight exceeds its K
+
+
+@lru_cache(maxsize=None)
+def gamma_prefix_ref(delta: int, a: int, b: int, M: int) -> tuple[int, ...]:
+    return tuple(accumulate(((b**m - a**m) ** delta for m in range(1, M + 1)), mul, initial=1))
+
+
+@lru_cache(maxsize=None)
+def suffix_numerators_lifted(suffix, a: int, b: int, M: int):
+    """(N, K, W) of `suffix` over b^W prod_(i<=m) g_i^K, K its own largest
+    entry weight."""
+    if not suffix:
+        return tuple([1] * (M + 1)), 0, 0
+    return head_step_lifted(suffix[0], suffix_numerators_lifted(suffix[1:], a, b, M), a, b, M)
+
+
+def head_step_lifted(head, rest, a: int, b: int, M: int, outer=None):
+    """(N, K, W) for `head` followed by a suffix with (N, K, W) = `rest`; the
+    m-th term is multiplied by outer[m] when `outer` is given."""
+    sub, k_rest, w_rest = rest
+    v = 1 if head is BAR1 else head  # exponent of g_m in F_head(m), and its weight
+    kappa = max(v, k_rest)
+    g = [b**m - a**m for m in range(M + 1)]
+    pp = gamma_prefix_ref(kappa - k_rest, a, b, M) if kappa != k_rest else None
+    ba = b - a
+    out = [0] * (M + 1)
+    acc = 0
+    for m in range(1, M + 1):
+        # numerator of F_head(m) * cum_rest(m-1), over the common denominator
+        term = (a**m * ba if head is BAR1 else a ** ((head - 1) * m) * ba**head * b**m) * sub[m - 1]
+        if kappa > v:
+            term *= g[m] ** (kappa - v)
+        if pp is not None:
+            term *= pp[m - 1]
+        if outer is not None:
+            term *= outer[m]
+        acc = acc * g[m] ** kappa + term
+        out[m] = acc
+    return tuple(out), kappa, v + w_rest
 
 
 laurents = st.dictionaries(
@@ -359,6 +408,68 @@ class TestUnreduced:
         cv = Zq_eval(x, qv, M)
         assert cv.num == 0 and cv.value == 0
         assert cv.certifies_zero() and cv.tail_bound > 0
+
+
+class TestLiftedRoute:
+    """The DP at each index's own K against the lifted route it replaced,
+    bit for bit: suffix tables, final numerators and polylog numerators."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        # the M = 120 tables of one q fill tens of MB; drop them after each case
+        yield
+        for cache in (suffix_numerators_lifted, _suffix_numerators, _index_numerator):
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("M", TRUNCATIONS)
+    @pytest.mark.parametrize("q", Q_VALUES, ids=lambda q: f"q={q.q}")
+    def test_every_index_of_weight_5(self, q, M):
+        a, b = q.q.numerator, q.q.denominator
+        for k in IHAT0_5:
+            nums, kappa, weight = suffix_numerators_lifted(k, a, b, M)
+            assert _index_numerator(k, a, b, M) == (nums[M], kappa, weight), k
+            for i in range(len(k) + 1):
+                s_nums, s_kappa, _ = suffix_numerators_lifted(k[i:], a, b, M)
+                lift = gamma_prefix_ref(kappa - s_kappa, a, b, M)
+                want = tuple(x * y for x, y in zip(s_nums, lift))
+                assert _suffix_numerators(k[i:], kappa, a, b, M) == want, (k, i)
+
+    @given(
+        st.sampled_from([k for k in enumerate_indices_up_to(5, "Ihat") if k]),
+        st.sampled_from([Fraction(2, 3), Fraction(1, 5)]),
+        st.sampled_from(Q_VALUES),
+        st.sampled_from(TRUNCATIONS),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_polylog(self, k, t, q, M):
+        (a, b), (c, d) = q.q.as_integer_ratio(), t.as_integer_ratio()
+        outer = [c**m * d ** (M - m) for m in range(M + 1)]
+        rest = suffix_numerators_lifted(k[1:], a, b, M)
+        nums, kappa, weight = head_step_lifted(k[0], rest, a, b, M, outer)
+        got = polylog_partial(k, t, q, M)
+        den = d**M * b**weight * gamma_prefix_ref(kappa, a, b, M)[M]
+        assert (got.num, got.den) == (nums[M], den)
+
+
+class TestExactStr:
+    @pytest.mark.parametrize(
+        "x", [0, 7, -7, Fraction(-3, 8), Fraction(575, 882), 10**30, Fraction(1, 10**30)]
+    )
+    def test_matches_str(self, x):
+        assert _exact_str(x) == str(x)
+
+    def test_past_the_digit_limit(self):
+        x = Fraction(-(3**12000), 7**9000 + 2)  # 5726 and 7606 digits
+        lift = getattr(sys, "set_int_max_str_digits", None)
+        if lift is not None:
+            limit = sys.get_int_max_str_digits()
+            lift(0)
+        try:
+            want = str(x)
+        finally:
+            if lift is not None:
+                lift(limit)
+        assert _exact_str(x) == want
 
 
 class TestFBasis:

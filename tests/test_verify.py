@@ -1,7 +1,7 @@
 """Mutation tests: a suite fed one wrong coefficient must report FAIL."""
 import pytest
 
-from qharmonic import export, verify
+from qharmonic import evalq, export, verify
 from qharmonic.algebra import EPoly, NcPoly, index_sort_key
 from qharmonic.evalq import CertifiedValue
 from qharmonic.series import TruncSeries
@@ -81,6 +81,39 @@ def test_cor_delta_catches_a_wrong_delta_x(monkeypatch):
 def test_delta_factorization_catches_a_wrong_delta_x(monkeypatch):
     bump_delta_x(monkeypatch)
     assert_all_fail_with_witness(delta_factorization_cases(), "Phi_X != Psi_X Delta_X")
+
+
+@pytest.fixture
+def bump_one_dp_factor(monkeypatch):
+    """evalq's per-entry factor table with 1 added at m = 2, on cold caches."""
+    good = evalq._head_factors
+
+    def bumped(head, kappa, a, b, M):
+        f = list(good(head, kappa, a, b, M))
+        f[2] += 1
+        return tuple(f)
+
+    clear_dp_caches()
+    monkeypatch.setattr(evalq, "_head_factors", bumped)
+    yield
+    clear_dp_caches()
+
+
+def clear_dp_caches():
+    evalq._suffix_numerators.cache_clear()
+    evalq._index_numerator.cache_clear()
+    evalq._zeta_cache.clear()
+
+
+def test_derivation_catches_a_wrong_dp_factor(bump_one_dp_factor):
+    reports = verify.suite_derivation(M=40, max_n=1, max_weight=2)
+    assert_all_fail_with_witness(reports, "Z_q(partial_1")
+
+
+def test_double_shuffle_catches_a_wrong_dp_factor(bump_one_dp_factor):
+    # a pair with the empty index holds identically, without the DP
+    reports = verify.suite_double_shuffle(M=40, max_weight=2)
+    assert_all_fail_with_witness([r for r in reports if "()" not in r.case], "residual")
 
 
 def test_unmutated_suites_pass():
