@@ -1,12 +1,16 @@
 """Words over {a, b}, indices over {1bar, 1, 2, ...}, and the two
 presentations of the harmonic algebra.
 
-Both presentations are one sparse linear-combination type, LinComb: a
-dict from basis keys to nonzero Laurent coefficients, with the sum, the
-concatenation product, the Laurent-scalar action and an in-place sum
-defined once. NcPoly has words as keys; EPoly is the same algebra
-written in the e-generator basis, with indices (tuples of entries) as
-keys. The generators are
+Both presentations are one sparse linear-combination type, LinComb.
+Under the weight grading (deg a = deg h = 1, deg b = 0) every
+coefficient is a single monomial c*h^j, so a term is stored as
+(basis key, j) -> c with c an exact scalar: a product adds exponents and
+multiplies scalars, and no Laurent polynomial is built on the way. The
+sum, the concatenation product, the scalar action and an in-place sum
+are defined once; coefficients() is the view {key: Laurent} that
+printing, export and tests read. NcPoly has words as keys; EPoly is the
+same algebra written in the e-generator basis, with indices (tuples of
+entries) as keys. The generators are
 
     e_1bar = ab,    e_k = a^(k-1) (a + h) b   for k >= 1,
 
@@ -21,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .coeff import Laurent, _monomial_str
+from .coeff import Laurent, _exact, _monomial_str
 from .errors import BadEntry, EmptyIndex, HasBarEntry, NotInH1
 
 _scalar = (int, Fraction)
@@ -156,29 +160,37 @@ def _render_terms(items: list[tuple[str, Laurent]], unit: str) -> str:
     return "".join(parts)
 
 
-def _as_laurent(c) -> Laurent:
-    return c if isinstance(c, Laurent) else Laurent(c)
-
-
-def _accumulate(out: dict, key, c: Laurent) -> None:
-    """out[key] += c in place, dropping the key when the sum cancels."""
+def _accumulate(out: dict, key, c) -> None:
+    """out[key] += c in place for a nonzero exact scalar c, dropping the key
+    when the sum cancels and storing an integral sum as an int."""
     s = out.get(key)
-    s = c if s is None else s + c
-    if s:
-        out[key] = s
-    else:
-        del out[key]
+    if s is not None:
+        c += s
+        if not c:
+            del out[key]
+            return
+    out[key] = c if type(c) is int else _exact(c)
+
+
+def _times(terms: dict, c, j: int = 0) -> dict:
+    """{(key, i + j): v * c} over terms, for a nonzero exact scalar c."""
+    if c == 1:
+        return {(k, i + j): v for (k, i), v in terms.items()} if j else dict(terms)
+    return {(k, i + j): _exact(v * c) for (k, i), v in terms.items()}
 
 
 class LinComb:
-    """A sparse linear combination {key: Laurent} with no zero coefficient.
+    """A sparse linear combination of basis keys over Q[h, h^-1].
 
-    Keys are words (str) in NcPoly and indices (tuples) in EPoly; both
-    concatenate with +, which is the product of basis elements. A subclass
-    sets the unit key and the normalisation of keys given to the
-    constructor. Values of different subclasses never compare equal and
-    never combine: the arithmetic returns NotImplemented on a mismatch.
-    Values are immutable by convention.
+    terms maps (key, j) to the nonzero coefficient c of h^j key, an int
+    when integral and a Fraction otherwise. Keys are words (str) in NcPoly
+    and indices (tuples) in EPoly; both concatenate with +, which is the
+    product of basis elements. The constructor takes {key: coefficient}
+    with int, Fraction or Laurent coefficients, and coefficients() gives
+    that view back. A subclass sets the unit key and the normalisation of
+    keys given to the constructor. Values of different subclasses never
+    compare equal and never combine: the arithmetic returns NotImplemented
+    on a mismatch. Values are immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -190,9 +202,13 @@ class LinComb:
         if terms:
             key = self._key
             for k, c in terms.items():
-                c = _as_laurent(c)
-                if c:
-                    out[key(k)] = c
+                if isinstance(c, Laurent):
+                    for j, v in c.terms.items():
+                        out[key(k), j] = v
+                else:
+                    c = _exact(c)
+                    if c:
+                        out[key(k), 0] = c
         self.terms = out
 
     @classmethod
@@ -204,7 +220,7 @@ class LinComb:
 
     @classmethod
     def one(cls):
-        return cls._wrap({cls._unit: Laurent.one()})
+        return cls._wrap({(cls._unit, 0): 1})
 
     @classmethod
     def zero(cls):
@@ -217,9 +233,16 @@ class LinComb:
         for x in parts:
             if type(x) is not cls:
                 raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
-            for k, c in x.terms.items():
-                _accumulate(out, k, c)
+            for kj, c in x.terms.items():
+                _accumulate(out, kj, c)
         return cls._wrap(out)
+
+    def coefficients(self) -> dict:
+        """{key: Laurent}: the coefficient of each basis key as a Laurent polynomial."""
+        out: dict = {}
+        for (k, j), c in self.terms.items():
+            out.setdefault(k, {})[j] = c
+        return {k: Laurent(t) for k, t in out.items()}
 
     def __bool__(self):
         return bool(self.terms)
@@ -236,14 +259,14 @@ class LinComb:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return self._wrap({k: -c for k, c in self.terms.items()})
+        return self._wrap({kj: -c for kj, c in self.terms.items()})
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
+        for kj, c in other.terms.items():
+            _accumulate(out, kj, c)
         return self._wrap(out)
 
     def __sub__(self, other):
@@ -256,29 +279,26 @@ class LinComb:
                 return self.scale(other)
             return NotImplemented
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _accumulate(out, k1 + k2, c1 * c2)
+        for (k1, j1), c1 in self.terms.items():
+            for (k2, j2), c2 in other.terms.items():
+                _accumulate(out, (k1 + k2, j1 + j2), c1 * c2)
         return self._wrap(out)
 
     __rmul__ = __mul__  # reached only for a scalar or a mismatched type
 
-    def scale(self, c):
-        c = _as_laurent(c)
-        if not c:
-            return self.zero()
-        return self._wrap({k: v * c for k, v in self.terms.items()})
-
-    def constant(self) -> Laurent:
-        """The coefficient of the unit."""
-        return self.terms.get(self._unit, Laurent())
+    def scale(self, c, j: int = 0):
+        """c h^j times this value, for c an exact scalar or a Laurent polynomial."""
+        if isinstance(c, Laurent):
+            return type(self).sum(self.scale(v, j + i) for i, v in c.terms.items())
+        c = _exact(c)
+        return self._wrap(_times(self.terms, c, j) if c else {})
 
     def __repr__(self):
         return str(self)
 
 
 class NcPoly(LinComb):
-    """Sparse noncommutative polynomial: {word: Laurent}, words over 'ab'."""
+    """Sparse noncommutative polynomial over Q[h, h^-1], words over 'ab'."""
 
     __slots__ = ()
     _unit = ""
@@ -289,12 +309,12 @@ class NcPoly(LinComb):
         return cls({w: coeff})
 
     def __str__(self):
-        items = sorted(self.terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))
+        items = sorted(self.coefficients().items(), key=lambda kv: (-len(kv[0]), kv[0]))
         return _render_terms([(w or "1", c) for w, c in items], unit="1")
 
 
 class EPoly(LinComb):
-    """Sparse element of the e-generator algebra: {index: Laurent}.
+    """Sparse element of the e-generator algebra: indices over Q[h, h^-1].
 
     Its concatenation product is that of Hhat1, which is free on the e_k.
     """
@@ -311,21 +331,21 @@ class EPoly(LinComb):
     def from_index(cls, k: Iterable[Entry], coeff=1) -> "EPoly":
         return cls({tuple(check_entry(e) for e in k): coeff})
 
-    def prepend(self, entry: Entry, coeff=1) -> "EPoly":
-        """Left-multiply by coeff * e_entry."""
-        c = _as_laurent(coeff)
-        if not c:
-            return EPoly()
-        return self._wrap({(entry,) + k: v * c for k, v in self.terms.items()})
+    def prepend(self, entry: Entry, coeff=1, j: int = 0) -> "EPoly":
+        """Left-multiply by coeff h^j e_entry, coeff a nonzero exact scalar."""
+        return self._wrap(
+            {((entry,) + k, i + j): v if coeff == 1 else _exact(v * coeff)
+             for (k, i), v in self.terms.items()}
+        )
 
     def supported_in_Ihat0(self) -> bool:
-        return all(in_Ihat0(k) for k in self.terms)
+        return all(in_Ihat0(k) for k, _ in self.terms)
 
     def max_weight(self) -> int:
-        return max((index_wt(k) for k in self.terms), default=0)
+        return max((index_wt(k) for k, _ in self.terms), default=0)
 
     def __str__(self):
-        items = sorted(self.terms.items(), key=lambda kv: _index_print_key(kv[0]))
+        items = sorted(self.coefficients().items(), key=lambda kv: _index_print_key(kv[0]))
         return _render_terms(
             [(f"e[{index_str(k)}]", c) for k, c in items], unit="e[]"
         )
@@ -340,15 +360,15 @@ def _entry_words(e: Entry) -> tuple[tuple[str, int], ...]:
 
 def e_to_word(x: EPoly) -> NcPoly:
     """Algebra homomorphism on generators: e_1bar -> ab, e_k -> a^(k-1)(a+h)b."""
-    out: dict[str, Laurent] = {}
-    for k, c in x.terms.items():
+    out: dict = {}
+    for (k, j), c in x.terms.items():
         # Distinct choices of one word per entry give distinct words, so
-        # only the images of different indices can meet in out.
-        words = {"": 0}
+        # only the images of different terms can meet in out.
+        words = {"": j}
         for e in k:
-            words = {w + u: j + i for w, j in words.items() for u, i in _entry_words(e)}
-        for w, j in words.items():
-            _accumulate(out, w, c * Laurent.h(j) if j else c)
+            words = {w + u: i + d for w, i in words.items() for u, d in _entry_words(e)}
+        for wi in words.items():
+            _accumulate(out, wi, c)
     return NcPoly._wrap(out)
 
 
@@ -357,37 +377,35 @@ def enbar(n: int) -> EPoly:
     """a^n b in the e-basis: sum_{j=2}^n (-h)^(n-j) e_j + (-h)^(n-1) e_1bar."""
     if n < 1:
         raise BadEntry("enbar is defined for n >= 1")
-    terms: dict[Index, Laurent] = {
-        (j,): Laurent.h(n - j, (-1) ** (n - j)) for j in range(2, n + 1)
-    }
-    terms[(BAR1,)] = Laurent.h(n - 1, (-1) ** (n - 1))
-    return EPoly(terms)
+    terms = {((j,), n - j): (-1) ** (n - j) for j in range(2, n + 1)}
+    terms[(BAR1,), n - 1] = (-1) ** (n - 1)
+    return EPoly._wrap(terms)
 
 
-_B_BLOCK = EPoly({(1,): Laurent.h(-1), (BAR1,): Laurent.h(-1, -1)})
+_B_BLOCK = EPoly._wrap({((1,), -1): 1, ((BAR1,), -1): -1})
 
 
-def _mul_block(n: int, tail: Mapping[Index, Laurent], out: dict[Index, Laurent]) -> None:
-    """out += (a^n b in the e-basis) * tail, in place."""
+def _mul_block(n: int, tail: dict, out: dict) -> None:
+    """out += (a^n b in the e-basis) * tail, in place, on graded terms."""
     block = enbar(n) if n else _B_BLOCK
-    for k1, c1 in block.terms.items():
-        for k2, c2 in tail.items():
-            _accumulate(out, k1 + k2, c1 * c2)
+    for (k1, j1), c1 in block.terms.items():
+        for (k2, j2), c2 in tail.items():
+            _accumulate(out, (k1 + k2, j1 + j2), c1 * c2)
 
 
 @lru_cache(maxsize=4096)
-def _word_to_e_single(w: str) -> dict[Index, Laurent]:
-    """The e-basis image of one word ending in b (or empty); read-only."""
+def _word_to_e_single(w: str) -> dict:
+    """The graded e-basis terms of one word ending in b (or empty); read-only."""
     if not w:
-        return {(): Laurent.one()}
+        return {((), 0): 1}
     n = w.index("b")
-    out: dict[Index, Laurent] = {}
+    out: dict = {}
     _mul_block(n, _word_to_e_single(w[n + 1 :]), out)
     return out
 
 
-def _words_to_e(terms: Mapping[str, Laurent]) -> dict[Index, Laurent]:
-    """word_to_e on {word: coefficient}, every nonempty word ending in b.
+def _words_to_e(terms: dict) -> dict:
+    """word_to_e on graded terms {(word, j): c}, every nonempty word ending in b.
 
     Words are grouped by their leading block a^n b; the suffixes of each
     group are converted recursively and only then multiplied by the
@@ -396,16 +414,16 @@ def _words_to_e(terms: Mapping[str, Laurent]) -> dict[Index, Laurent]:
     the bounded _word_to_e_single memo.
     """
     if len(terms) == 1:
-        ((w, c),) = terms.items()
-        return {k: v * c for k, v in _word_to_e_single(w).items()}
-    out: dict[Index, Laurent] = {}
-    groups: dict[int, dict[str, Laurent]] = {}
-    for w, c in terms.items():
+        (((w, j), c),) = terms.items()
+        return _times(_word_to_e_single(w), c, j)
+    out: dict = {}
+    groups: dict[int, dict] = {}
+    for (w, j), c in terms.items():
         if not w:
-            out[()] = c
+            out[(), j] = c
             continue
         n = w.index("b")
-        groups.setdefault(n, {})[w[n + 1 :]] = c
+        groups.setdefault(n, {})[w[n + 1 :], j] = c
     for n, suffixes in groups.items():
         _mul_block(n, _words_to_e(suffixes), out)
     return out
@@ -413,7 +431,7 @@ def _words_to_e(terms: Mapping[str, Laurent]) -> dict[Index, Laurent]:
 
 def word_to_e(x: NcPoly) -> EPoly:
     """Inverse of e_to_word on words ending in b (blocks a^n b map to enbar)."""
-    for w in x.terms:
+    for w, _ in x.terms:
         if w.endswith("a"):
             raise NotInH1(f"word {w!r} ends in a")
     return EPoly._wrap(_words_to_e(x.terms))
@@ -425,16 +443,16 @@ def left_mul_a(x: EPoly) -> EPoly:
     a e_k = e_(k+1) and a e_1bar = e_2 - h e_1bar, applied to the leading
     generator of every index.
     """
-    out: dict[Index, Laurent] = {}
-    for k, c in x.terms.items():
+    out: dict = {}
+    for (k, j), c in x.terms.items():
         if not k:
             raise EmptyIndex("a * 1 = a is not in Hhat1")
         head, rest = k[0], k[1:]
         if head is BAR1:
-            _accumulate(out, (2,) + rest, c)
-            _accumulate(out, (BAR1,) + rest, c * Laurent.h(1, -1))
+            _accumulate(out, ((2,) + rest, j), c)
+            _accumulate(out, ((BAR1,) + rest, j + 1), -c)
         else:
-            _accumulate(out, (head + 1,) + rest, c)
+            _accumulate(out, ((head + 1,) + rest, j), c)
     return EPoly._wrap(out)
 
 

@@ -18,8 +18,6 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import NonInvertible
-
 #: The exact rational scalar type used everywhere in this package.
 Rational = Fraction
 
@@ -65,14 +63,6 @@ class Laurent:
         """The monomial coeff * h^exponent."""
         return cls({exponent: coeff})
 
-    @classmethod
-    def one(cls) -> "Laurent":
-        return cls(1)
-
-    @classmethod
-    def zero(cls) -> "Laurent":
-        return cls()
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -89,11 +79,6 @@ class Laurent:
         if not t or (len(t) == 1 and 0 in t):
             return hash(t.get(0, 0))
         return hash(tuple(sorted(t.items())))
-
-    def __neg__(self) -> "Laurent":
-        res = Laurent.__new__(Laurent)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
 
     def __add__(self, other) -> "Laurent":
         if type(other) is not Laurent:
@@ -112,12 +97,6 @@ class Laurent:
         return res
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> "Laurent":
-        return self + (-other if isinstance(other, Laurent) else Laurent(other).__neg__())
-
-    def __rsub__(self, other) -> "Laurent":
-        return Laurent(other) + (-self)
 
     def __mul__(self, other) -> "Laurent":
         if type(other) is not Laurent:
@@ -150,47 +129,11 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Laurent":
-        if n < 0:
-            raise ValueError("Laurent powers must be nonnegative; substitute instead")
-        out = Laurent.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {0}
-
-    def constant(self) -> int | Fraction:
-        """The h^0 coefficient."""
-        return self.terms.get(0, 0)
-
     def single_term(self):
         """(exponent, coefficient) if this is a monomial, else None."""
         if len(self.terms) == 1:
             return next(iter(self.terms.items()))
         return None
-
-    def substitute(self, value):
-        """Evaluate at h = value in any exact commutative ring.
-
-        Negative exponents need value to be invertible; rings signal that
-        through __pow__ with a negative exponent (Fraction and the
-        cyclotomic types here all do). An int value is then taken as a
-        Fraction, so that its inverse stays exact.
-        """
-        if not self.terms:
-            return 0 * value if not isinstance(value, _scalar) else Fraction(0)
-        if isinstance(value, int) and min(self.terms) < 0:
-            value = Fraction(value)
-        acc = None
-        for e, c in sorted(self.terms.items()):
-            try:
-                term = c * value**e
-            except ZeroDivisionError as exc:
-                raise NonInvertible(f"h^{e} at zero value") from exc
-            acc = term if acc is None else acc + term
-        return acc
 
     def __str__(self) -> str:
         if not self.terms:

@@ -491,10 +491,8 @@ def _h_grouped(ring, x: EPoly, value):
     Every coefficient is reduced before any power of h is taken, so in
     Z[zeta_p]/(p) a bad denominator is reported ahead of a negative power."""
     groups: dict[int, list] = {}
-    for k, c in x.terms.items():
-        v = value(k)
-        for e, coeff in c.terms.items():
-            groups.setdefault(e, []).append((coeff, v))
+    for (k, e), coeff in x.terms.items():
+        groups.setdefault(e, []).append((coeff, value(k)))
     parts = [(e, ring.lincomb(pairs)) for e, pairs in groups.items()]
     out = ring.zero()
     for e, part in parts:

@@ -28,7 +28,7 @@ from .algebra import (
     hoffman_dual,
     left_mul_a,
 )
-from .coeff import Laurent
+from .coeff import Laurent, _exact
 from .errors import BadEntry, NotInH0, NotInMzvH1, OutOfRange
 from .products import shuffle_q
 from .series import (
@@ -44,11 +44,11 @@ def derive_words(w: LinComb, images: dict) -> LinComb:
     """Leibniz extension of a map given on single letters of words, or on
     single entries of indices: images maps each to a value of w's type."""
     out: dict = {}
-    for word, c in w.terms.items():
+    for (word, j), c in w.terms.items():
         for i, ch in enumerate(word):
             head, tail = word[:i], word[i + 1:]
-            for u, d in images[ch].terms.items():
-                _accumulate(out, head + u + tail, c * d)
+            for (u, ju), d in images[ch].terms.items():
+                _accumulate(out, (head + u + tail, j + ju), c * d)
     return type(w)._wrap(out)
 
 
@@ -71,8 +71,7 @@ def d_n(n: int, w: NcPoly) -> NcPoly:
     if n < 1:
         raise ValueError("n >= 1")
     abn = NcPoly.word("a" + "b" * n)
-    c = Laurent.h(n - 1, Fraction((-1) ** (n - 1), n))
-    return (shuffle_q(abn, w) - abn * w).scale(c)
+    return (shuffle_q(abn, w) - abn * w).scale(Fraction((-1) ** (n - 1), n), n - 1)
 
 
 # z = a(b+1) + h b and its flipped companion (b+1)a + h b, the two brackets
@@ -154,7 +153,7 @@ def partial_epoly(n: int, x: EPoly) -> EPoly:
     """
     if n < 1:
         raise ValueError("n >= 1")
-    return derive_words(x, {e: partial_gen(n, e) for k in x.terms for e in k})
+    return derive_words(x, {e: partial_gen(n, e) for k, _ in x.terms for e in k})
 
 
 def partial_n_e(n: int, x: EPoly) -> EPoly:
@@ -181,13 +180,13 @@ def _exp_apply(apply_n, w, order: int) -> list:
     stack = [(w, 0, 0)]
     while stack:
         x, m, r = stack.pop()
-        c = Laurent(Fraction(1, factorial(r + 1)))
+        c = _exact(Fraction(1, factorial(r + 1)))
         for j in range(1, order - m + 1):
             y = apply_n(j, x)
             if y.is_zero():
                 continue
-            for k, v in y.terms.items():
-                _accumulate(totals[m + j], k, v * c)
+            for kj, v in y.terms.items():
+                _accumulate(totals[m + j], kj, v * c)
             stack.append((y, m + j, r + 1))
     return [type(w)._wrap(t) for t in totals]
 
@@ -199,14 +198,15 @@ def _letter_series(apply_n, letter: str, order: int) -> TruncSeries:
 
 
 def _hom_apply(apply_n, terms: dict, order: int) -> TruncSeries:
-    """exp(sum X^n D_n), D_n a derivation, on {word: coefficient}: words are grouped
-    by first letter, and each group's tail image is left-multiplied by its letter series."""
+    """exp(sum X^n D_n), D_n a derivation, on graded terms {(word, j): c}: words are
+    grouped by first letter, and each group's tail image is left-multiplied by its
+    letter series."""
     if order < 0:
         raise OutOfRange(f"series order must be >= 0, got {order}")
     groups: dict[str, dict] = {}
-    for word, c in terms.items():
-        groups.setdefault(word[:1], {})[word[1:]] = c
-    out = TruncSeries((NcPoly(groups.pop("", None)),) + (NcPoly.zero(),) * order)
+    for (word, j), c in terms.items():
+        groups.setdefault(word[:1], {})[word[1:], j] = c
+    out = TruncSeries((NcPoly._wrap(groups.pop("", {})),) + (NcPoly.zero(),) * order)
     for letter, tails in groups.items():
         head = _letter_series(apply_n, letter, order)
         out = out + ts_mul(operator.mul, head, _hom_apply(apply_n, tails, order))
@@ -286,21 +286,21 @@ def _shifts(k: Index, l: int):
     return (tuple(a + b for a, b in zip(k, e)) for e in _compositions(l, len(k)))
 
 
-def _shift_sum(k: Index, l: int, coeff=1) -> EPoly:
-    """coeff * sum over |e| = l of e_(k+e)."""
-    return EPoly._wrap(dict.fromkeys(_shifts(k, l), Laurent(coeff)))
+def _shift_sum(k: Index, l: int, coeff=1, j: int = 0) -> EPoly:
+    """coeff h^j sum over |e| = l of e_(k+e), coeff a nonzero rational."""
+    return EPoly._wrap(dict.fromkeys(((s, j) for s in _shifts(k, l)), _exact(coeff)))
 
 
 def _dual_shift_sum(k: Index, m: int) -> EPoly:
     """sum over |e| = m of e_((k^dual + e)^dual), with ^dual the Hoffman dual."""
-    return EPoly._wrap(dict.fromkeys(map(hoffman_dual, _shifts(hoffman_dual(k), m)), Laurent(1)))
+    return EPoly._wrap({(hoffman_dual(s), 0): 1 for s in _shifts(hoffman_dual(k), m)})
 
 
 def _ohno_rhs(k: Index, m: int, n: int) -> EPoly:
     """The shift side of the Ohno-type relation for (k, m, n):
     sum over l <= m of (C(n, m-l+1)/n) h^(m-l) sum_(|e|=l) e_(k+e)."""
     return EPoly.sum(
-        _shift_sum(k, l, Laurent.h(m - l, Fraction(comb(n, m - l + 1), n))) for l in range(m + 1)
+        _shift_sum(k, l, Fraction(comb(n, m - l + 1), n), m - l) for l in range(m + 1)
     )
 
 
@@ -378,8 +378,8 @@ def mzv_partial(n: int, w: NcPoly) -> NcPoly:
 
 def iota(w: NcPoly) -> EPoly:
     """The embedding z_k -> e_k on words ending in y (and the empty word)."""
-    out: dict[Index, Laurent] = {}
-    for word, c in w.terms.items():
+    out: dict = {}
+    for (word, j), c in w.terms.items():
         entries = []
         run = 0
         for ch in word:
@@ -392,7 +392,7 @@ def iota(w: NcPoly) -> EPoly:
                 raise NotInMzvH1(f"unexpected letter {ch!r}")
         if run:
             raise NotInMzvH1(f"word {word!r} ends in x")
-        if not c.is_constant():
+        if j:
             raise NotInMzvH1("classical words must have rational coefficients")
-        _accumulate(out, tuple(entries), c)
+        _accumulate(out, (tuple(entries), 0), c)
     return EPoly._wrap(out)

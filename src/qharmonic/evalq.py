@@ -100,7 +100,9 @@ class CertifiedValue:
         return hash(self._key())
 
     def __repr__(self):
-        return "CertifiedValue(value={!r}, tail_bound={!r}, truncation={!r})".format(*self._key())
+        value, bound, truncation = self._key()
+        return (f"CertifiedValue(value={_exact_str(value)}, "
+                f"tail_bound={_exact_str(bound)}, truncation={truncation})")
 
     def __str__(self):
         return f"{_exact_str(self.value)} +/- {_exact_str(self.tail_bound)} (M={self.truncation})"
@@ -271,10 +273,14 @@ def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:
     """Z_q of an e-polynomial supported on I0-hat: h acts as 1 - q.
 
     The partial sums are combined over one shared denominator (see
-    _combined_partial_sum); tail bounds combine with absolute-value weights.
+    _combined_partial_sum); tail bounds combine with absolute-value weights,
+    taken once per index of the summed coefficient c(1 - q).
     """
     h = 1 - q.q
-    terms = [(k, c.substitute(h)) for k, c in x.terms.items()]
+    coeffs: dict = {}
+    for (k, j), c in x.terms.items():
+        coeffs[k] = coeffs.get(k, 0) + c * h**j
+    terms = list(coeffs.items())
     for k, _ in terms:
         _check_index(k, M)
     bound = sum((abs(c) * tail_bound(index_dep(k), q.q, M) for k, c in terms), Fraction(0))

@@ -29,7 +29,7 @@ def _tokens_to_index(tokens) -> tuple:
 
 
 def _terms_payload(x: EPoly) -> list[dict]:
-    items = sorted(x.terms.items(), key=lambda kv: index_sort_key(kv[0]))
+    items = sorted(x.coefficients().items(), key=lambda kv: index_sort_key(kv[0]))
     return [{"index": _index_tokens(k), "coeff": str(c)} for k, c in items]
 
 

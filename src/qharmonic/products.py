@@ -23,7 +23,6 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import BAR1, Entry, EPoly, Index, LinComb, NcPoly, _accumulate
-from .coeff import Laurent
 from .errors import BarEntry
 
 
@@ -34,12 +33,12 @@ def circ(k: Entry, l: Entry) -> EPoly:
     e_k o e_l = e_(k+l) + h e_(k+l-1).
     """
     if k is BAR1 and l is BAR1:
-        return EPoly({(2,): 1, (BAR1,): Laurent.h(1, -1)})
+        return EPoly._wrap({((2,), 0): 1, ((BAR1,), 1): -1})
     if k is BAR1:
         return EPoly({(l + 1,): 1})
     if l is BAR1:
         return EPoly({(k + 1,): 1})
-    return EPoly({(k + l,): 1, (k + l - 1,): Laurent.h()})
+    return EPoly._wrap({((k + l,), 0): 1, ((k + l - 1,), 1): 1})
 
 
 def _quasi_shuffle(k1: Index, k2: Index, merge, cache: dict) -> EPoly:
@@ -61,7 +60,7 @@ def _quasi_shuffle(k1: Index, k2: Index, merge, cache: dict) -> EPoly:
             _quasi_shuffle(rest1, k2, merge, cache).prepend(a),
             _quasi_shuffle(k1, rest2, merge, cache).prepend(b),
         ]
-        + [tail.prepend(m, c) for (m,), c in merge(a, b).terms.items()]
+        + [tail.prepend(m, c, j) for ((m,), j), c in merge(a, b).terms.items()]
     )
     cache[key] = out
     return out
@@ -73,11 +72,11 @@ def _bilinear(u: LinComb, v: LinComb, on_basis, cls: type) -> LinComb:
     if type(u) is not cls or type(v) is not cls:
         raise TypeError(f"the product takes two {cls.__name__} values")
     out: dict = {}
-    for k1, c1 in u.terms.items():
-        for k2, c2 in v.terms.items():
-            c = c1 * c2
-            for k, d in on_basis(k1, k2).terms.items():
-                _accumulate(out, k, d * c)
+    for (k1, j1), c1 in u.terms.items():
+        for (k2, j2), c2 in v.terms.items():
+            c, j = c1 * c2, j1 + j2
+            for (k, i), d in on_basis(k1, k2).terms.items():
+                _accumulate(out, (k, i + j), d * c)
     return cls._wrap(out)
 
 
@@ -116,7 +115,7 @@ def _shuffle_words(w1: str, w2: str) -> NcPoly:
     else:
         u, v = w1[1:], w2[1:]
         inner = NcPoly.sum(
-            [_shuffle_words(w1, v), _shuffle_words(u, w2), _shuffle_words(u, v).scale(Laurent.h())]
+            [_shuffle_words(w1, v), _shuffle_words(u, w2), _shuffle_words(u, v).scale(1, 1)]
         )
         out = _prepend_letter("a", inner)
     _shuffle_cache[key] = out
@@ -124,7 +123,7 @@ def _shuffle_words(w1: str, w2: str) -> NcPoly:
 
 
 def _prepend_letter(ch: str, x: NcPoly) -> NcPoly:
-    return NcPoly._wrap({ch + w: c for w, c in x.terms.items()})
+    return NcPoly._wrap({(ch + w, j): c for (w, j), c in x.terms.items()})
 
 
 def shuffle_q(u: NcPoly, v: NcPoly) -> NcPoly:
@@ -144,9 +143,7 @@ def _psi_gen(entry: Entry) -> EPoly:
         return EPoly({(BAR1,): -1})
     k = entry
     sign = (-1) ** k
-    return EPoly(
-        {(j,): Laurent.h(k - j, sign * comb(k - 2, j - 2)) for j in range(2, k + 1)}
-    )
+    return EPoly._wrap({((j,), k - j): sign * comb(k - 2, j - 2) for j in range(2, k + 1)})
 
 
 def _psi_index(k: Index) -> EPoly:
@@ -161,7 +158,7 @@ def psi_involution(x: EPoly) -> EPoly:
 
     It reverses products: psi(uv) = psi(v) psi(u), and psi o psi = id.
     """
-    return EPoly.sum(_psi_index(k).scale(c) for k, c in x.terms.items())
+    return EPoly.sum(_psi_index(k).scale(c, j) for (k, j), c in x.terms.items())
 
 
 _classical_cache: dict[tuple[Index, Index], EPoly] = {}
@@ -179,7 +176,7 @@ def stuffle_classical(u: EPoly, v: EPoly) -> EPoly:
     q-stuffle on barred entries: the same recursion with another merge.
     """
     for x in (u, v):
-        for k in x.terms:
+        for k, _ in x.terms:
             if not all(e is not BAR1 for e in k):
                 raise BarEntry("classical stuffle takes indices without 1bar")
     return _bilinear(
@@ -203,4 +200,4 @@ def l_map(k: Index) -> EPoly:
 
 def l_map_epoly(x: EPoly) -> EPoly:
     """Linear extension of the L map to rational combinations of indices."""
-    return EPoly.sum(l_map(k).scale(c) for k, c in x.terms.items())
+    return EPoly.sum(l_map(k).scale(c, j) for (k, j), c in x.terms.items())

@@ -259,15 +259,14 @@ class TestExport:
     def test_ohno_record_weights(self):
         records = ohno_records(5, 2, max_m=1)
         rec = next(r for r in records if r["n"] == 5 and r["word"] == ["2"] and r["m"] == 1)
-        combo = record_combination(rec)
-        from qharmonic.algebra import EPoly
+        coeffs = record_combination(rec).coefficients()
         from qharmonic.coeff import Laurent
 
         # LHS indices (1,2), (2,1) with +1; RHS weights 2h on (2) and 1 on (3)
-        assert combo.terms[(1, 2)] == Laurent(1)
-        assert combo.terms[(2, 1)] == Laurent(1)
-        assert combo.terms[(2,)] == Laurent.h(1, -2)
-        assert combo.terms[(3,)] == Laurent(-1)
+        assert coeffs[(1, 2)] == Laurent(1)
+        assert coeffs[(2, 1)] == Laurent(1)
+        assert coeffs[(2,)] == Laurent.h(1, -2)
+        assert coeffs[(3,)] == Laurent(-1)
 
     def test_csv(self):
         text = export_relations("derivation", 1, 1, "csv")

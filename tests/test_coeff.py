@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from laurent_oracle import constant, neg, power, sub, substitute
 from poly_oracle import BothZero, GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
 from qharmonic.coeff import Laurent
 from qharmonic.cyclo import cyc_field
@@ -28,7 +29,7 @@ class TestLaurent:
         assert a * b == Laurent({2: 1, 0: -1})
 
     def test_inverse_power_cancels(self):
-        assert Laurent.h(-1) * Laurent.h() == Laurent.one()
+        assert Laurent.h(-1) * Laurent.h() == Laurent(1)
 
     def test_telescoping_product(self):
         a = Laurent({0: 1, 1: -1})
@@ -47,16 +48,16 @@ class TestLaurent:
         assert a * (b + c) == a * b + a * c
 
     def test_substitute_power(self):
-        assert Laurent.h(2).substitute(Fraction(1, 2)) == Fraction(1, 4)
+        assert substitute(Laurent.h(2), Fraction(1, 2)) == Fraction(1, 4)
 
     def test_substitute_zero(self):
-        assert Laurent.zero().substitute(Fraction(3, 7)) == 0
+        assert substitute(Laurent(), Fraction(3, 7)) == 0
 
     def test_substitute_cyclotomic_inverse(self):
         # 1/(1 - zeta_3) = (2 + zeta_3)/3, checked against extended Euclid
         fld = cyc_field(3)
         value = fld.one() - fld.zeta()
-        got = Laurent.h(-1).substitute(value)
+        got = substitute(Laurent.h(-1), value)
         expected = fld.element([Fraction(2, 3), Fraction(1, 3)])
         assert got == expected
         g, s, _ = poly_ext_gcd(QPoly([1, -1]), fld.modulus)
@@ -65,17 +66,17 @@ class TestLaurent:
 
     def test_substitute_needs_inverse(self):
         with pytest.raises(NonInvertible):
-            Laurent.h(-1).substitute(0)
+            substitute(Laurent.h(-1), 0)
         with pytest.raises(NonInvertible):
-            Laurent({-2: 3, 1: 1}).substitute(0)
+            substitute(Laurent({-2: 3, 1: 1}), 0)
 
     def test_substitute_int_at_negative_exponent(self):
         # an int value is a unit of Q: its inverse is an exact Fraction
-        got = Laurent.h(-1).substitute(2)
+        got = substitute(Laurent.h(-1), 2)
         assert got == Fraction(1, 2) and type(got) is Fraction
-        assert Laurent({-2: 3, 1: 1}).substitute(-1) == 2
-        assert Laurent.h(-3, 2).substitute(1) == 2
-        assert Laurent.h(2).substitute(3) == 9
+        assert substitute(Laurent({-2: 3, 1: 1}), -1) == 2
+        assert substitute(Laurent.h(-3, 2), 1) == 2
+        assert substitute(Laurent.h(2), 3) == 9
 
     @given(
         laurents,
@@ -84,7 +85,7 @@ class TestLaurent:
         | st.integers(-5, 5).filter(bool),
     )
     def test_substitute_is_ring_hom(self, a, b, v):
-        assert (a * b).substitute(v) == a.substitute(v) * b.substitute(v)
+        assert substitute(a * b, v) == substitute(a, v) * substitute(b, v)
 
     def test_canonical_string(self):
         a = Laurent({-1: Fraction(-2), 0: 1, 2: Fraction(3, 2)})
@@ -132,7 +133,7 @@ class TestLaurentExactness:
     )
     def test_operations_stay_exact(self, a, b, s, n, v):
         before = dict(a.terms), dict(b.terms)
-        results = [a + b, a - b, a * b, -a, a * s, s * a, a**n, a + s, s - a]
+        results = [a + b, sub(a, b), a * b, neg(a), a * s, s * a, power(a, n), a + s, sub(s, a)]
         # a product with the unit returns an operand itself, so no
         # operation may have changed an operand in place
         assert (a.terms, b.terms) == before
@@ -141,9 +142,9 @@ class TestLaurentExactness:
                 assert_exact(c)
             assert Laurent.parse(str(x)) == x
             assert hash(Laurent.parse(str(x))) == hash(x)
-        value = a.substitute(v)
+        value = substitute(a, v)
         assert type(value) in (int, Fraction)
-        assert_exact(a.constant())
+        assert_exact(constant(a))
 
 
 monomial_coeffs = st.sampled_from(
@@ -176,9 +177,9 @@ class TestMonomialProduct:
 
     def test_unit_returns_the_other_operand(self):
         x = Laurent.h(-2, Fraction(3, 4))
-        assert Laurent.one() * x is x and x * Laurent.one() is x
+        assert Laurent(1) * x is x and x * Laurent(1) is x
         assert Laurent.h(1) * x == Laurent.h(-1, Fraction(3, 4))
-        assert Laurent.h(0, -1) * x == -x
+        assert Laurent.h(0, -1) * x == neg(x)
 
 
 unipolys = st.lists(rationals, max_size=5).map(QPoly)

@@ -13,6 +13,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laurent_oracle import substitute
 from poly_oracle import GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
 from qharmonic.algebra import BAR1, EPoly, enumerate_indices_up_to
 from qharmonic.coeff import Laurent, ModPoly, poly_str
@@ -171,33 +172,33 @@ def oracle_cum(n: int, suffix: tuple) -> tuple:
 def oracle_zn_map(x: EPoly, n: int) -> OracleCycNum:
     h = OracleCycNum(n, QPoly([1, -1]))
     out = OracleCycNum(n, QPoly())
-    for k, c in x.terms.items():
-        out = out + c.substitute(h) * oracle_cum(n, k)[n - 1]
+    for k, c in x.coefficients().items():
+        out = out + substitute(c, h) * oracle_cum(n, k)[n - 1]
     return out
 
 
 def oracle_A_m(m: int, x: EPoly, n: int) -> OracleCycNum:
     h = OracleCycNum(n, QPoly([1, -1]))
     out = OracleCycNum(n, QPoly())
-    for k, c in x.terms.items():
+    for k, c in x.coefficients().items():
         value = (
             OracleCycNum(n, QPoly([1]))
             if not k
             else oracle_f_factor(n, k[0], m) * oracle_cum(n, k[1:])[m - 1]
         )
-        out = out + c.substitute(h) * value
+        out = out + substitute(c, h) * value
     return out
 
 
 def oracle_zcyc(x: EPoly, p: int) -> OraclePrimeCycNum:
     h = OraclePrimeCycNum(p, GFPoly(p, [1, -1]))
     out = OraclePrimeCycNum(p, GFPoly(p))
-    for k, c in x.terms.items():
+    for k, c in x.coefficients().items():
         exact = oracle_cum(p, k)[p - 1].poly.coeffs
         value = OraclePrimeCycNum(
             p, GFPoly(p, [a.numerator * pow(a.denominator, -1, p) for a in exact])
         )
-        out = out + c.substitute(h) * value
+        out = out + substitute(c, h) * value
     return out
 
 

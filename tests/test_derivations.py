@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from laurent_oracle import constant
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.derivations import (
@@ -46,7 +47,7 @@ def derive_words_by_products(w, images: dict):
     words (NcPoly) or on indices (EPoly)."""
     cls = type(w)
     out = cls()
-    for word, c in w.terms.items():
+    for word, c in w.coefficients().items():
         for i, ch in enumerate(word):
             out = out + cls({word[:i]: c}) * images[ch] * cls({word[i + 1:]: 1})
     return out
@@ -272,7 +273,7 @@ def weight_of(x: NcPoly) -> set:
     """The weights #a + j of the terms c*h^j*w of x; each coefficient must
     be a single monomial."""
     out = set()
-    for w, c in x.terms.items():
+    for w, c in x.coefficients().items():
         assert len(c.terms) == 1, (w, c)
         (j,) = c.terms
         out.add(w.count("a") + j)
@@ -357,7 +358,7 @@ class TestOhnoCombinatorics:
 
         for k, s in (((2,), 2), ((1, 1), 2), ((3,), 1)):
             total = sum(
-                c.constant() for c in a_s_index(k, s).terms.values()
+                constant(c) for c in a_s_index(k, s).coefficients().values()
             )
             slots = sum(k)
             assert total == comb(s + slots - 1, slots - 1)

@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laurent_oracle import substitute
 from qharmonic.algebra import (
     BAR1,
     EPoly,
@@ -77,8 +78,8 @@ def zq_eval_summed(x: EPoly, q: QValue, M: int) -> CertifiedValue:
     """Z_q as a running Fraction sum over the terms, one gcd or more per term."""
     value = Fraction(0)
     bound = Fraction(0)
-    for k, c in x.terms.items():
-        scalar = c.substitute(1 - q.q)
+    for k, c in x.coefficients().items():
+        scalar = substitute(c, 1 - q.q)
         value += scalar * zeta_value_reduced(k, q, M)
         bound += abs(scalar) * tail_bound_summed(index_dep(k), q.q, M)
     return CertifiedValue(value, bound, M)
@@ -390,12 +391,13 @@ class TestUnreduced:
         M = 7
         cv = Zq_eval(x, QValue(q), M)
         want = sum(
-            (c.substitute(1 - q) * zeta_brute(k, q, M) for k, c in x.terms.items()), Fraction(0)
+            (substitute(c, 1 - q) * zeta_brute(k, q, M) for k, c in x.coefficients().items()),
+            Fraction(0),
         )
         assert cv.value == want
         assert cv.tail_bound == sum(
-            abs(c.substitute(1 - q)) * tail_bound_summed(index_dep(k), q, M)
-            for k, c in x.terms.items()
+            abs(substitute(c, 1 - q)) * tail_bound_summed(index_dep(k), q, M)
+            for k, c in x.coefficients().items()
         )
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 7)])
@@ -471,6 +473,16 @@ class TestExactStr:
                 lift(limit)
         assert _exact_str(x) == want
 
+    def test_repr_past_the_digit_limit(self):
+        cv = zeta_q_partial((4,), HALF, 120)
+        assert len(_exact_str(cv.value)) > 4300
+        assert repr(cv) == (
+            f"CertifiedValue(value={_exact_str(cv.value)}, "
+            f"tail_bound={_exact_str(cv.tail_bound)}, truncation=120)"
+        )
+        small = CertifiedValue(Fraction(1, 3), Fraction(1, 8), 2)
+        assert repr(small) == "CertifiedValue(value=1/3, tail_bound=1/8, truncation=2)"
+
 
 class TestFBasis:
     @pytest.mark.parametrize("k", range(1, 6))
@@ -482,7 +494,7 @@ class TestFBasis:
                 lhs = q ** (l * m) / q_int(m, HALF) ** k
                 rhs = sum(
                     (
-                        coeff.substitute(1 - q) * f_factor(entry, m, q)
+                        substitute(coeff, 1 - q) * f_factor(entry, m, q)
                         for entry, coeff in expansion.items()
                     ),
                     Fraction(0),

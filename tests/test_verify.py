@@ -2,21 +2,25 @@
 import pytest
 
 from qharmonic import evalq, export, verify
-from qharmonic.algebra import EPoly, NcPoly, index_sort_key
+from qharmonic.algebra import EPoly, index_sort_key
 from qharmonic.evalq import CertifiedValue
 from qharmonic.series import TruncSeries
 
 
 def bump_one_coefficient(x: EPoly) -> EPoly:
     """x with 1 added to the coefficient of its smallest index."""
-    k = min(x.terms, key=index_sort_key)
+    k = min(x.coefficients(), key=index_sort_key)
     return x + EPoly({k: 1})
 
 
+def bump_smallest(x):
+    """x with 1 added to the coefficient of its smallest word or index (as text)."""
+    return x + type(x)({min(x.coefficients(), key=str): 1})
+
+
 def bump_constant_term(s: TruncSeries) -> TruncSeries:
-    """s with 1 added to the coefficient of the smallest word of its X^0 term."""
-    c0 = s.coeffs[0]
-    return TruncSeries((c0 + NcPoly({min(c0.terms): 1}),) + s.coeffs[1:])
+    """s with 1 added to the coefficient of the smallest key of its X^0 term."""
+    return TruncSeries((bump_smallest(s.coeffs[0]),) + s.coeffs[1:])
 
 
 def assert_all_fail_with_witness(reports, needle):
@@ -116,11 +120,63 @@ def test_double_shuffle_catches_a_wrong_dp_factor(bump_one_dp_factor):
     assert_all_fail_with_witness([r for r in reports if "()" not in r.case], "residual")
 
 
+def test_log_formulas_catch_a_wrong_product(monkeypatch):
+    for name in ("shuffle_q", "stuffle_q"):
+        good = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda x, y, good=good: bump_smallest(good(x, y)))
+    reports = verify.suite_log_formulas(order=3)
+    assert_all_fail_with_witness(reports, "mismatch")
+
+
+def test_zn_stuffle_catches_a_wrong_stuffle(monkeypatch):
+    good = verify.stuffle_q
+    monkeypatch.setattr(verify, "stuffle_q", lambda x, y: good(x, y) + EPoly.gen(2))
+    reports = verify.suite_zn_stuffle(n_range=range(3, 5), max_weight=1)
+    assert_all_fail_with_witness(reports, "stuffle fails")
+
+
+def ohno_cases(**kwargs):
+    return verify.suite_ohno(n_range=range(4, 6), max_weight=2, max_m=1, **kwargs)
+
+
+def test_ohno_catches_a_wrong_dual_shift_sum(monkeypatch):
+    # both the combination identity and the relation itself read it
+    from qharmonic import cyclo
+
+    good = verify._dual_shift_sum
+    bumped = lambda k, m: good(k, m) + EPoly.gen(2)  # noqa: E731
+    monkeypatch.setattr(verify, "_dual_shift_sum", bumped)
+    monkeypatch.setattr(cyclo, "_dual_shift_sum", bumped)
+    reports = [r for r in ohno_cases() if not r.case.startswith("Delta expansion")]
+    combination = [r for r in reports if r.case.startswith("combination")]
+    assert combination and len(combination) < len(reports)
+    assert_all_fail_with_witness(combination, "combination identity fails")
+    assert_all_fail_with_witness([r for r in reports if r not in combination], "Ohno fails")
+
+
+def test_ohno_catches_a_wrong_delta_expansion(monkeypatch):
+    good = verify.delta_expansion
+    monkeypatch.setattr(verify, "delta_expansion", lambda k, order: bump_constant_term(good(k, order)))
+    reports = [r for r in ohno_cases() if r.case.startswith("Delta expansion")]
+    assert_all_fail_with_witness(reports, "expansion mismatch")
+
+
+def test_mzv_compare_catches_a_wrong_partial_n(monkeypatch):
+    good = verify.partial_n
+    monkeypatch.setattr(verify, "partial_n", lambda n, w: bump_smallest(good(n, w)))
+    reports = verify.suite_mzv_compare(max_n=2, max_weight=2)
+    assert_all_fail_with_witness(reports, "iota comparison fails")
+
+
 def test_unmutated_suites_pass():
     for reports in (
         verify.suite_derivation(M=40, max_n=1, max_weight=2),
         verify.suite_double_shuffle(M=40, max_weight=2),
         verify.suite_cor_delta(order=2, max_weight=2),
         delta_factorization_cases(),
+        verify.suite_log_formulas(order=3),
+        verify.suite_zn_stuffle(n_range=range(3, 5), max_weight=1),
+        ohno_cases(),
+        verify.suite_mzv_compare(max_n=2, max_weight=2),
     ):
         assert reports and all(r.ok for r in reports)
