@@ -2,15 +2,16 @@
 presentations of the harmonic algebra.
 
 Both presentations are one sparse linear-combination type, LinComb.
-Under the weight grading (deg a = deg h = 1, deg b = 0) every
-coefficient is a single monomial c*h^j, so a term is stored as
-(basis key, j) -> c with c an exact scalar: a product adds exponents and
-multiplies scalars, and no Laurent polynomial is built on the way. The
-sum, the concatenation product, the scalar action and an in-place sum
-are defined once; coefficients() is the view {key: Laurent} that
-printing, export and tests read. NcPoly has words as keys; EPoly is the
-same algebra written in the e-generator basis, with indices (tuples of
-entries) as keys. The generators are
+Under the weight grading (deg a = deg h = 1, deg b = 0) the coefficient
+of a basis element in a homogeneous value is a single monomial c*h^j, so
+a term is stored as (basis key, j) -> c with c an exact scalar (a value
+that is not homogeneous takes one entry per power of h): a product adds
+exponents and multiplies scalars, and no Laurent polynomial is built on
+the way. The sum, the concatenation product, the scalar action and an
+in-place sum are defined once; coefficients() is the view
+{key: Laurent} that printing, export and tests read. NcPoly has words
+as keys; EPoly is the same algebra written in the e-generator basis,
+with indices (tuples of entries) as keys. The generators are
 
     e_1bar = ab,    e_k = a^(k-1) (a + h) b   for k >= 1,
 

@@ -1,16 +1,20 @@
-"""Exact scalar arithmetic: the Laurent ring Q[h, h^-1], and the dense
+"""Exact scalars: the rule that keeps them exact, the Laurent polynomials
+in h that are the input/output view of one coefficient, and the dense
 polynomials that hold Phi_n and the .poly forms of cyclotomic values.
 
-Every coefficient in this package lives in the Laurent ring, where the
-formal variable h specializes to 1-q for numeric evaluation and to
-1-zeta_n for evaluation at a root of unity. Rationals are
-fractions.Fraction throughout, except that a Laurent coefficient which
-is an integer is stored as an int; nothing here is ever floating point.
+Every coefficient in this package lies in Q[h, h^-1], where the formal
+variable h specializes to 1-q for numeric evaluation and to 1-zeta_n for
+evaluation at a root of unity. A rational is an int when it is integral
+and a fractions.Fraction otherwise (_exact); nothing here is ever
+floating point.
 
 The algebra is graded by weight (deg a = deg h = 1, deg b = 0) and every
 operator preserves or shifts it, so the coefficient of each word is a
-single monomial c*h^j; Laurent products take a fast path for monomial
-times monomial and keep the general convolution for other shapes.
+single monomial c*h^j. LinComb (in algebra) therefore stores the power
+of h in its keys and an exact scalar as the value, and builds a Laurent
+only to parse, print or hand a coefficient out. Laurent keeps the sum
+and product of the ring; evaluation at a value of h happens per power
+of h, in the evaluators.
 """
 from __future__ import annotations
 

@@ -273,8 +273,8 @@ def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:
     """Z_q of an e-polynomial supported on I0-hat: h acts as 1 - q.
 
     The partial sums are combined over one shared denominator (see
-    _combined_partial_sum); tail bounds combine with absolute-value weights,
-    taken once per index of the summed coefficient c(1 - q).
+    _combined_partial_sum); tail bounds combine with absolute-value weights
+    |c(1 - q)|, one per index, c its coefficient with every power of h summed.
     """
     h = 1 - q.q
     coeffs: dict = {}
