@@ -333,11 +333,9 @@ class EPoly(LinComb):
         return cls({tuple(check_entry(e) for e in k): coeff})
 
     def prepend(self, entry: Entry, coeff=1, j: int = 0) -> "EPoly":
-        """Left-multiply by coeff h^j e_entry, coeff a nonzero exact scalar."""
-        return self._wrap(
-            {((entry,) + k, i + j): v if coeff == 1 else _exact(v * coeff)
-             for (k, i), v in self.terms.items()}
-        )
+        """Left-multiply by coeff h^j e_entry, coeff a scalar or a Laurent polynomial."""
+        out = self._wrap({((entry,) + k, i): v for (k, i), v in self.terms.items()})
+        return out if coeff == 1 and not j else out.scale(coeff, j)
 
     def supported_in_Ihat0(self) -> bool:
         return all(in_Ihat0(k) for k, _ in self.terms)

@@ -71,12 +71,14 @@ class TestArithmetic:
         assert read(x + y) == rx + ry
         assert read(x - y) == rx - ry
         assert read(x.scale(c)) == rx.scale(c)
+        assert read(x.prepend(BAR1, c)) == RefE({(BAR1,): 1}) * rx.scale(c)
         assert read(x + y - x) == ry
 
     def test_cancelling_coefficients(self):
         x = EPoly({(2,): H(1) + Laurent(Fraction(-1, 2))})
         y = EPoly({(2,): H(1, -1) + Laurent(Fraction(1, 2)), (3,): H(2)})
         assert x + y == EPoly.gen(3, H(2))
+        assert x.prepend(1, 0) == EPoly() == x.scale(0)
         assert (x * x).coefficients() == {(2, 2): H(2) + H(1, -1) + Laurent(Fraction(1, 4))}
 
 

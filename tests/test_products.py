@@ -34,7 +34,7 @@ def stuffle_idx_oracle(k1, k2) -> EPoly:
     out = out + stuffle_idx_oracle(k1, rest2).prepend(b)
     tail = stuffle_idx_oracle(rest1, rest2)
     for mk, mc in circ(a, b).coefficients().items():
-        out = out + tail.prepend(mk[0]).scale(mc)
+        out = out + tail.prepend(mk[0], mc)
     return out
 
 
