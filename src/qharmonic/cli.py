@@ -9,6 +9,7 @@ import argparse
 import inspect
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from .algebra import (
@@ -112,7 +113,13 @@ def _add_common_verify_args(p: argparse.ArgumentParser):
     p.add_argument("--quiet", action="store_true", help="print only the summary")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qsh argument parser, shared by every main() call in the process.
+
+    It is built on the first call, not at import. Each parse_args() call
+    returns a fresh Namespace; the parser itself must not be mutated.
+    """
     ap = argparse.ArgumentParser(
         prog="qsh",
         description="Exact computer algebra for multiple harmonic q-series.",
@@ -239,7 +246,11 @@ def _cmd_export(args, out):
         raise UsageError(f"the flags select no record of export --kind {args.kind}")
     text = render_json(records) if args.format == "json" else render_csv(records)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"--out {args.out}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         out.write(text)

@@ -1,5 +1,9 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -11,7 +15,7 @@ import pytest
 import qharmonic
 from qharmonic import verify
 from qharmonic.algebra import EPoly
-from qharmonic.cli import main
+from qharmonic.cli import build_parser, main
 from qharmonic.evalq import QValue, Zq_eval, zeta_q_partial
 from qharmonic.export import (
     export_relations,
@@ -22,6 +26,8 @@ from qharmonic.export import (
 )
 from qharmonic.cyclo import zn_map
 from qharmonic.errors import OutOfRange
+from test_output_digests import DIGESTS
+from test_workload_digests import WORKLOADS
 
 
 def run_cli(capsys, *argv):
@@ -362,6 +368,15 @@ def run_module(*argv) -> subprocess.CompletedProcess:
 #: --q values that are not a rational in (0, 1).
 BAD_Q = ("1/0", "abc", "3/2", "0")
 
+#: Flag values that must exit 2 with one error line.
+MALFORMED_FLAGS = (
+    [("eval", "zetaq", "2", "--q", q) for q in BAD_Q]
+    + [("verify", "double-shuffle", "--q", q, "--max-weight", "1") for q in BAD_Q]
+    + [("eval", "zetaq", "2", "--M", "0")]
+    + [("verify", "varpi-l", "--p", "0"), ("verify", "fmzv", "--p", "4"),
+       ("verify", "cyc-ohno", "--p", "9"), ("verify", "fmzv", "--p", "5,1")]
+)
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -369,17 +384,106 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1,2,1,2"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [("eval", "zetaq", "2", "--q", q) for q in BAD_Q]
-        + [("verify", "double-shuffle", "--q", q, "--max-weight", "1") for q in BAD_Q]
-        + [("eval", "zetaq", "2", "--M", "0")]
-        + [("verify", "varpi-l", "--p", "0"), ("verify", "fmzv", "--p", "4"),
-           ("verify", "cyc-ohno", "--p", "9"), ("verify", "fmzv", "--p", "5,1")],
-    )
+    @pytest.mark.parametrize("argv", MALFORMED_FLAGS)
     def test_malformed_flag_exits_2(self, argv):
         # exit 1 means a counterexample, so a bad flag must never reach it
         proc = run_module(*argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("target", [".", "missing/rels.json"])
+    def test_out_path_that_cannot_be_opened_exits_2(self, tmp_path, target):
+        # a directory, or a file under a missing directory
+        out_path = tmp_path / target
+        proc = run_module("export", "--kind", "ohno", "--max-n", "5", "--max-weight", "2",
+                          "--out", str(out_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: --out ") and proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+#: A verify case line ends in its time, which differs from run to run.
+CASE_TIME = re.compile(r" \(\d+\.\d ms\)$", re.MULTILINE)
+
+
+def run_captured(argv):
+    """main(argv) in this process: (exit code, stdout, stderr), case times
+    blanked; argparse's SystemExit counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, CASE_TIME.sub("", out.getvalue()), err.getvalue()
+
+
+def workload_argvs():
+    sizes = json.loads(WORKLOADS.read_text(encoding="utf-8"))
+    return [
+        tuple(step["argv"])
+        for workloads in sizes.values()
+        for steps in workloads.values()
+        for step in steps
+        if "argv" in step
+    ]
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; a fresh parser is the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps usage lines at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_same_results_as_a_fresh_parser(self):
+        argvs = (
+            [tuple(command.split(" ")) for command in sorted(DIGESTS)]
+            + workload_argvs()
+            + MALFORMED_FLAGS
+        )
+        shared = [run_captured(argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(run_captured(argv))
+        for argv, got, want in zip(argvs, shared, fresh):
+            assert got == want, argv
+
+    def test_interleaved_calls_behave_as_fresh_processes(self):
+        code, out, err = run_captured(("--profile", "dual", "2,3,1"))
+        assert (code, out) == (0, "1,2,1,2\n") and "tottime" in err
+        argvs = [
+            ("verify", "nosuch"),
+            ("verify", "ohno", "--index", "2", "--n", "5", "--m", "1"),
+            ("verify", "ohno", "--n", "4:4"),
+            ("export", "--kind", "ohno", "--max-n", "5", "--max-weight", "2", "--format", "csv"),
+            ("export", "--kind", "ohno", "--max-n", "5", "--max-weight", "2"),
+        ]
+        for argv in argvs:
+            proc = run_module(*argv)
+            want = (proc.returncode, CASE_TIME.sub("", proc.stdout), proc.stderr)
+            assert run_captured(argv) == want, argv
+
+    def test_parser_built_once_for_many_calls(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.__wrapped__()
+        once = len(built)
+        assert once > 1
+        built.clear()
+        build_parser.cache_clear()
+        for argv in (["dual", "2,3,1"], ["zn", "2", "--n", "3"], ["dual", "2,x"],
+                     ["stuffle", "2", "3"], ["shuffle", "ab", "ab"]):
+            main(argv)
+        capsys.readouterr()
+        assert len(built) == once
