@@ -168,6 +168,54 @@ def test_mzv_compare_catches_a_wrong_partial_n(monkeypatch):
     assert_all_fail_with_witness(reports, "iota comparison fails")
 
 
+def zn_duality_cases():
+    return verify.suite_zn_duality(n_range=range(3, 5), max_weight=2, dual_max_n=4)
+
+
+def test_zn_duality_catches_a_wrong_psi(monkeypatch):
+    # 1 added to the coefficient of the empty index: a bump on a longer
+    # index can reach depth >= n, where z_n vanishes
+    good = verify.psi_involution
+    monkeypatch.setattr(verify, "psi_involution", lambda x: good(x) + EPoly.one())
+    reports = [r for r in zn_duality_cases() if not r.case.startswith("duality instance")]
+    assert_all_fail_with_witness(reports, "shuffle-psi fails")
+
+
+def test_ones_bar_catches_a_wrong_closed_form(monkeypatch):
+    good = verify.ones_bar_closed_form
+    monkeypatch.setattr(verify, "ones_bar_closed_form", lambda n, r: good(n, r) + 1)
+    assert_all_fail_with_witness(verify.suite_ones_bar(max_n=6), "1bar^")
+
+
+def test_fmzv_catches_a_wrong_zn_eval(monkeypatch):
+    good = verify.zn_eval
+    monkeypatch.setattr(verify, "zn_eval", lambda k, n: good(k, n) + 1)
+    reports = verify.suite_fmzv(primes=(5, 7), max_weight=2)
+    assert_all_fail_with_witness(reports, "!= harmonic sum")
+
+
+def test_varpi_l_catches_a_wrong_l_map(monkeypatch):
+    # varpi_l_check reads the L map through cyclo; the bump adds 1 to the
+    # coefficient of the empty index, whose value is 1
+    from qharmonic import cyclo
+
+    good = cyclo.l_map_epoly
+    monkeypatch.setattr(cyclo, "l_map_epoly", lambda x: good(x) + EPoly.one())
+    reports = verify.suite_varpi_l(primes=(7, 11), max_weight=2)
+    assert_all_fail_with_witness(reports, "varpi-L fails")
+
+
+def cyc_ohno_cases():
+    # at p = 7 some cases catch BadDenominator and pass unchecked
+    return verify.suite_cyc_ohno(primes=(11, 13))
+
+
+def test_cyc_ohno_catches_a_wrong_dual_shift_sum(monkeypatch):
+    good = verify._dual_shift_sum
+    monkeypatch.setattr(verify, "_dual_shift_sum", lambda k, m: good(k, m) + EPoly.one())
+    assert_all_fail_with_witness(cyc_ohno_cases(), "cyc-Ohno fails")
+
+
 def test_unmutated_suites_pass():
     for reports in (
         verify.suite_derivation(M=40, max_n=1, max_weight=2),
@@ -178,5 +226,10 @@ def test_unmutated_suites_pass():
         verify.suite_zn_stuffle(n_range=range(3, 5), max_weight=1),
         ohno_cases(),
         verify.suite_mzv_compare(max_n=2, max_weight=2),
+        zn_duality_cases(),
+        verify.suite_ones_bar(max_n=6),
+        verify.suite_fmzv(primes=(5, 7), max_weight=2),
+        verify.suite_varpi_l(primes=(7, 11), max_weight=2),
+        cyc_ohno_cases(),
     ):
         assert reports and all(r.ok for r in reports)
