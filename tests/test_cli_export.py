@@ -473,7 +473,7 @@ class TestSharedParser:
         init = argparse.ArgumentParser.__init__
 
         def counting_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
+            built.append(self)
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
