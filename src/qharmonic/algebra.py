@@ -483,6 +483,8 @@ def hoffman_dual(k: Index) -> Index:
     """
     if not k:
         raise EmptyIndex("the Hoffman dual needs a nonempty index")
+    for e in k:
+        check_entry(e)
     if not in_I(k):
         raise HasBarEntry("the Hoffman dual is defined on indices without 1bar")
     s = index_to_binary(k)

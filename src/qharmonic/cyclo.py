@@ -14,8 +14,10 @@ rational norm in Q(zeta_n), u^(p-1)/u(1) by Frobenius in Z[zeta_p]/(p),
 and an explicit sum for each cyclotomic unit [m].
 
 One evaluator serves both rings, cyc_field(n) and prime_ring(p). A ring
-supplies zeta(), one(), zero(), q_int_inv(m) = [m]^(-1) and lincomb(pairs),
-its rational linear combination (the mod-p one raises BadDenominator).
+supplies zeta(), zeta_power(e) (the monomial x^(e mod n), folded once
+instead of squared up), one(), zero(), q_int_inv(m) = [m]^(-1) and
+lincomb(pairs), its rational linear combination (the mod-p one raises
+BadDenominator).
 _zn_cum is the cumulative-sum DP over the nested sum; _h_grouped groups
 the terms of an e-polynomial by their power of h = 1 - zeta and
 multiplies each group's combination once by a cached (1 - zeta)^e.
@@ -87,6 +89,10 @@ class CycField:
 
     def zeta(self) -> "CycNum":
         return CycNum(self, [0, 1])
+
+    def zeta_power(self, e: int) -> "CycNum":
+        """zeta^e for any int e, as the monomial x^(e mod n) folded by Phi_n."""
+        return CycNum(self, [0] * (e % self.n) + [1])
 
     def one(self) -> "CycNum":
         return CycNum(self, [1])
@@ -419,6 +425,10 @@ class PrimeRing:
     def zeta(self) -> PrimeCycNum:
         return PrimeCycNum(self.n, (0, 1))
 
+    def zeta_power(self, e: int) -> PrimeCycNum:
+        """zeta^e for any int e, as the monomial x^(e mod p) folded by Phi_p."""
+        return PrimeCycNum(self.n, [0] * (e % self.n) + [1])
+
     def one(self) -> PrimeCycNum:
         return PrimeCycNum(self.n, (1,))
 
@@ -465,8 +475,8 @@ def _h_power(ring, e: int):
 def _f_factor(ring, entry, m: int):
     """F_entry(m) at q = zeta: zeta^((k-1)m)/[m]^k, or zeta^m/[m] for 1bar."""
     if entry is BAR1:
-        return ring.zeta() ** m * ring.q_int_inv(m)
-    return ring.zeta() ** ((entry - 1) * m) * ring.q_int_inv(m) ** entry
+        return ring.zeta_power(m) * ring.q_int_inv(m)
+    return ring.zeta_power((entry - 1) * m) * ring.q_int_inv(m) ** entry
 
 
 @lru_cache(maxsize=None)
@@ -554,6 +564,7 @@ def zcyc_mod_p(x: EPoly, p: int) -> PrimeCycNum:
 def ohno_check(k: Index, m: int, n: int):
     """Both sides of the Ohno-type relation for (k, m, n); returns
     (equal, lhs, rhs) as exact values in Q(zeta_n)."""
+    k = tuple(k)
     if not k:
         raise PreconditionViolated("k must be nonempty")
     if not in_I(k):

@@ -7,6 +7,12 @@ Phi_X and Delta_X are concatenation homomorphisms (delta_n, partial_n are
 derivations), computed from cached letter series multiplied along words.
 Psi_X stays on its definition, _exp_apply: delta-factorization derives its
 multiplicativity from Phi_X = Psi_X Delta_X.
+
+The Ohno pieces are pure functions of small index tuples that the Ohno,
+cyc-Ohno and export routes ask for again and again, so _dual_shift_sum,
+_ohno_rhs and A_ksp (through _A_ksp, keyed on tuple(k)) each keep a
+bounded lru_cache(maxsize=4096); cache_clear() empties one. Their values
+are shared, and no caller mutates one.
 """
 from __future__ import annotations
 
@@ -291,11 +297,13 @@ def _shift_sum(k: Index, l: int, coeff=1, j: int = 0) -> EPoly:
     return EPoly._wrap(dict.fromkeys(((s, j) for s in _shifts(k, l)), _exact(coeff)))
 
 
+@lru_cache(maxsize=4096)
 def _dual_shift_sum(k: Index, m: int) -> EPoly:
     """sum over |e| = m of e_((k^dual + e)^dual), with ^dual the Hoffman dual."""
     return EPoly._wrap({(hoffman_dual(s), 0): 1 for s in _shifts(hoffman_dual(k), m)})
 
 
+@lru_cache(maxsize=4096)
 def _ohno_rhs(k: Index, m: int, n: int) -> EPoly:
     """The shift side of the Ohno-type relation for (k, m, n):
     sum over l <= m of (C(n, m-l+1)/n) h^(m-l) sum_(|e|=l) e_(k+e)."""
@@ -329,7 +337,14 @@ def a_s_index(k: tuple[int, ...], s: int) -> EPoly:
 
 
 def A_ksp(k: Index, s: int, p: int) -> EPoly:
-    """A_(k,s,p): a_s over all 0/1 shifts of k of total weight p, entrywise -1."""
+    """A_(k,s,p): a_s over all 0/1 shifts of k of total weight p, entrywise -1.
+
+    k may be any sequence; the cached _A_ksp keys on tuple(k)."""
+    return _A_ksp(tuple(k), s, p)
+
+
+@lru_cache(maxsize=4096)
+def _A_ksp(k: Index, s: int, p: int) -> EPoly:
     if not k:
         raise BadEntry("A_(k,s,p) needs a nonempty index")
     if any(e is BAR1 for e in k):

@@ -14,7 +14,8 @@ words. Each recursion is memoized on basis pairs in its own cache; a
 cache only ever gains entries for argument pairs already fully
 determined by the rules, so results are independent of call order (and
 of thread interleaving under the GIL). The bilinear extensions
-accumulate in place.
+accumulate in place. The L map of one index is an lru_cache(maxsize=4096)
+on l_map, cleared by l_map.cache_clear().
 """
 from __future__ import annotations
 
@@ -184,6 +185,7 @@ def stuffle_classical(u: EPoly, v: EPoly) -> EPoly:
     )
 
 
+@lru_cache(maxsize=4096)
 def l_map(k: Index) -> EPoly:
     """L(e_k) = -2/(2 dep(k) + 1) * (e_1 * e_k), classical stuffle.
 

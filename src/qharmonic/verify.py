@@ -410,6 +410,19 @@ def suite_cyc_ohno(primes=(7, 11, 13), max_weight: int = 3, max_m: int = 2):
     """The Ohno-type relation for the cyclotomic analogue at single primes."""
     reports = []
     indices = [k for k in _sorted_indices(max_weight, "I") if k]
+
+    @cache
+    def sides(k, m):
+        # Both sides before reduction mod p; they do not depend on p. The
+        # right side is a list of (coefficient, iterated L image) pairs.
+        pairs = []
+        for l in range(m + 1):
+            shift = _shift_sum(k, l)
+            for _ in range(m - l):
+                shift = l_map_epoly(shift)
+            pairs.append((Fraction((-1) ** (m - l), m - l + 1), shift))
+        return _dual_shift_sum(k, m), pairs
+
     for p in primes:
         for k in indices:
             for m in range(0, max_m + 1):
@@ -418,13 +431,11 @@ def suite_cyc_ohno(primes=(7, 11, 13), max_weight: int = 3, max_m: int = 2):
 
                 def check(p=p, k=k, m=m):
                     try:
-                        lhs = zcyc_mod_p(_dual_shift_sum(k, m), p)
+                        dual, pairs = sides(k, m)
+                        lhs = zcyc_mod_p(dual, p)
                         rhs = None
-                        for l in range(m + 1):
-                            shift = _shift_sum(k, l)
-                            for _ in range(m - l):
-                                shift = l_map_epoly(shift)
-                            term = Fraction((-1) ** (m - l), m - l + 1) * zcyc_mod_p(shift, p)
+                        for c, shift in pairs:
+                            term = c * zcyc_mod_p(shift, p)
                             rhs = term if rhs is None else rhs + term
                     except BadDenominator as exc:
                         return True, f"skipped: {exc}"

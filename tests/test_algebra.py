@@ -21,7 +21,7 @@ from qharmonic.algebra import (
     word_to_e,
 )
 from qharmonic.coeff import Laurent
-from qharmonic.errors import EmptyIndex, HasBarEntry, NotInH1
+from qharmonic.errors import BadEntry, EmptyIndex, HasBarEntry, NotInH1
 
 H = Laurent.h
 
@@ -167,6 +167,11 @@ class TestHoffmanDual:
             hoffman_dual(())
         with pytest.raises(HasBarEntry):
             hoffman_dual((BAR1, 2))
+
+    @pytest.mark.parametrize("k", [(0,), (-1, 2), (2, 0, 1)])
+    def test_entries_below_one(self, k):
+        with pytest.raises(BadEntry):
+            hoffman_dual(k)
 
     def test_involution_and_weight_exhaustive(self):
         for w in range(1, 9):

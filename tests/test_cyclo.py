@@ -22,6 +22,7 @@ from qharmonic.cyclo import (
     fmzv_reduce,
     ohno_check,
     ones_bar_closed_form,
+    prime_ring,
     varpi_l_check,
     zcyc_mod_p,
     zn_eval,
@@ -73,6 +74,19 @@ class TestCycNum:
         fld = cyc_field(7)
         v = fld.one() - fld.zeta()
         assert v**-2 * v**2 == fld.one()
+
+
+class TestZetaPower:
+    # zeta_power builds one monomial; zeta() ** e by repeated squaring is the oracle.
+    @pytest.mark.parametrize(
+        "ring",
+        [pytest.param(cyc_field(n), id=f"cyc_field({n})") for n in range(2, 13)]
+        + [pytest.param(prime_ring(p), id=f"prime_ring({p})") for p in (5, 7, 11, 13)],
+    )
+    def test_matches_repeated_squaring(self, ring):
+        zeta = ring.zeta()
+        for e in range(3 * ring.n):
+            assert ring.zeta_power(e) == zeta**e, e
 
 
 def zn_brute(k, n):
@@ -254,6 +268,9 @@ class TestOhno:
     def test_deeper_instance(self):
         ok, _, _ = ohno_check((2, 1), 1, 6)
         assert ok
+
+    def test_list_index(self):
+        assert ohno_check([2, 1], 1, 6) == ohno_check((2, 1), 1, 6)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated):

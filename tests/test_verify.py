@@ -216,6 +216,23 @@ def test_cyc_ohno_catches_a_wrong_dual_shift_sum(monkeypatch):
     assert_all_fail_with_witness(cyc_ohno_cases(), "cyc-Ohno fails")
 
 
+def test_cyc_ohno_catches_a_wrong_l_map(monkeypatch):
+    # only the m >= 1 cases apply the L map; the clean run first would
+    # leave behind any side cached across suite calls
+    assert all(r.ok for r in cyc_ohno_cases())
+    good = verify.l_map_epoly
+    monkeypatch.setattr(verify, "l_map_epoly", lambda x: good(x) + EPoly.one())
+    reports = [r for r in cyc_ohno_cases() if not r.case.endswith("m=0")]
+    assert_all_fail_with_witness(reports, "cyc-Ohno fails")
+
+
+def test_cyc_ohno_catches_a_wrong_shift_sum(monkeypatch):
+    assert all(r.ok for r in cyc_ohno_cases())
+    good = verify._shift_sum
+    monkeypatch.setattr(verify, "_shift_sum", lambda k, l: good(k, l) + EPoly.one())
+    assert_all_fail_with_witness(cyc_ohno_cases(), "cyc-Ohno fails")
+
+
 def test_unmutated_suites_pass():
     for reports in (
         verify.suite_derivation(M=40, max_n=1, max_weight=2),
