@@ -5,12 +5,23 @@ its stdout: the Phi_X, Psi_X and Delta_X series of nine words and
 indices at orders 0..4, one calculator command of each other kind, and
 both export kinds as CSV. A change to any coefficient, term order or
 number format fails here.
+
+The verify digests cover stdout with each case's "(x ms)" timing
+stripped: one small run of every suite, and every verify step of the
+cyclotomic benchmark workload (read from perfbench/workloads.json). They
+pin the case order, labels, verdicts and summary line.
 """
 import hashlib
+import json
+import re
+from pathlib import Path
 
 import pytest
 
+from qharmonic import verify
 from qharmonic.cli import main
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
 DIGESTS = {
     "series phi a --order 0": "144ce014b974cd2062d4a0ebe48df2234f01121bd2674e96232f7ff2f2d68260",
@@ -167,3 +178,50 @@ def test_output_digest(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
+
+
+#: One small-flag run of each suite, keyed by command line.
+SUITE_DIGESTS = {
+    "verify double-shuffle --max-weight 1 --M 40": "4cd5e9fe7721b28a42f4afaece75118c9c4c20ed8010f860a71813ea9d1deff7",
+    "verify log-formulas --order 3": "08d477161f4318738c7c229926ccc39357aa221100602246e5f72cd2bb4686d3",
+    "verify delta-factorization --order 1 --max-weight 1": "26329fdd7850dd9b9ae84e379754fbdd52c1ec178bb207c4e3d8b98eb180da96",
+    "verify cor-delta --order 2 --max-weight 2": "23e5dd95b79817702c31d9c6087457ddbbecfe64b101374b7e98e9bc96ca2456",
+    "verify derivation --max-n 1 --max-weight 2 --M 40": "00a60630d3bb87936bcace32a8e5579523d3e077b38b8821e5b9632c7cb4e43e",
+    "verify zn-stuffle --n 3:4 --max-weight 1": "f42a452dd7cd2416b195cded704d02ef9872e364decbdddc25caeccd5357b04e",
+    "verify zn-duality --n 3:4 --max-weight 2": "fb00c59ecd5a41049f1d8563a3c2b367242798cddae4689e3c1c2f9b38e944b0",
+    "verify ohno --n 4:5 --max-weight 2 --max-m 1": "e6366c7954a0f384a63907865a48fb230c7767c7ecccf641a5b502ebeea0a58b",
+    "verify ones-bar --max-n 6": "2ac56e601fef8ec30b11f8b948f7bf7827cd3fee76067513bd9ac4217042a5e7",
+    "verify fmzv --p 5,7 --max-weight 2": "bbc9e647d2ce53196909cdeaf00d44cf3524aeb3fea51752dc77b9f67a7d1c72",
+    "verify varpi-l --p 7,11 --max-weight 2": "bdd41291cc553197a979901415e6089edb1ba64f40a7f27f8c97401b391011dd",
+    "verify cyc-ohno --p 7,11 --max-weight 2": "cc7042561f75d5d8ebc0e50f8ad78f0c7e43221c70ad2386d4fc83fa67eb0573",
+    "verify mzv-compare --max-n 2 --max-weight 2": "4ca19ea781605caa729c81b39b3f53b13269cb09c71f0c604f1c9d14ed0b1972",
+}
+
+#: The verify steps of the cyclotomic benchmark workload, keyed by command line.
+WORKLOAD_DIGESTS = {
+    "verify zn-stuffle --n 3:4 --max-weight 2": "8cb3cb5698fd2bd1dc12b8d27337496a6b90ca2bd9e81d739b4df7834a9d1b06",
+    "verify zn-duality --n 3:3 --max-weight 2": "5b8776ec1bf2eff1458a5c774834fdb45984a11e5c5d9208422e2e4896585352",
+    "verify ohno --n 4:4": "e97aa6f907f09619feea7cdddebbac25de4d929dcb296378f39ae3313e99f09d",
+    "verify fmzv --p 5,7": "8ac3f63f4e87405a6285cb5d038830f7c7762ddf64bfb1b7486d2e538eb4329b",
+    "verify cyc-ohno": "5959893471181c73d5a72a01b43b0646b0d27da62b4b658f8590545130ffa077",
+    "verify varpi-l": "11ed21baa75a79e2e357dd20b5c4c1299bc5da7eacef73dc6a3586ea836b692f",
+    "verify ones-bar --n 2:10": "8c8ac59f151fcc90768cf0b40fac4efb306dbcb4ff8205f0074af256ebc020fb",
+}
+
+
+def cyclotomic_verify_commands():
+    steps = json.loads(WORKLOADS.read_text(encoding="utf-8"))["full"]["cyclotomic"]
+    return [" ".join(step["argv"]) for step in steps if step["kind"] == "verify"]
+
+
+def test_every_suite_has_a_digest():
+    assert {command.split(" ")[1] for command in SUITE_DIGESTS} == set(verify.SUITES)
+
+
+@pytest.mark.parametrize("command", list(SUITE_DIGESTS) + cyclotomic_verify_commands())
+def test_verify_output_digest(capsys, command):
+    code = main(command.split(" "))
+    out = re.sub(r" \(\d+\.\d ms\)$", "", capsys.readouterr().out, flags=re.M)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == {**SUITE_DIGESTS, **WORKLOAD_DIGESTS}[command]
