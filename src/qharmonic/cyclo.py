@@ -281,6 +281,8 @@ class CycNum:
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self * other.inverse()
 
     def __pow__(self, e: int):
@@ -421,6 +423,9 @@ class PrimeRing:
 
     def __init__(self, p: int):
         self.n = p
+
+    def __repr__(self):
+        return f"Z[zeta_{self.n}]/({self.n})"
 
     def zeta(self) -> PrimeCycNum:
         return PrimeCycNum(self.n, (0, 1))

@@ -75,6 +75,29 @@ class TestCycNum:
         v = fld.one() - fld.zeta()
         assert v**-2 * v**2 == fld.one()
 
+    @pytest.mark.parametrize("other", ["x", prime_ring(5).one()], ids=["str", "PrimeCycNum"])
+    def test_division_by_a_foreign_operand_is_a_type_error(self, other):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            cyc_field(5).one() / other
+
+    def test_division(self):
+        fld = cyc_field(7)
+        v = fld.one() - fld.zeta()
+        assert v / v == fld.one() and v / 2 == v * Fraction(1, 2)
+
+
+class TestRingRepr:
+    def test_text(self):
+        assert repr(cyc_field(5)) == "Q(zeta_5)"
+        assert repr(prime_ring(7)) == "Z[zeta_7]/(7)"
+
+    @pytest.mark.parametrize(
+        "ring", [cyc_field(n) for n in (2, 5, 12)] + [prime_ring(p) for p in (5, 7, 13)], ids=repr
+    )
+    def test_zeta_has_order_n(self, ring):
+        assert ring.zeta_power(ring.n) == ring.one()
+        assert all(ring.zeta_power(e) != ring.one() for e in range(1, ring.n))
+
 
 class TestZetaPower:
     # zeta_power builds one monomial; zeta() ** e by repeated squaring is the oracle.

@@ -233,20 +233,44 @@ def test_cyc_ohno_catches_a_wrong_shift_sum(monkeypatch):
     assert_all_fail_with_witness(cyc_ohno_cases(), "cyc-Ohno fails")
 
 
+#: Suite name -> a small run of it; every registered suite has one.
+CLEAN_RUNS = {
+    "double-shuffle": lambda: verify.suite_double_shuffle(M=40, max_weight=2),
+    "log-formulas": lambda: verify.suite_log_formulas(order=3),
+    "delta-factorization": delta_factorization_cases,
+    "cor-delta": lambda: verify.suite_cor_delta(order=2, max_weight=2),
+    "derivation": lambda: verify.suite_derivation(M=40, max_n=1, max_weight=2),
+    "zn-stuffle": lambda: verify.suite_zn_stuffle(n_range=range(3, 5), max_weight=1),
+    "zn-duality": zn_duality_cases,
+    "ohno": ohno_cases,
+    "ones-bar": lambda: verify.suite_ones_bar(max_n=6),
+    "fmzv": lambda: verify.suite_fmzv(primes=(5, 7), max_weight=2),
+    "varpi-l": lambda: verify.suite_varpi_l(primes=(7, 11), max_weight=2),
+    "cyc-ohno": cyc_ohno_cases,
+    "mzv-compare": lambda: verify.suite_mzv_compare(max_n=2, max_weight=2),
+}
+
+
 def test_unmutated_suites_pass():
-    for reports in (
-        verify.suite_derivation(M=40, max_n=1, max_weight=2),
-        verify.suite_double_shuffle(M=40, max_weight=2),
-        verify.suite_cor_delta(order=2, max_weight=2),
-        delta_factorization_cases(),
-        verify.suite_log_formulas(order=3),
-        verify.suite_zn_stuffle(n_range=range(3, 5), max_weight=1),
-        ohno_cases(),
-        verify.suite_mzv_compare(max_n=2, max_weight=2),
-        zn_duality_cases(),
-        verify.suite_ones_bar(max_n=6),
-        verify.suite_fmzv(primes=(5, 7), max_weight=2),
-        verify.suite_varpi_l(primes=(7, 11), max_weight=2),
-        cyc_ohno_cases(),
-    ):
-        assert reports and all(r.ok for r in reports)
+    assert set(CLEAN_RUNS) == set(verify.SUITES)
+    for name, run in CLEAN_RUNS.items():
+        reports = run()
+        assert reports and all(r.ok for r in reports), name
+        assert {r.suite for r in reports} == {name}
+
+
+def test_run_suite_all_takes_no_parameters():
+    with pytest.raises(ValueError, match="defaults"):
+        verify.run_suite("all", max_weight=1)
+
+
+def test_suites_register_in_run_order():
+    # verify all prints its cases in this order
+    assert list(verify.SUITES) == [
+        "double-shuffle", "log-formulas", "delta-factorization", "cor-delta", "derivation",
+        "zn-stuffle", "zn-duality", "ohno", "ones-bar", "fmzv", "varpi-l", "cyc-ohno",
+        "mzv-compare",
+    ]
+    # the benchmark's tracer rebinds a suite in both places, so they must agree
+    for suite in verify.SUITES.values():
+        assert getattr(verify, suite.__name__) is suite
