@@ -154,14 +154,12 @@ def suite_log_formulas(order: int = 6):
     """psi(X) and phi(X) as logarithms of the geometric series 1/(1-e_1bar X)."""
     got = ts_log(shuffle_q, geometric(NcPoly.word("ab"), order))
     want = series_psi(order)
-    yield f"log_sh(1/(1-e_1bar X)) = psi, order {order}", (
-        None if got == want else f"log_sh mismatch:\n{got.coeffs}\nvs\n{want.coeffs}"
-    )
+    witness = None if got == want else f"log_sh mismatch:\n{got.coeffs}\nvs\n{want.coeffs}"
+    yield f"log_sh(1/(1-e_1bar X)) = psi, order {order}", witness
     got = ts_log(stuffle_q, geometric(EPoly.gen(BAR1), order))
     want = series_phi(order).map_coeffs(word_to_e)
-    yield f"log_*(1/(1-e_1bar X)) = phi, order {order}", (
-        None if got == want else f"log_* mismatch:\n{got.coeffs}\nvs\n{want.coeffs}"
-    )
+    witness = None if got == want else f"log_* mismatch:\n{got.coeffs}\nvs\n{want.coeffs}"
+    yield f"log_*(1/(1-e_1bar X)) = phi, order {order}", witness
 
 
 def _one_minus_e1bar_x(like, order: int) -> TruncSeries:
