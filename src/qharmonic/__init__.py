@@ -26,12 +26,12 @@ from .coeff import Laurent, ModPoly, Rational, UniPoly
 from .cyclo import (
     CycField,
     CycNum,
-    PrimeCycNum,
     cyc_field,
     cyclotomic_poly,
     fmzv_reduce,
     ohno_check,
     ones_bar_closed_form,
+    prime_ring,
     varpi_l_check,
     zcyc_mod_p,
     zn_eval,

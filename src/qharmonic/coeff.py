@@ -275,8 +275,8 @@ def poly_str(coeffs, var: str) -> str:
 
 class ModPoly:
     """A dense polynomial over the field with p elements (p prime): the
-    .poly form of a PrimeCycNum. Ring arithmetic beyond the product is
-    test-side."""
+    .poly form of a Z[zeta_p]/(p) value. Ring arithmetic beyond the
+    product is test-side."""
 
     __slots__ = ("p", "coeffs")
 

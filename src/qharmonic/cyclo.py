@@ -1,23 +1,23 @@
 """Exact arithmetic in Q(zeta_n) and in Z[zeta_p]/(p), and the finite
 multiple harmonic q-series z_n(k; zeta_n) evaluated there.
 
-Everything here is plain int arithmetic. An element of Q(zeta_n) is an
-int numerator vector of degree < phi(n), reduced modulo Phi_n(x), over
-one positive int denominator, with gcd 1 across all of them. Phi_n is
-monic with integer coefficients, so a product is an int convolution, a
-division-free fold by Phi_n and one gcd. The prime quotient
-Z[zeta_p]/(p) = GF(p)[x]/Phi_p(x) is an int vector mod p, folded with
-x^p = 1 and then x^(p-1) = -(1 + ... + x^(p-2)). That ring has
-nilpotents (Phi_p = (x-1)^(p-1) mod p), which is fine -- it is a ring,
-not a field. Inverses are closed forms: the Galois conjugates over the
-rational norm in Q(zeta_n), u^(p-1)/u(1) by Frobenius in Z[zeta_p]/(p),
-and an explicit sum for each cyclotomic unit [m].
-
-One evaluator serves both rings, cyc_field(n) and prime_ring(p). A ring
-supplies zeta(), zeta_power(e) (the monomial x^(e mod n), folded once
-instead of squared up), one(), zero(), q_int_inv(m) = [m]^(-1) and
-lincomb(pairs), its rational linear combination (the mod-p one raises
-BadDenominator).
+Everything here is plain int arithmetic. One element class, CycNum,
+serves both rings, cyc_field(n) for Q(zeta_n) and prime_ring(p) for
+Z[zeta_p]/(p) = GF(p)[x]/Phi_p(x): an int vector over one positive int
+denominator, with shared sum, product (an int convolution), power,
+division and equality. Each ring supplies what differs:
+- _reduce(num, den), the one stored form. Q(zeta_n) folds by the monic
+  int Phi_n and takes one gcd. Z[zeta_p]/(p) folds with x^p = 1 and
+  x^(p-1) = -(1 + ... + x^(p-2)), multiplies by den^(-1) mod p (p | den
+  raises BadDenominator) and keeps den = 1.
+- inverse(x) in closed form: the Galois conjugates over the rational
+  norm in Q(zeta_n), u^(p-1)/u(1) by Frobenius in Z[zeta_p]/(p), whose
+  nilpotents (Phi_p = (x-1)^(p-1) mod p) raise NonInvertible.
+- q_int_inv(m) = [m]^(-1) as an explicit sum, and lincomb(pairs), the
+  rational linear combination (mod p it raises BadDenominator).
+- poly(x) for .poly (UniPoly or ModPoly), and a str suffix (" (mod p)").
+The base CycRing holds element, zeta, zeta_power(e) (the monomial
+x^(e mod n), folded once), one, zero and from_rational.
 _zn_cum is the cumulative-sum DP over the nested sum; _h_grouped groups
 the terms of an e-polynomial by their power of h = 1 - zeta and
 multiplies each group's combination once by a cached (1 - zeta)^e.
@@ -63,10 +63,44 @@ def cyclotomic_poly(n: int) -> UniPoly:
     return poly
 
 
-class CycField:
+class CycRing:
+    """What Q(zeta_n) and Z[zeta_p]/(p) share; n is the order of zeta.
+
+    A value's ring is compared by identity, so build rings with
+    cyc_field(n) and prime_ring(p), which return one ring per n or p.
+    """
+
+    __slots__ = ("n",)
+
+    def element(self, coeffs: Iterable[Fraction]) -> "CycNum":
+        """sum c_i zeta^i for rational coefficients c_i."""
+        cs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return CycNum(self, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    def zeta(self) -> "CycNum":
+        return CycNum(self, [0, 1])
+
+    def zeta_power(self, e: int) -> "CycNum":
+        """zeta^e for any int e, as the monomial x^(e mod n), folded once."""
+        return CycNum(self, [0] * (e % self.n) + [1])
+
+    def one(self) -> "CycNum":
+        return CycNum(self, [1])
+
+    def zero(self) -> "CycNum":
+        return CycNum(self, [])
+
+    def from_rational(self, c) -> "CycNum":
+        c = Fraction(c)
+        return CycNum(self, [c.numerator], c.denominator)
+
+
+class CycField(CycRing):
     """Q(zeta_n) as Q[x] modulo the n-th cyclotomic polynomial."""
 
-    __slots__ = ("n", "modulus", "degree", "_fold")
+    __slots__ = ("modulus", "degree", "_fold")
+    suffix = ""
 
     def __init__(self, n: int):
         if n < 2:
@@ -82,27 +116,45 @@ class CycField:
     def __repr__(self):
         return f"Q(zeta_{self.n})"
 
-    def element(self, coeffs: Iterable[Fraction]) -> "CycNum":
-        cs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        return CycNum(self, [c.numerator * (den // c.denominator) for c in cs], den)
+    def _reduce(self, num: list[int], den: int):
+        """Fold num by Phi_n, then divide num and den by their gcd."""
+        d = self.degree
+        for i in range(len(num) - 1, d - 1, -1):
+            c = num[i]
+            if c:
+                base = i - d
+                for j, f in self._fold:
+                    num[base + j] += c * f
+        del num[d:]
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            return (), 1
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple([c // g for c in num]), den // g
+        return tuple(num), den
 
-    def zeta(self) -> "CycNum":
-        return CycNum(self, [0, 1])
+    def poly(self, x: "CycNum") -> UniPoly:
+        return UniPoly([Fraction(c, x.den) for c in x.num])
 
-    def zeta_power(self, e: int) -> "CycNum":
-        """zeta^e for any int e, as the monomial x^(e mod n) folded by Phi_n."""
-        return CycNum(self, [0] * (e % self.n) + [1])
-
-    def one(self) -> "CycNum":
-        return CycNum(self, [1])
-
-    def zero(self) -> "CycNum":
-        return CycNum(self, [])
-
-    def from_rational(self, c) -> "CycNum":
-        c = Fraction(c)
-        return CycNum(self, [c.numerator], c.denominator)
+    def inverse(self, x: "CycNum") -> "CycNum":
+        """x^(-1) = c / N(x) with c the product of the Galois conjugates
+        sigma_j(x), zeta -> zeta^j, over the j != 1 prime to n; the norm
+        N(x) = x c is rational and nonzero for x != 0."""
+        if not x.num:
+            raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
+        n = self.n
+        conj = self.one()
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                vec = [0] * n
+                for i, c in enumerate(x.num):
+                    vec[i * j % n] += c
+                conj = conj * CycNum(self, vec, x.den)
+        norm = x * conj
+        (c,) = norm.num
+        return conj * Fraction(norm.den, c)
 
     def q_int_inv(self, m: int) -> "CycNum":
         """[m]^(-1) = (1 - zeta)/(1 - w) at w = zeta^m, 0 < m < n, in closed form.
@@ -147,62 +199,108 @@ def cyc_field(n: int) -> CycField:
     return CycField(n)
 
 
-def _power(x, e: int, one):
-    """x^e by repeated squaring in either ring; a negative e inverts x first."""
-    if e < 0:
-        x, e = x.inverse(), -e
-    out = one
-    while e:
-        if e & 1:
-            out = out * x
-        x = x * x
-        e >>= 1
-    return out
+def _reduce_mod_p(c: Fraction, p: int) -> int:
+    if c.denominator % p == 0:
+        raise BadDenominator(f"denominator of {c} is divisible by {p}")
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+class PrimeRing(CycRing):
+    """Z[zeta_p]/(p) = GF(p)[x]/Phi_p(x); n = p is the order of zeta."""
+
+    __slots__ = ("suffix",)
+
+    def __init__(self, p: int):
+        self.n = p
+        self.suffix = f" (mod {p})"
+
+    def __repr__(self):
+        return f"Z[zeta_{self.n}]/({self.n})"
+
+    def _reduce(self, num: list[int], den: int):
+        """num/den as an int vector in [0, p) over den = 1; BadDenominator
+        when p divides den."""
+        p = self.n
+        if den != 1:
+            if den % p == 0:
+                raise BadDenominator(f"denominator {den} is divisible by {p}")
+            inv = pow(den, -1, p)
+            num = [c * inv for c in num]
+        for i in range(len(num) - 1, p - 1, -1):
+            num[i - p] += num[i]  # x^p = 1
+        del num[p:]
+        if len(num) == p:
+            top = num.pop()  # x^(p-1) = -(1 + x + ... + x^(p-2))
+            num = [c - top for c in num]
+        num = [c % p for c in num]
+        while num and not num[-1]:
+            num.pop()
+        return tuple(num), 1
+
+    def poly(self, x: "CycNum") -> ModPoly:
+        return ModPoly(self.n, x.num)
+
+    def inverse(self, x: "CycNum") -> "CycNum":
+        """u^(-1) = u(1)^(-1) u^(p-1). Frobenius fixes GF(p) and x^p = 1, so
+        u^p = u(1): u is a unit exactly when u(1) != 0 mod p, and nilpotent
+        otherwise."""
+        p = self.n
+        u1 = sum(x.num) % p
+        if not u1:
+            raise NonInvertible(f"{x} is not a unit in {self!r}")
+        return x ** (p - 1) * pow(u1, -1, p)
+
+    def q_int_inv(self, m: int) -> "CycNum":
+        """[m]^(-1) = [m']_(zeta^m) with m m' = 1 mod p, an integral sum:
+        [m] [m']_(zeta^m) = (1 - zeta^(m m'))/(1 - zeta) = 1 as zeta^p = 1."""
+        p = self.n
+        vec = [0] * p
+        for j in range(pow(m, -1, p)):
+            vec[j * m % p] += 1
+        return CycNum(self, vec)
+
+    def lincomb(self, pairs) -> "CycNum":
+        """sum c*v over (rational c, CycNum v) pairs; every Fraction c is
+        reduced mod p, so one with p in its denominator raises BadDenominator."""
+        acc: list[int] = []
+        for c, v in pairs:
+            s = c if type(c) is int else _reduce_mod_p(c, self.n)
+            acc = [a + s * b for a, b in zip_longest(acc, v.num, fillvalue=0)]
+        return CycNum(self, acc)
+
+
+@lru_cache(maxsize=None)
+def prime_ring(p: int) -> PrimeRing:
+    return PrimeRing(p)
 
 
 class CycNum:
-    """An element num(zeta_n)/den of Q(zeta_n).
+    """An element num(zeta)/den of Q(zeta_n) or of Z[zeta_p]/(p).
 
-    num is an int tuple of at most phi(n) entries without trailing zeros,
-    den a positive int, and gcd(den, *num) = 1, so each value has exactly
-    one representation.
+    num is an int tuple without trailing zeros and den a positive int,
+    in the one form the ring's _reduce gives: in Q(zeta_n) at most
+    phi(n) entries with gcd(den, *num) = 1, in Z[zeta_p]/(p) at most
+    p - 1 entries in [0, p) over den = 1. The arithmetic is shared;
+    inverse, .poly and the str suffix come from the ring.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("ring", "num", "den")
 
-    def __init__(self, field: CycField, num: list[int], den: int = 1):
+    def __init__(self, ring: CycRing, num: list[int], den: int = 1):
         """num(zeta)/den for an int list num (consumed) and an int den > 0."""
-        d = field.degree
-        for i in range(len(num) - 1, d - 1, -1):
-            c = num[i]
-            if c:
-                base = i - d
-                for j, f in field._fold:
-                    num[base + j] += c * f
-        del num[d:]
-        while num and not num[-1]:
-            num.pop()
-        if not num:
-            den = 1
-        else:
-            g = gcd(den, *num)
-            if g != 1:
-                num = [c // g for c in num]
-                den //= g
-        self.field, self.num, self.den = field, tuple(num), den
+        self.ring = ring
+        self.num, self.den = ring._reduce(num, den)
 
     @property
-    def poly(self) -> UniPoly:
-        """The residue as a rational polynomial of degree < phi(n)."""
-        return UniPoly([Fraction(c, self.den) for c in self.num])
+    def poly(self):
+        """The residue as a polynomial: a UniPoly in Q(zeta_n), a ModPoly mod p."""
+        return self.ring.poly(self)
 
     def _coerce(self, other) -> "CycNum":
         if isinstance(other, CycNum):
-            if other.field.n != self.field.n:
-                raise ValueError("mixed cyclotomic fields")
-            return other
+            return other if other.ring is self.ring else NotImplemented
         if isinstance(other, _scalar):
-            return self.field.from_rational(other)
+            return self.ring.from_rational(other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -212,7 +310,13 @@ class CycNum:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field.n, self.num, self.den))
+        """A value with at most one coefficient hashes as the rational it
+        equals, so x == c gives hash(x) == hash(c) in Q(zeta_n). In
+        Z[zeta_p]/(p) equality with a rational is mod p, so only the
+        representative in [0, p) hashes alike."""
+        if len(self.num) > 1:
+            return hash((self.ring, self.num, self.den))
+        return hash(Fraction(sum(self.num), self.den))
 
     def is_zero(self) -> bool:
         return not self.num
@@ -224,60 +328,47 @@ class CycNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.lincomb(((1, self), (1, other)))
+        a, b = self.den, other.den
+        pairs = zip_longest(self.num, other.num, fillvalue=0)
+        return CycNum(self.ring, [x * b + y * a for x, y in pairs], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.field, [-c for c in self.num], self.den)
+        return CycNum(self.ring, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.lincomb(((1, self), (-1, other)))
+        return self + -other
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if type(other) is int:
-            return CycNum(self.field, [other * x for x in self.num], self.den)
+            return CycNum(self.ring, [other * x for x in self.num], self.den)
         if type(other) is Fraction:
             cn, cd = other.numerator, other.denominator
-            return CycNum(self.field, [cn * x for x in self.num], self.den * cd)
+            return CycNum(self.ring, [cn * x for x in self.num], self.den * cd)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.num, other.num
         if not a or not b:
-            return self.field.zero()
+            return other if a else self  # the zero factor
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        return CycNum(self.field, out, self.den * other.den)
+        return CycNum(self.ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """x^(-1) = c / N(x) with c the product of the Galois conjugates
-        sigma_j(x), zeta -> zeta^j, over the j != 1 prime to n; the norm
-        N(x) = x c is rational and nonzero for x != 0."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        n = self.field.n
-        conj = self.field.one()
-        for j in range(2, n):
-            if gcd(j, n) == 1:
-                vec = [0] * n
-                for i, c in enumerate(self.num):
-                    vec[i * j % n] += c
-                conj = conj * CycNum(self.field, vec, self.den)
-        norm = self * conj
-        (c,) = norm.num
-        return conj * Fraction(norm.den, c)
+        return self.ring.inverse(self)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -286,184 +377,34 @@ class CycNum:
         return self * other.inverse()
 
     def __pow__(self, e: int):
-        return _power(self, e, self.field.one())
+        """x^e by repeated squaring; a negative e inverts x first."""
+        x = self.inverse() if e < 0 else self
+        e = abs(e)
+        out = self.ring.one()
+        while e:
+            if e & 1:
+                out = out * x
+            x = x * x
+            e >>= 1
+        return out
 
     def __str__(self):
-        return poly_str([Fraction(c, self.den) for c in self.num], "z")
+        return poly_str([Fraction(c, self.den) for c in self.num], "z") + self.ring.suffix
 
     def __repr__(self):
-        return f"{self} (n={self.field.n})"
-
-
-def _reduce_mod_p(c: Fraction, p: int) -> int:
-    if c.denominator % p == 0:
-        raise BadDenominator(f"denominator of {c} is divisible by {p}")
-    return c.numerator * pow(c.denominator, -1, p) % p
+        return f"{self} in {self.ring!r}"
 
 
 def fmzv_reduce(v: CycNum, p: int) -> int:
     """Reduce modulo the prime ideal (1 - zeta_p): send zeta_p to 1, then mod p.
 
     The identification Z[zeta_p]/(1-zeta_p) = GF(p) is fixed by zeta_p -> 1,
-    the standard choice.
+    the standard choice. v must lie in Q(zeta_p); a value of Z[zeta_p]/(p),
+    whose n is p as well, is a ValueError.
     """
-    if v.field.n != p:
+    if v.ring is not cyc_field(p):
         raise ValueError("value does not live over Q(zeta_p)")
     return _reduce_mod_p(Fraction(sum(v.num), v.den), p)
-
-
-class PrimeCycNum:
-    """An element of Z[zeta_p]/(p) = GF(p)[x]/Phi_p(x).
-
-    coeffs is an int tuple of at most p - 1 entries in [0, p), without
-    trailing zeros. The constructor takes a ModPoly or any int sequence.
-    """
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, poly: ModPoly | Iterable[int]):
-        cs = list(poly.coeffs if isinstance(poly, ModPoly) else poly)
-        for i in range(len(cs) - 1, p - 1, -1):
-            cs[i - p] += cs[i]  # x^p = 1
-        del cs[p:]
-        if len(cs) == p:
-            top = cs.pop()  # x^(p-1) = -(1 + x + ... + x^(p-2))
-            cs = [c - top for c in cs]
-        cs = [c % p for c in cs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.p, self.coeffs = p, tuple(cs)
-
-    @property
-    def poly(self) -> ModPoly:
-        return ModPoly(self.p, self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeCycNum):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        if isinstance(other, int):
-            return PrimeCycNum(self.p, [other])
-        if isinstance(other, Fraction):
-            return PrimeCycNum(self.p, [_reduce_mod_p(other, self.p)])
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return PrimeCycNum(self.p, [a + b for a, b in pairs])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrimeCycNum(self.p, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return PrimeCycNum(self.p, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return PrimeCycNum(self.p, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "PrimeCycNum":
-        """u^(-1) = u(1)^(-1) u^(p-1). Frobenius fixes GF(p) and x^p = 1, so
-        u^p = u(1): u is a unit exactly when u(1) != 0 mod p, and nilpotent
-        otherwise."""
-        u1 = sum(self.coeffs) % self.p
-        if not u1:
-            raise NonInvertible(f"{self} is not a unit in Z[zeta_{self.p}]/({self.p})")
-        return self ** (self.p - 1) * pow(u1, -1, self.p)
-
-    def __pow__(self, e: int):
-        return _power(self, e, PrimeCycNum(self.p, (1,)))
-
-    def __str__(self):
-        return poly_str(self.coeffs, "z") + f" (mod {self.p})"
-
-    __repr__ = __str__
-
-
-class PrimeRing:
-    """Z[zeta_p]/(p), the ring of PrimeCycNum values; n = p is the order of zeta."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, p: int):
-        self.n = p
-
-    def __repr__(self):
-        return f"Z[zeta_{self.n}]/({self.n})"
-
-    def zeta(self) -> PrimeCycNum:
-        return PrimeCycNum(self.n, (0, 1))
-
-    def zeta_power(self, e: int) -> PrimeCycNum:
-        """zeta^e for any int e, as the monomial x^(e mod p) folded by Phi_p."""
-        return PrimeCycNum(self.n, [0] * (e % self.n) + [1])
-
-    def one(self) -> PrimeCycNum:
-        return PrimeCycNum(self.n, (1,))
-
-    def zero(self) -> PrimeCycNum:
-        return PrimeCycNum(self.n, ())
-
-    def q_int_inv(self, m: int) -> PrimeCycNum:
-        """[m]^(-1) = [m']_(zeta^m) with m m' = 1 mod p, an integral sum:
-        [m] [m']_(zeta^m) = (1 - zeta^(m m'))/(1 - zeta) = 1 as zeta^p = 1."""
-        p = self.n
-        vec = [0] * p
-        for j in range(pow(m, -1, p)):
-            vec[j * m % p] += 1
-        return PrimeCycNum(p, vec)
-
-    def lincomb(self, pairs) -> PrimeCycNum:
-        """sum c*v over (rational c, PrimeCycNum v) pairs; every c is reduced
-        mod p, so one with p in its denominator raises BadDenominator."""
-        p = self.n
-        acc = [0] * (p - 1)
-        for c, v in pairs:
-            s = _reduce_mod_p(c, p)
-            for i, a in enumerate(v.coeffs):
-                acc[i] += s * a
-        return PrimeCycNum(p, acc)
-
-
-@lru_cache(maxsize=None)
-def prime_ring(p: int) -> PrimeRing:
-    return PrimeRing(p)
 
 
 # --- the evaluator, over either ring -----------------------------------------
@@ -491,8 +432,8 @@ def _zn_cum(ring, suffix: Index) -> tuple:
         return tuple([ring.one()] * ring.n)
     head, rest = suffix[0], suffix[1:]
     sub = _zn_cum(ring, rest)
-    out = [ring.zero()]
     acc = ring.zero()
+    out = [acc]
     for m in range(1, ring.n):
         acc = acc + _f_factor(ring, head, m) * sub[m - 1]
         out.append(acc)
@@ -556,7 +497,7 @@ def A_m_helper(m: int, x: EPoly, n: int) -> CycNum:
     return _h_grouped(fld, x, value)
 
 
-def zcyc_mod_p(x: EPoly, p: int) -> PrimeCycNum:
+def zcyc_mod_p(x: EPoly, p: int) -> CycNum:
     """The single-prime component of the cyclotomic analogue: z_p(k) mod (p).
 
     The same evaluator as zn_map, run in GF(p)[x]/Phi_p: h acts as

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,10 +13,10 @@ from qharmonic.algebra import (
     enumerate_indices_up_to,
     word_to_e,
 )
-from qharmonic.coeff import Laurent, ModPoly, UniPoly
+from qharmonic.coeff import Laurent, UniPoly
 from qharmonic.cyclo import (
     A_m_helper,
-    PrimeCycNum,
+    CycNum,
     _f_factor,
     cyc_field,
     cyclotomic_poly,
@@ -28,7 +29,7 @@ from qharmonic.cyclo import (
     zn_eval,
     zn_map,
 )
-from qharmonic.errors import BadDenominator, OutOfRange, PreconditionViolated
+from qharmonic.errors import BadDenominator, NonInvertible, OutOfRange, PreconditionViolated
 from qharmonic.products import psi_involution, shuffle_q, stuffle_q
 from qharmonic.verify import harmonic_sum_mod_p
 
@@ -75,15 +76,78 @@ class TestCycNum:
         v = fld.one() - fld.zeta()
         assert v**-2 * v**2 == fld.one()
 
-    @pytest.mark.parametrize("other", ["x", prime_ring(5).one()], ids=["str", "PrimeCycNum"])
-    def test_division_by_a_foreign_operand_is_a_type_error(self, other):
+    @pytest.mark.parametrize(
+        "left, other",
+        [
+            (cyc_field(5).one(), "x"),
+            (cyc_field(5).one(), prime_ring(5).one()),
+            (cyc_field(7).zeta(), prime_ring(7).zeta()),
+            (prime_ring(7).zeta(), cyc_field(7).zeta()),
+            (prime_ring(7).one(), cyc_field(7).one()),
+            (cyc_field(5).one(), cyc_field(7).one()),
+        ],
+        ids=["str", "PrimeCycNum", "Q7-Z7mod7", "Z7mod7-Q7", "Z7mod7-Q7-one", "Q5-Q7"],
+    )
+    def test_division_by_a_foreign_operand_is_a_type_error(self, left, other):
         with pytest.raises(TypeError, match="unsupported operand"):
-            cyc_field(5).one() / other
+            left / other
+        if isinstance(other, CycNum):
+            # a value of another ring: no arithmetic, and never equal
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    op(left, other)
+            assert not left == other and left != other
 
     def test_division(self):
         fld = cyc_field(7)
         v = fld.one() - fld.zeta()
         assert v / v == fld.one() and v / 2 == v * Fraction(1, 2)
+
+
+class TestHash:
+    # x == c must give hash(x) == hash(c), as for Laurent.
+    @pytest.mark.parametrize("c", [0, 3, -2, Fraction(3, 2), Fraction(-5, 7)])
+    def test_rational_hashes_as_itself(self, c):
+        x = cyc_field(5).from_rational(c)
+        assert x == c and hash(x) == hash(c)
+        assert c in {x} and x in {c}
+
+    def test_prime_ring_representative(self):
+        # equality with an int is mod p; the representative in [0, p) hashes alike
+        x = prime_ring(7).element([3])
+        assert x == 3 and x == 10 and hash(x) == hash(3) and 3 in {x}
+        assert hash(prime_ring(7).zero()) == hash(0)
+
+
+class TestPrimeRingValues:
+    def test_zero_is_falsy(self):
+        ring = prime_ring(7)
+        assert not ring.zero() and not ring.element([7, 14])
+        assert ring.one() and ring.zeta()
+
+    def test_division_by_a_unit(self):
+        ring = prime_ring(7)
+        u = ring.element([3, 1, 4])
+        for v in (ring.element([2, 4]), ring.zeta(), ring.element([3])):
+            assert u / v == u * v.inverse() and (u / v) * v == u
+        assert u / 2 == u * Fraction(1, 2) == u * 4
+
+    def test_division_by_a_nilpotent(self):
+        ring = prime_ring(7)
+        for v in (ring.one() - ring.zeta(), ring.element([2, 5]), ring.zero()):
+            with pytest.raises(NonInvertible):
+                ring.one() / v
+
+    @pytest.mark.parametrize("value", [prime_ring(7).zeta(), prime_ring(7).zero()], ids=["zeta", "zero"])
+    def test_fraction_with_p_in_its_denominator(self, value):
+        for c in (Fraction(1, 7), Fraction(3, 14)):
+            with pytest.raises(BadDenominator):
+                c * value
+            with pytest.raises(BadDenominator):
+                value * c
+            with pytest.raises(BadDenominator):
+                value + c
+        assert value * Fraction(1, 3) == value * 5
 
 
 class TestRingRepr:
@@ -237,6 +301,16 @@ class TestFmzv:
         with pytest.raises(BadDenominator):
             fmzv_reduce(cyc_field(5).from_rational(Fraction(1, 5)), 5)
 
+    @pytest.mark.parametrize(
+        "value",
+        [prime_ring(7).one(), cyc_field(5).one(), cyc_field(14).zeta()],
+        ids=["Z7mod7", "Q5", "Q14"],
+    )
+    def test_value_outside_q_zeta_p(self, value):
+        # a Z[zeta_7]/(7) value has n = 7 too, but does not lie in Q(zeta_7)
+        with pytest.raises(ValueError, match="Q\\(zeta_p\\)"):
+            fmzv_reduce(value, 7)
+
     def test_harmonic_oracle_instance(self):
         # 1 + 1/4 + 1/9 + 1/16 mod 5 = 1 + 4 + 4 + 1 = 10 = 0
         assert harmonic_sum_mod_p((2,), 5) == 0
@@ -251,18 +325,14 @@ class TestZcycModP:
                 direct = zcyc_mod_p(EPoly({k: 1}), p)
                 exact = zn_eval(k, p)
                 coeffs = list(exact.poly.coeffs)
-                reduced = PrimeCycNum(
-                    p,
-                    ModPoly(
-                        p,
-                        [c.numerator * pow(c.denominator, -1, p) for c in coeffs],
-                    ),
+                reduced = prime_ring(p).element(
+                    [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
                 )
                 assert direct == reduced, (k, p)
 
     def test_scalar(self):
         got = zcyc_mod_p(EPoly({(): H()}), 5)
-        assert got == PrimeCycNum(5, ModPoly(5, [1, -1]))
+        assert got == prime_ring(5).element([1, -1])
 
     def test_zero(self):
         assert zcyc_mod_p(EPoly.zero(), 7).is_zero()
