@@ -174,10 +174,11 @@ def _accumulate(out: dict, key, c) -> None:
 
 
 def _times(terms: dict, c, j: int = 0) -> dict:
-    """{(key, i + j): v * c} over terms, for a nonzero exact scalar c."""
+    """{(key, i + j): c * v} over terms, for a nonzero exact scalar c; c goes
+    on the left, so a Fraction c times an int v takes Fraction's forward path."""
     if c == 1:
         return {(k, i + j): v for (k, i), v in terms.items()} if j else dict(terms)
-    return {(k, i + j): _exact(v * c) for (k, i), v in terms.items()}
+    return {(k, i + j): _exact(c * v) for (k, i), v in terms.items()}
 
 
 class LinComb:

@@ -344,7 +344,7 @@ class CycNum:
         return self + -other
 
     def __rsub__(self, other):
-        return -(self - other)
+        return (-self).__add__(other)  # NotImplemented for a foreign other
 
     def __mul__(self, other):
         if type(other) is int:

@@ -3,9 +3,10 @@ Phi_X, Psi_X, Delta_X built from them, plus the index combinatorics feeding
 the Ohno-type relations and the comparison embedding from the classical
 two-letter algebra of multiple zeta values.
 
-Phi_X and Delta_X are concatenation homomorphisms (delta_n, partial_n are
-derivations), computed from cached letter series multiplied along words.
-Psi_X stays on its definition, _exp_apply: delta-factorization derives its
+Every exponential exp(sum X^n D_n) is one power loop, _exp_series over
+_sum_apply. Phi_X and Delta_X (delta_n, partial_n are derivations) multiply
+cached letter series, exponentials of one letter, along words. Psi_X stays on
+its definition, the loop applied to w: delta-factorization derives its
 multiplicativity from Phi_X = Psi_X Delta_X.
 
 The Ohno pieces are pure functions of small index tuples that the Ohno,
@@ -35,10 +36,11 @@ from .algebra import (
     left_mul_a,
 )
 from .coeff import Laurent, _exact
-from .errors import BadEntry, NotInH0, NotInMzvH1, OutOfRange
+from .errors import BadEntry, NotInH0, NotInMzvH1
 from .products import shuffle_q
 from .series import (
     TruncSeries,
+    series_const,
     series_log_one_plus_hbx,
     series_one,
     series_psi,
@@ -124,7 +126,6 @@ def partial_a_epoly(n: int) -> EPoly:
     return out.scale(Fraction((-1) ** n, n))
 
 
-@lru_cache(maxsize=None)
 def partial_e1_minus_e1bar(n: int) -> EPoly:
     """partial_n(e_1 - e_1bar) = ((-1)^(n-1)/n)(a+e_1bar)(a+e_1)^(n-1)(e_1-e_1bar)."""
     out = EPoly.gen(1) - EPoly.gen(BAR1)
@@ -172,47 +173,43 @@ def partial_n_e(n: int, x: EPoly) -> EPoly:
 # --- the exponential homomorphisms -----------------------------------------
 
 
-def _exp_apply(apply_n, w, order: int) -> list:
-    """Coefficients of exp(sum_n X^n D_n)(w) up to X^order.
+def _sum_apply(apply_n, s: TruncSeries) -> TruncSeries:
+    """(sum_n X^n D_n)(s), truncated at s's order: the X^m coefficient is
+    sum over i < m of D_(m-i)(s_i)."""
+    c = s.coeffs
+    cls = type(c[0])
+    return TruncSeries(
+        tuple(cls.sum(apply_n(m - i, c[i]) for i in range(m) if c[i]) for m in range(len(c)))
+    )
 
-    The X^m coefficient is sum over r >= 1 and compositions (j_1..j_r) of m
-    of (1/r!) D_(j_1)...D_(j_r)(w); enumerated depth first so composition
-    prefixes share the already-applied tail. Each stack entry is
-    (D_(j_1)...D_(j_r)(w), j_1 + ... + j_r, r).
-    """
-    if order < 0:
-        raise OutOfRange(f"series order must be >= 0, got {order}")
-    totals = [dict(w.terms)] + [{} for _ in range(order)]
-    stack = [(w, 0, 0)]
-    while stack:
-        x, m, r = stack.pop()
-        c = _exact(Fraction(1, factorial(r + 1)))
-        for j in range(1, order - m + 1):
-            y = apply_n(j, x)
-            if y.is_zero():
-                continue
-            for kj, v in y.terms.items():
-                _accumulate(totals[m + j], kj, v * c)
-            stack.append((y, m + j, r + 1))
-    return [type(w)._wrap(t) for t in totals]
+
+def _exp_series(apply_n, s: TruncSeries) -> TruncSeries:
+    """exp(sum_n X^n D_n)(s) = sum over r <= order of (sum_n X^n D_n)^r(s) / r!.
+
+    Each power is built from the last by _sum_apply, so equal terms merge
+    before the next D_j acts, and is scaled once."""
+    powers = [s]
+    for _ in range(s.order):
+        powers.append(_sum_apply(apply_n, powers[-1]))
+    terms = [p.scale(Fraction(1, factorial(r))) for r, p in enumerate(powers)]
+    cls = type(s.coeffs[0])
+    return TruncSeries(tuple(cls.sum(cs) for cs in zip(*(t.coeffs for t in terms))))
 
 
 @lru_cache(maxsize=32)
 def _letter_series(apply_n, letter: str, order: int) -> TruncSeries:
     """exp(sum X^n D_n) of one letter."""
-    return TruncSeries(tuple(_exp_apply(apply_n, NcPoly.word(letter), order)))
+    return _exp_series(apply_n, series_const(NcPoly.word(letter), order))
 
 
 def _hom_apply(apply_n, terms: dict, order: int) -> TruncSeries:
     """exp(sum X^n D_n), D_n a derivation, on graded terms {(word, j): c}: words are
     grouped by first letter, and each group's tail image is left-multiplied by its
     letter series."""
-    if order < 0:
-        raise OutOfRange(f"series order must be >= 0, got {order}")
     groups: dict[str, dict] = {}
     for (word, j), c in terms.items():
         groups.setdefault(word[:1], {})[word[1:], j] = c
-    out = TruncSeries((NcPoly._wrap(groups.pop("", {})),) + (NcPoly.zero(),) * order)
+    out = series_const(NcPoly._wrap(groups.pop("", {})), order)
     for letter, tails in groups.items():
         head = _letter_series(apply_n, letter, order)
         out = out + ts_mul(operator.mul, head, _hom_apply(apply_n, tails, order))
@@ -228,7 +225,7 @@ def Psi_X(w: NcPoly, order: int) -> TruncSeries:
     """Psi_X = exp(sum X^n d_n) applied to w, truncated."""
     # Not a homomorphism route: verify derives Psi_X's multiplicativity
     # from Phi_X = Psi_X Delta_X, so assuming it here would be circular.
-    return TruncSeries(tuple(_exp_apply(d_n, w, order)))
+    return Psi_X_series(series_const(w, order))
 
 
 def Delta_X(w: NcPoly, order: int) -> TruncSeries:
@@ -237,15 +234,8 @@ def Delta_X(w: NcPoly, order: int) -> TruncSeries:
 
 
 def Psi_X_series(s: TruncSeries) -> TruncSeries:
-    """Psi_X on a series: the operator coefficients convolve with those of s."""
-    n = s.order
-    parts: list[list] = [[] for _ in range(n + 1)]
-    for i, c in enumerate(s.coeffs):
-        if c.is_zero():
-            continue
-        for j, piece in enumerate(_exp_apply(d_n, c, n - i)):
-            parts[i + j].append(piece)
-    return TruncSeries(tuple(type(s.coeffs[0]).sum(p) for p in parts))
+    """Psi_X on a series, truncated at its order."""
+    return _exp_series(d_n, s)
 
 
 def rho_s(s: int, order: int) -> TruncSeries:
@@ -260,17 +250,6 @@ def rho_s(s: int, order: int) -> TruncSeries:
     for _ in range(s - 1):
         rho = ts_mul(operator.mul, pref, rho) + ts_mul(shuffle_q, psi, rho)
     return rho
-
-
-def d_power_series(s: int, w: TruncSeries) -> TruncSeries:
-    """(sum_n X^n d_n)^s applied to a series, truncated at its order."""
-    cls = type(w.coeffs[0])
-    for _ in range(s):
-        c = w.coeffs
-        w = TruncSeries(
-            tuple(cls.sum(d_n(m - i, c[i]) for i in range(m) if c[i]) for m in range(len(c)))
-        )
-    return w
 
 
 # --- Ohno combinatorics -----------------------------------------------------

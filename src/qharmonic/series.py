@@ -14,7 +14,7 @@ from math import factorial
 
 from .algebra import NcPoly
 from .coeff import Laurent
-from .errors import BadConstantTerm, OrderMismatch
+from .errors import BadConstantTerm, OrderMismatch, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,15 @@ def _check_orders(s: TruncSeries, t: TruncSeries):
         raise OrderMismatch(f"orders {s.order} and {t.order} differ")
 
 
+def series_const(w, order: int) -> TruncSeries:
+    """The series w + 0 X + ... + 0 X^order."""
+    if order < 0:
+        raise OutOfRange(f"series order must be >= 0, got {order}")
+    return TruncSeries((w,) + (type(w).zero(),) * order)
+
+
 def series_one(like, order: int) -> TruncSeries:
-    one = type(like).one()
-    zero = type(like).zero()
-    return TruncSeries((one,) + (zero,) * order)
+    return series_const(type(like).one(), order)
 
 
 def ts_mul(mul, s: TruncSeries, t: TruncSeries) -> TruncSeries:

@@ -55,7 +55,9 @@ from .derivations import (
 from .errors import BadDenominator, OutOfRange
 from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval, _exact_str, zeta_q_partial
 from .products import l_map_epoly, psi_involution, shuffle_q, stuffle_q
-from .series import TruncSeries, geometric, series_one, series_phi, series_psi, ts_log, ts_mul
+from .series import (
+    TruncSeries, geometric, series_const, series_one, series_phi, series_psi, ts_log, ts_mul
+)
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,6 @@ def _idx_label(k) -> str:
 
 def _sorted_indices(max_weight: int, family: str):
     return sorted(enumerate_indices_up_to(max_weight, family), key=index_sort_key)
-
-
-def _constant(w, order: int) -> TruncSeries:
-    """The series w + 0 X + ... + 0 X^order."""
-    return TruncSeries((w,) + (type(w).zero(),) * order)
 
 
 # --- Z_q and formal series suites -------------------------------------------
@@ -185,7 +182,7 @@ def suite_delta_factorization(order: int = 4, max_weight: int = 4, delta_order: 
     for k in basis:
         w = EPoly({k: 1})
         lhs = Phi_X(e_to_word(w), order).map_coeffs(word_to_e)
-        rhs = ts_mul(operator.mul, left_e, ts_mul(stuffle_q, geo_e, _constant(w, order)))
+        rhs = ts_mul(operator.mul, left_e, ts_mul(stuffle_q, geo_e, series_const(w, order)))
         witness = None if lhs == rhs else f"Phi rewrite fails on e_{_idx_label(k)}"
         yield f"Phi_X rewrite w={_idx_label(k)}", witness
 
@@ -195,7 +192,7 @@ def suite_delta_factorization(order: int = 4, max_weight: int = 4, delta_order: 
             shuffle_targets.append((f"e{_idx_label(k)}", e_to_word(EPoly({k: 1}))))
     for name, w in shuffle_targets:
         lhs = Psi_X(w, order)
-        rhs = ts_mul(operator.mul, left_w, ts_mul(shuffle_q, geo_w, _constant(w, order)))
+        rhs = ts_mul(operator.mul, left_w, ts_mul(shuffle_q, geo_w, series_const(w, order)))
         yield f"Psi_X rewrite w={name}", None if lhs == rhs else f"Psi rewrite fails on {name}"
 
     for name, u in (("a", NcPoly.word("a")), ("b", NcPoly.word("b"))):
@@ -212,7 +209,7 @@ def suite_cor_delta(order: int = 4, max_weight: int = 4):
     geo_w = geometric(NcPoly.word("ab"), order)
     for k in _sorted_indices(max_weight, "Ihat"):
         w = EPoly({k: 1})
-        lhs = ts_mul(stuffle_q, geo_e, _constant(w, order))
+        lhs = ts_mul(stuffle_q, geo_e, series_const(w, order))
         rhs = ts_mul(shuffle_q, geo_w, Delta_X(e_to_word(w), order)).map_coeffs(word_to_e)
         yield f"w={_idx_label(k)}", None if lhs == rhs else f"cor-Delta fails on e_{_idx_label(k)}"
 

@@ -85,16 +85,19 @@ class TestCycNum:
             (prime_ring(7).zeta(), cyc_field(7).zeta()),
             (prime_ring(7).one(), cyc_field(7).one()),
             (cyc_field(5).one(), cyc_field(7).one()),
+            (Laurent.h(1), cyc_field(5).one()),
         ],
-        ids=["str", "PrimeCycNum", "Q7-Z7mod7", "Z7mod7-Q7", "Z7mod7-Q7-one", "Q5-Q7"],
+        ids=["str", "PrimeCycNum", "Q7-Z7mod7", "Z7mod7-Q7", "Z7mod7-Q7-one", "Q5-Q7", "Laurent-Q5"],
     )
     def test_division_by_a_foreign_operand_is_a_type_error(self, left, other):
-        with pytest.raises(TypeError, match="unsupported operand"):
+        # the message names the operands in the order they were written
+        names = rf"unsupported operand .*: '{type(left).__name__}' and '{type(other).__name__}'"
+        with pytest.raises(TypeError, match=names):
             left / other
         if isinstance(other, CycNum):
             # a value of another ring: no arithmetic, and never equal
             for op in (operator.add, operator.sub, operator.mul):
-                with pytest.raises(TypeError, match="unsupported operand"):
+                with pytest.raises(TypeError, match=names):
                     op(left, other)
             assert not left == other and left != other
 

@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from exp_oracle import _exp_apply
 from laurent_oracle import constant
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, word_to_e
 from qharmonic.coeff import Laurent
@@ -14,11 +15,11 @@ from qharmonic.derivations import (
     Phi_X,
     Psi_X,
     Psi_X_series,
-    _exp_apply,
+    _exp_series,
     _letter_series,
+    _sum_apply,
     a_s_index,
     d_n,
-    d_power_series,
     delta_n,
     derive_words,
     iota,
@@ -32,6 +33,7 @@ from qharmonic.errors import NotInH0, NotInMzvH1, OutOfRange
 from qharmonic.products import shuffle_q
 from qharmonic.series import (
     TruncSeries,
+    series_const,
     series_log_one_plus_hbx,
     series_one,
     series_psi,
@@ -213,8 +215,8 @@ class TestExpHomomorphisms:
 
     def test_multiplicative(self):
         # Psi_X(uv) = Psi_X(u) Psi_X(v) on all pairs of words of length 1..2;
-        # Psi_X is applied through its definition _exp_apply, so this is a
-        # property of d_n that the route does not build in
+        # Psi_X is applied through its definition, the operator exponential,
+        # so this is a property of d_n that the route does not build in
         order = 3
         short = ["a", "b", "aa", "ab", "ba", "bb"]
         for u, v in iproduct(short, short):
@@ -226,6 +228,7 @@ class TestExpHomomorphisms:
     def test_psi_series_on_constant(self):
         w = NcPoly.word("ab")
         assert Psi_X_series(TruncSeries((w,) + (NcPoly.zero(),) * 3)) == Psi_X(w, 3)
+        assert Psi_X(w, 3) == TruncSeries(tuple(_exp_apply(d_n, w, 3)))
 
 
 laurent_coeffs = st.dictionaries(
@@ -259,11 +262,41 @@ class TestHomomorphismRoute:
 
         assert image(u + v) == ts_mul(operator.mul, image(u), image(v))
 
-    @pytest.mark.parametrize("op", [Delta_X, Phi_X, Psi_X])
+    @pytest.mark.parametrize("op", [Delta_X, Phi_X, Psi_X, series_const])
     @pytest.mark.parametrize("w", [NcPoly.zero(), NcPoly.word("ab")])
     def test_negative_order_rejected(self, op, w):
         with pytest.raises(OutOfRange):
             op(w, -1)
+
+
+WORDS_TO_4 = ["".join(t) for m in range(5) for t in iproduct("ab", repeat=m)]
+
+
+class TestPowerLoop:
+    """_exp_series, the one power loop behind the letter series, Psi_X and
+    Psi_X_series, against the composition-stack oracle _exp_apply."""
+
+    @pytest.mark.parametrize(
+        "derivation, order", [(d_n, 5), (delta_n, 5), (partial_n, 4)], ids=["d", "delta", "partial"]
+    )
+    def test_words_agree_with_oracle(self, derivation, order):
+        for w in WORDS_TO_4:
+            x = NcPoly.word(w)
+            got = _exp_series(derivation, series_const(x, order))
+            assert got == TruncSeries(tuple(_exp_apply(derivation, x, order))), w
+
+    @settings(max_examples=25, deadline=None)
+    @given(coeffs=st.lists(nc_polys, min_size=2, max_size=5).filter(lambda cs: any(cs[1:])))
+    @example(coeffs=[NcPoly.word("b"), NcPoly({"ab": H(1, 2), "": 1}), NcPoly.zero(), NcPoly.word("a")])
+    def test_psi_series_agrees_with_oracle(self, coeffs):
+        # Psi_X(sum_i X^i s_i) = sum_i X^i Psi_X(s_i), each truncated at order - i
+        order = len(coeffs) - 1
+        parts: list[list] = [[] for _ in range(order + 1)]
+        for i, c in enumerate(coeffs):
+            for j, piece in enumerate(_exp_apply(d_n, c, order - i)):
+                parts[i + j].append(piece)
+        want = TruncSeries(tuple(NcPoly.sum(p) for p in parts))
+        assert Psi_X_series(TruncSeries(tuple(coeffs))) == want
 
 
 GRADED_WORDS = ["".join(t) for m in range(4) for t in iproduct("ab", repeat=m)]
@@ -328,7 +361,9 @@ class TestRho:
     def test_d_power_formula(self, s, target):
         order = 3
         w = TruncSeries((NcPoly.word(target),) + (NcPoly.zero(),) * order)
-        lhs = d_power_series(s, w)
+        lhs = w
+        for _ in range(s):
+            lhs = _sum_apply(d_n, lhs)
         psi = series_psi(order)
         rho = rho_s(s, order)
         left = ts_mul(

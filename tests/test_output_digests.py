@@ -2,9 +2,9 @@
 
 Each entry maps a command line (argv joined by spaces) to the sha256 of
 its stdout: the Phi_X, Psi_X and Delta_X series of nine words and
-indices at orders 0..4, one calculator command of each other kind, and
-both export kinds as CSV. A change to any coefficient, term order or
-number format fails here.
+indices at orders 0..4 and of a, b and ab at orders 5 and 6, one
+calculator command of each other kind, and both export kinds as CSV. A
+change to any coefficient, term order or number format fails here.
 
 The verify digests cover stdout with each case's "(x ms)" timing
 stripped: one small run of every suite, and every verify step of the
@@ -29,16 +29,22 @@ DIGESTS = {
     "series phi a --order 2": "608d05d4859e2f588224ceb824f31449bbf20bbfa4c527bab6b5689c26c533cb",
     "series phi a --order 3": "a54f1d22a3aea0a7852e2c9f9f9c8241571abe7f9e2f959596d88d625fe4b2a9",
     "series phi a --order 4": "7e2d4baa8e8927e564fdfebc5b19cb6d1ea9e749718a714f45221ec552a2428d",
+    "series phi a --order 5": "fac50735cf1b8c2805d9988186ddf55cba1ab3d0ae1afb867596352197300d3c",
+    "series phi a --order 6": "597fb814565c2f940af0f3c03273eff640307958079c9e69a2fcc847876aa98e",
     "series phi b --order 0": "e8bea1d5f1ec7c652d9193399b06e86b4ef738e4a57ff3764160df4ff4b82c3a",
     "series phi b --order 1": "cfe481da19d51795280eb5390da1bc5ba3fc57447c8db1138afca683181c55e5",
     "series phi b --order 2": "bc2875b6f1d68877112e2cab5355ddf14dc0e42f6ff1f952d443bb13c774c5e3",
     "series phi b --order 3": "3fffacf8ac83005302c82188f06da9971a54561265654baf32ae6b56f8a4c351",
     "series phi b --order 4": "bcee9e14e0ac1e4909c1b740c902d93d59b4a707966752da718cdf9c0eca4dac",
+    "series phi b --order 5": "8b5685dbccdfcbd7b6fa996f1e6b5e302a7eeaf68993fdad232fb8c0a1b85252",
+    "series phi b --order 6": "2d38a57e300474b70a94e2039f47d7bf46df96f35f138a639699bdd88ee7fd8c",
     "series phi ab --order 0": "0a197a2ce5b8c65908e22c3ec349cc04dd8e5d246dcb9a3476c976aed9ed6aa3",
     "series phi ab --order 1": "2081005fb0b8a0c81d4e188b70e371d1d9ad2ca44bd413df30c85938f30bc809",
     "series phi ab --order 2": "0c5e137f34e4c0666851b9a1f316bf5f02b8deb02a4f99c1bf4a44ce70c2e320",
     "series phi ab --order 3": "6d349ab41e2f947f499cb17133de7eab097d36154432d58d3141bfa2198c0491",
     "series phi ab --order 4": "5626d19b825fcb8c9a65b32bbd06abec6a04d5f66c04c3bc7298b976ce5fc452",
+    "series phi ab --order 5": "3a9e5f34a36bb427a5f2cd450c560469c300ccd263e9f3e7759825217255265b",
+    "series phi ab --order 6": "56e5b19735bcefd9c32b9deb524772966384089aaa202c63f221ffac9b321c90",
     "series phi aab --order 0": "0fb33a41f8f447b565dfbc60853b71aa6c0a80ee7442159e7a64240544e1630e",
     "series phi aab --order 1": "da2f30fa953dba6224e1b4a6333da558bf7e13dd4ace8d8eb9ad2c4a389db7a2",
     "series phi aab --order 2": "571d30e503860ac973b8f8dc47f17b38a82f6732c6762055df2458b7f7b9eda6",
@@ -74,16 +80,22 @@ DIGESTS = {
     "series psi a --order 2": "fa350e6de8d0e8fc1441fa7b093ab8afd05641a74faaabd4f1b843185a5f0393",
     "series psi a --order 3": "7d9ff817415218d4823e88fba7f556a075e565b35c94c29426803f1d005e1eb5",
     "series psi a --order 4": "1282f4917794a26ff5a81656291ae2f4254709eb176c57a91c07fe357367079a",
+    "series psi a --order 5": "dad7f2f66376e2daf0eded88d7305cba494523ad74789decd6e3241f43a6a5b9",
+    "series psi a --order 6": "f52c9dc9cc6d258cd419bb037711b38156df873b7b93b0e53ff42b4dc7efd4d0",
     "series psi b --order 0": "e8bea1d5f1ec7c652d9193399b06e86b4ef738e4a57ff3764160df4ff4b82c3a",
     "series psi b --order 1": "80c06dc55eaa0ce32924005cd06fe23720e489a77a351aa94f8558c36f9a3f41",
     "series psi b --order 2": "03a83d30fd7a7099271613c10c738e49abb640e760b7ec4f67bb78c4b62f0201",
     "series psi b --order 3": "36cb0c752c08433b5368a674c27dd08a7bb2d00c63d06e4c308541c4a70453cc",
     "series psi b --order 4": "fd02d69227c24fae7195f1e47fa3b4572d6298ad806004c0b21f2aeae6df4ed1",
+    "series psi b --order 5": "5308b714897567896f999b627ff95393b1f68a2d30efd037e7f99a2c7389ad71",
+    "series psi b --order 6": "cea2a00c7801a7933b3b1fe2f71ba85edd4988f64813d34cd55c469a8ce5d1a3",
     "series psi ab --order 0": "0a197a2ce5b8c65908e22c3ec349cc04dd8e5d246dcb9a3476c976aed9ed6aa3",
     "series psi ab --order 1": "e2a11f6a89843d36f8bd036c11050e7a8fbc798a537696a66398116dc4d464a9",
     "series psi ab --order 2": "e0ddf98ddc6612940acd924886c0b88ace494ac9b9d8a109e348d5bed0b4fcb2",
     "series psi ab --order 3": "fe85350e50912aa214f4b4cfeeca41b77dd834ae3676390e3aa9baf8f434b953",
     "series psi ab --order 4": "ad3753aacf009ac1a68f465c7097607e5fb32e493328c26f48e483a0f10d5591",
+    "series psi ab --order 5": "84832510cc08ea13598334d37b2058b4ceee4cc910ab15e3d568daf0127b357a",
+    "series psi ab --order 6": "eb5e7db2b8aa8112f4cd40ac1ab9de2619756fa46aa4ecf48ed29a38a5195523",
     "series psi aab --order 0": "0fb33a41f8f447b565dfbc60853b71aa6c0a80ee7442159e7a64240544e1630e",
     "series psi aab --order 1": "ac612f479c4c130aa44ec5ff445ce211ae4fc945d5e12f2bdd4cd37f74138c7a",
     "series psi aab --order 2": "7c7d62730bcf98c25ccd8422c85cc0da1aaf9ff3c7ac12c6a705d49224a4624a",
@@ -119,16 +131,22 @@ DIGESTS = {
     "series delta a --order 2": "dba001588dfedf49e664bb0d1ef8dc8dab0de7522d1450296fd9ae8459ceee1b",
     "series delta a --order 3": "963791fc60fa4e84ae56a1260970b76a56a49c428b3641c6830c1578ed66c814",
     "series delta a --order 4": "39607a40e660c6127e3364d9b40305f9ae690c6d89cd34732505619fcd98a90c",
+    "series delta a --order 5": "fb859c5981512fe80cb7c891fbbfb6e4ec9eedd4bd202633472f4050eb057bff",
+    "series delta a --order 6": "9e24e84b3e136f024ece21d18d71b09c133d362dd44c8652bb96a88fe31a7193",
     "series delta b --order 0": "e8bea1d5f1ec7c652d9193399b06e86b4ef738e4a57ff3764160df4ff4b82c3a",
     "series delta b --order 1": "e54680a1d9351ff014147a241461321376c6fe6005e085b597ff052dfb51d188",
     "series delta b --order 2": "4181921ef53e9c1b58f1d2ff1617c91feda325111f12c3d90574bdd08b81d0ed",
     "series delta b --order 3": "70a18f45ea34e26cafb90c0a6c15e2683ad9b65921f06e759ab53cacca31f0b2",
     "series delta b --order 4": "e154aa4451e990257e460bcd9c7a9a1fe6dff377fec1672c55156247c39c9d91",
+    "series delta b --order 5": "677b4dd6d9894ec0e7288a06194343640f35828da02e0e4595fe738c5aa1779f",
+    "series delta b --order 6": "55ed223a58fcc16c6565afc0b54800ffa5105a63406cae9cbb2a69ae90cd0ed1",
     "series delta ab --order 0": "0a197a2ce5b8c65908e22c3ec349cc04dd8e5d246dcb9a3476c976aed9ed6aa3",
     "series delta ab --order 1": "25f223a0e4b5e1732cefdf609219a13ed73eac691174dac6015c42a5c0e01afd",
     "series delta ab --order 2": "6c91464f8a87630bacb18678b237d086901eca77c75f1520ef0b7fe6ce9a6c75",
     "series delta ab --order 3": "c2746ef39bb644739f83138a809911241a5c50a7619e66af4f37259a64a5b5b8",
     "series delta ab --order 4": "2022e097766ab7b11f1e2104361b01b59c1953c9f7009e9d798d45219aae9197",
+    "series delta ab --order 5": "1beb9f30ca6b6eb0edca7a2ac91a125bc945f090b1dfff09879fdecbe2b2155c",
+    "series delta ab --order 6": "43a0ba134564c90725159bcc74c20f18cd04fcacd671c2e1e36812bb7b884494",
     "series delta aab --order 0": "0fb33a41f8f447b565dfbc60853b71aa6c0a80ee7442159e7a64240544e1630e",
     "series delta aab --order 1": "57522de681ee4d9d8784857e01c301ad75aecd16345b366685d4bd2c52327553",
     "series delta aab --order 2": "d4906e1d2cc954a752949ad889a9395f7aa2a4ec70fa7e8f105f3ca229f1d0bc",
