@@ -479,24 +479,6 @@ def ones_bar_closed_form(n: int, r: int) -> CycNum:
     return Fraction((-1) ** r * comb(n, r + 1), n) * _h_power(cyc_field(n), r)
 
 
-def A_m_helper(m: int, x: EPoly, n: int) -> CycNum:
-    """The sum with the outer variable pinned to m, at q = zeta_n.
-
-    A_m(e_k) = F_(k_1)(m) * (truncated sum below m over the rest);
-    A_m(1) = 1 by convention.
-    """
-    if not (1 <= m < n):
-        raise OutOfRange("need 1 <= m < n")
-    fld = cyc_field(n)
-
-    def value(k):
-        if not k:
-            return fld.one()
-        return _f_factor(fld, k[0], m) * _zn_cum(fld, k[1:])[m - 1]
-
-    return _h_grouped(fld, x, value)
-
-
 def zcyc_mod_p(x: EPoly, p: int) -> CycNum:
     """The single-prime component of the cyclotomic analogue: z_p(k) mod (p).
 

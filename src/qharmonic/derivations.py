@@ -38,14 +38,7 @@ from .algebra import (
 from .coeff import Laurent, _exact
 from .errors import BadEntry, NotInH0, NotInMzvH1
 from .products import shuffle_q
-from .series import (
-    TruncSeries,
-    series_const,
-    series_log_one_plus_hbx,
-    series_one,
-    series_psi,
-    ts_mul,
-)
+from .series import TruncSeries, series_const, ts_mul
 
 
 def derive_words(w: LinComb, images: dict) -> LinComb:
@@ -236,20 +229,6 @@ def Delta_X(w: NcPoly, order: int) -> TruncSeries:
 def Psi_X_series(s: TruncSeries) -> TruncSeries:
     """Psi_X on a series, truncated at its order."""
     return _exp_series(d_n, s)
-
-
-def rho_s(s: int, order: int) -> TruncSeries:
-    """The recurrence rho_1 = 1, rho_(s+1) = (psi + log(1+hbX)) rho_s + psi sh rho_s."""
-    if s < 1:
-        raise ValueError("s >= 1")
-    rho = series_one(NcPoly.one(), order)
-    if s == 1:
-        return rho
-    psi = series_psi(order)
-    pref = psi + series_log_one_plus_hbx(order)
-    for _ in range(s - 1):
-        rho = ts_mul(operator.mul, pref, rho) + ts_mul(shuffle_q, psi, rho)
-    return rho
 
 
 # --- Ohno combinatorics -----------------------------------------------------

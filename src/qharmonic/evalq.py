@@ -30,7 +30,6 @@ from math import comb, lcm
 from operator import mul
 
 from .algebra import BAR1, EPoly, Index, entry_wt, in_Ihat0, index_dep, index_wt
-from .coeff import Laurent
 from .errors import Divergent, NotInI0hat, OutOfRange
 
 #: Parameters used by the acceptance-level numeric checks.
@@ -286,24 +285,3 @@ def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:
     bound = sum((abs(c) * tail_bound(index_dep(k), q.q, M) for k, c in terms), Fraction(0))
     num, den = _combined_partial_sum(terms, q.q.numerator, q.q.denominator, M)
     return CertifiedValue._unreduced(num, den, bound, M)
-
-
-def f_basis_expand(k: int, l: int):
-    """Express q^(lm)/[m]^k in the F-basis: {entry: Laurent coefficient}.
-
-    For k > l >= 0, expanding q^(lm)/[m]^k against ((1-q)[m] + q^m)^(k-l-1) = 1
-    gives binomial coefficients C(k-l-1, j-1) on F_(l+j)(m) with powers of
-    h = 1-q. (The seemingly natural C(k-l, j-1) fails termwise already at
-    k-l = 2, m = 1.) For l = k the leading term falls onto F_1bar with
-    powers of q-1 = -h.
-    """
-    if k < 1 or l < 0 or l > k:
-        raise OutOfRange("need k >= 1 and 0 <= l <= k")
-    if l < k:
-        return {
-            l + j: Laurent.h(k - l - j, comb(k - l - 1, j - 1))
-            for j in range(1, k - l + 1)
-        }
-    out = {j: Laurent.h(k - j, (-1) ** (k - j)) for j in range(2, k + 1)}
-    out[BAR1] = Laurent.h(k - 1, (-1) ** (k - 1))
-    return out

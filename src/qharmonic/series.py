@@ -133,11 +133,3 @@ def series_phi(order: int) -> TruncSeries:
     for n in range(1, order + 1):
         coeffs.append(NcPoly({"a" * n + "b": Fraction((-1) ** (n - 1), n)}))
     return TruncSeries(tuple(coeffs))
-
-
-def series_log_one_plus_hbx(order: int) -> TruncSeries:
-    """log(1 + h b X) = sum ((-1)^(n-1)/n) h^n b^n X^n (concatenation log)."""
-    coeffs = [NcPoly.zero()]
-    for n in range(1, order + 1):
-        coeffs.append(NcPoly({"b" * n: Laurent.h(n, Fraction((-1) ** (n - 1), n))}))
-    return TruncSeries(tuple(coeffs))

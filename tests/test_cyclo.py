@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from lemmas import A_m_helper
 from poly_oracle import QPoly
 from qharmonic.algebra import (
     BAR1,
@@ -15,7 +16,6 @@ from qharmonic.algebra import (
 )
 from qharmonic.coeff import Laurent, UniPoly
 from qharmonic.cyclo import (
-    A_m_helper,
     CycNum,
     _f_factor,
     cyc_field,

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laurent_oracle import substitute
+from lemmas import A_m_helper
 from poly_oracle import GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
 from qharmonic.algebra import BAR1, EPoly, enumerate_indices_up_to
 from qharmonic.coeff import Laurent, ModPoly, poly_str
 from qharmonic.cyclo import (
-    A_m_helper,
     _f_factor,
     _h_power,
     cyc_field,

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from exp_oracle import _exp_apply
 from laurent_oracle import constant
+from lemmas import rho_s, series_log_one_plus_hbx
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.derivations import (
@@ -26,7 +27,6 @@ from qharmonic.derivations import (
     mzv_partial,
     partial_n,
     partial_n_e,
-    rho_s,
     z_word,
 )
 from qharmonic.errors import NotInH0, NotInMzvH1, OutOfRange
@@ -34,7 +34,6 @@ from qharmonic.products import shuffle_q
 from qharmonic.series import (
     TruncSeries,
     series_const,
-    series_log_one_plus_hbx,
     series_one,
     series_psi,
     ts_mul,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laurent_oracle import substitute
+from lemmas import f_basis_expand
 from qharmonic.algebra import (
     BAR1,
     EPoly,
@@ -27,7 +28,6 @@ from qharmonic.evalq import (
     _gamma_prefix,
     _index_numerator,
     _suffix_numerators,
-    f_basis_expand,
     polylog_partial,
     q_int,
     tail_bound,
