@@ -16,8 +16,9 @@ suffixes of k in which every layer runs at K_k; the proper suffixes keep
 their tables of numerators (cached per suffix and K_k), k keeps only N_k.
 Z_q of an e-polynomial sums these over one shared denominator L b^W G^K
 (L the lcm of the coefficient denominators at h = 1 - q), left unreduced:
-bound checks cross-multiply, and a value is reduced only when it is read
-or printed. The tail bound is one closed-form Fraction per (depth, q, M).
+bound checks cross-multiply or compare fixed-point enclosures (`_enclose`),
+and a value is reduced only when it is read or printed. The tail bound is
+one closed-form Fraction per (depth, q, M). A float is refused as input.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ class QValue:
     q: Fraction
 
     def __post_init__(self):
-        q = Fraction(self.q)
+        q = _rational(self.q)
         object.__setattr__(self, "q", q)
         if not (0 < q < 1):
             raise OutOfRange(f"q must satisfy 0 < q < 1, got {q}")
@@ -61,7 +62,7 @@ class CertifiedValue:
     __slots__ = ("num", "den", "tail_bound", "truncation", "_value")
 
     def __init__(self, value, tail_bound: Fraction, truncation: int):
-        value = Fraction(value)
+        value = _rational(value)
         self.num, self.den, self._value = value.numerator, value.denominator, value
         self.tail_bound, self.truncation = tail_bound, truncation
         if tail_bound < 0:
@@ -78,6 +79,11 @@ class CertifiedValue:
         if self._value is None:
             self._value = Fraction(self.num, self.den)
         return self._value
+
+    def _enclose(self, bits: int) -> tuple[int, int]:
+        """(lo, hi), lo <= value 2^bits <= hi <= lo + 1: one division, no gcd."""
+        lo, r = divmod(self.num << bits, self.den)
+        return lo, lo + (r != 0)
 
     def certifies_zero(self) -> bool:
         """|value| <= tail_bound, by integer cross-multiplication."""
@@ -107,6 +113,13 @@ class CertifiedValue:
         return f"{_exact_str(self.value)} +/- {_exact_str(self.tail_bound)} (M={self.truncation})"
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x), refusing a float, whose binary value is not the rational meant."""
+    if isinstance(x, float):
+        raise TypeError(f"exact rational expected, got the float {x!r}")
+    return Fraction(x)
+
+
 def _exact_str(x: int | Fraction) -> str:
     """str(x) at any size: Decimal converts an int exactly and is not bound
     by CPython's 4300-digit limit on int -> str conversion."""
@@ -118,7 +131,7 @@ def q_int(m: int, q: QValue | Fraction) -> Fraction:
     """The q-integer [m] = (1 - q^m)/(1 - q)."""
     if m < 1:
         raise OutOfRange("q-integers need m >= 1")
-    qq = q.q if isinstance(q, QValue) else Fraction(q)
+    qq = q.q if isinstance(q, QValue) else _rational(q)
     return (1 - qq**m) / (1 - qq)
 
 
@@ -252,7 +265,7 @@ def polylog_partial(k: Index, t: Fraction, q: QValue, M: int) -> CertifiedValue:
     u = t q in place of q when the leading entry is not an unbarred 1 (then
     |t^m F_(k_1)(m)| <= (tq)^m) and u = t otherwise.
     """
-    t = Fraction(t)
+    t = _rational(t)
     if not (0 < t <= 1) or M < 1:
         raise OutOfRange(f"need 0 < t <= 1 and M >= 1, got t = {t}, M = {M}")
     if not k:

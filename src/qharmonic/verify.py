@@ -115,6 +115,9 @@ def _sorted_indices(max_weight: int, family: str):
 
 
 def _double_shuffle_witness(w1, w2, qv: QValue, M: int):
+    """Z_q(w *_q w' - w sh_q w') certifies zero, and with v, t the values and
+    tail bounds of Z_q(w *_q w'), Z_q(w), Z_q(w'):
+        |vs - v1 v2| <= ts + t1 (|v2| + t2) + t2 (|v1| + t1) + t1 t2."""
     e1, e2 = EPoly({w1: 1}), EPoly({w2: 1})
     st = stuffle_q(e1, e2)
     sh = word_to_e(shuffle_q(e_to_word(e1), e_to_word(e2)))
@@ -122,7 +125,24 @@ def _double_shuffle_witness(w1, w2, qv: QValue, M: int):
     if not resid.certifies_zero():
         return f"double-shuffle residual {resid}"
     v1, v2 = zeta_q_partial(w1, qv, M), zeta_q_partial(w2, qv, M)
-    vs = Zq_eval(st, qv, M)
+    return _product_witness(Zq_eval(st, qv, M), v1, v2)
+
+
+def _product_witness(vs, v1, v2):
+    """The stuffle product rule passes on integer enclosures at 2^-P, P being
+    64 bits below the smallest nonzero tail bound, with no value reduced: the
+    residual is bounded above and the bound below. Any other case is decided,
+    and its witness built, in exact Fractions."""
+    bounds = (vs.tail_bound, v1.tail_bound, v2.tail_bound)
+    gaps = [t.denominator.bit_length() - t.numerator.bit_length() for t in bounds if t]
+    bits = 64 + max([0, *gaps])
+    (ls, hs), (l1, h1), (l2, h2) = (v._enclose(bits) for v in (vs, v1, v2))
+    ts, t1, t2 = ((t.numerator << bits) // t.denominator for t in bounds)
+    corners = (l1 * l2, l1 * h2, h1 * l2, h1 * h2)
+    resid_hi = max(abs((ls << bits) - max(corners)), abs((hs << bits) - min(corners)))
+    bound_lo = (ts << bits) + t1 * (max(l2, -h2, 0) + t2) + t2 * (max(l1, -h1, 0) + t1) + t1 * t2
+    if resid_hi <= bound_lo:
+        return None
     prod_resid = abs(vs.value - v1.value * v2.value)
     prod_bound = (
         vs.tail_bound

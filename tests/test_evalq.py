@@ -164,6 +164,25 @@ class TestQInt:
             QValue(Fraction(3, 2))
 
 
+class TestNoFloats:
+    """A float's binary value is not the rational meant, so it is refused."""
+
+    def test_floats_raise(self):
+        with pytest.raises(TypeError, match="float"):
+            QValue(0.1)
+        with pytest.raises(TypeError, match="float"):
+            CertifiedValue(0.1, Fraction(0), 1)
+        with pytest.raises(TypeError, match="float"):
+            polylog_partial((2,), 0.5, HALF, 5)
+        with pytest.raises(TypeError, match="float"):
+            q_int(2, 0.5)
+
+    def test_exact_inputs_pass(self):
+        assert QValue(Fraction(1, 10)).q == Fraction(1, 10)
+        assert CertifiedValue(1, Fraction(0), 1).value == 1
+        assert polylog_partial((2,), 1, HALF, 5) == polylog_partial((2,), Fraction(1), HALF, 5)
+
+
 class TestZetaPartial:
     def test_golden_single_two(self):
         cv = zeta_q_partial((2,), HALF, 3)
@@ -352,6 +371,18 @@ class TestUnreduced:
         cv = CertifiedValue._unreduced(num, den, bound, 7)
         assert cv.certifies_zero() is want
         assert (abs(cv.value) <= cv.tail_bound) is want
+
+    @given(st.integers(-(2**200), 2**200), st.integers(1, 2**200), st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_enclose_brackets_the_value(self, num, den, bits):
+        lo, hi = CertifiedValue._unreduced(num, den, Fraction(0), 1)._enclose(bits)
+        scaled = Fraction(num, den) * 2**bits
+        assert lo <= scaled <= hi <= lo + 1
+        assert (lo == hi) is (scaled.denominator == 1)
+
+    def test_enclose_of_an_exact_one(self):
+        assert zeta_q_partial((), HALF, 5)._enclose(70) == (2**70, 2**70)
+        assert CertifiedValue._unreduced(-1, 3, Fraction(0), 1)._enclose(2) == (-2, -1)
 
     def test_overlaps_boundary(self):
         a = CertifiedValue._unreduced(2, 8, Fraction(1, 8), 3)  # [1/8, 3/8]

@@ -1,9 +1,12 @@
 """Mutation tests: a suite fed one wrong coefficient must report FAIL."""
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from qharmonic import evalq, export, verify
 from qharmonic.algebra import EPoly, index_sort_key
-from qharmonic.evalq import CertifiedValue
+from qharmonic.evalq import CertifiedValue, tail_bound
 from qharmonic.series import TruncSeries
 
 
@@ -45,6 +48,29 @@ def test_double_shuffle_catches_a_wrong_stuffle(monkeypatch):
     assert_all_fail_with_witness(reports, "double-shuffle residual")
 
 
+#: sha256 of the "case<TAB>witness" lines of the run below, as the exact
+#: Fraction route prints them: every witness is a full-precision fraction.
+BUMPED_PRODUCT_WITNESSES = "7f5630c0473ff03bf997a2c3a5d76d7a1aa410c8816e62dc6d279c8a68f60c34"
+
+
+def test_double_shuffle_catches_a_wrong_product(monkeypatch):
+    # Z_q(w) off by 1/1024 for every nonempty w: only the product rule sees it
+    good = verify.zeta_q_partial
+
+    def bumped(k, qv, M):
+        v = good(k, qv, M)
+        num, den = (v.num << 10) + v.den, v.den << 10
+        return CertifiedValue._unreduced(num, den, v.tail_bound, M) if k else v
+
+    monkeypatch.setattr(verify, "zeta_q_partial", bumped)
+    reports = verify.suite_double_shuffle(M=40, max_weight=2)
+    assert len(reports) == 25
+    assert [r.case for r in reports if r.ok] == ["w=() w'=()"]
+    assert_all_fail_with_witness(reports[1:], "stuffle product residual")
+    text = "\n".join(f"{r.case}\t{r.witness}" for r in reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUMPED_PRODUCT_WITNESSES
+
+
 def test_export_catches_a_wrong_partial_n(monkeypatch):
     good = export.partial_n_e
     monkeypatch.setattr(export, "partial_n_e", lambda n, x: bump_one_coefficient(good(n, x)))
@@ -53,7 +79,7 @@ def test_export_catches_a_wrong_partial_n(monkeypatch):
 
 
 def test_bound_checks_never_reduce(monkeypatch):
-    """The derivation checks decide |value| <= bound without reading .value."""
+    """The derivation and double-shuffle checks pass without reading .value."""
 
     def no_reduction(self):
         raise AssertionError("the check reduced a certified value")
@@ -65,6 +91,12 @@ def test_bound_checks_never_reduce(monkeypatch):
     assert reports and all(r.ok for r in reports)
     records = export.derivation_records(1, 2, M=40)
     assert records and all(r["verified"] is True for r in records)
+    # at q = 1/10, M = 120 the tail bounds reach 2^-400: the enclosure
+    # precision must follow them, a fixed 320 bits would decide nothing
+    assert tail_bound(1, Fraction(1, 10), 120) < Fraction(1, 2**400)
+    for q, M in ((Fraction(1, 2), 40), (Fraction(1, 10), 120)):
+        reports = verify.suite_double_shuffle(q=q, M=M, max_weight=2)
+        assert len(reports) == 25 and all(r.ok for r in reports), q
 
 
 def bump_delta_x(monkeypatch):
