@@ -18,18 +18,18 @@ with indices (tuples of entries) as keys. The generators are
 and word_to_e / e_to_word convert between the presentations on the
 subalgebra of words ending in b. Loops that build a combination term by
 term accumulate into one dict with _accumulate, or sum whole values
-with LinComb.sum.
+with LinComb.sum. word_to_e and the Leibniz rule of derivations run on the
+integer numerators of _int_form, and divide by its one denominator at the end.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping
 
-from .coeff import Laurent, _exact, _monomial_str
+from .coeff import Laurent, _exact, _monomial_str, _scalar
 from .errors import BadEntry, EmptyIndex, HasBarEntry, NotInH1
-
-_scalar = (int, Fraction)
 
 
 class _Bar1:
@@ -171,6 +171,17 @@ def _accumulate(out: dict, key, c) -> None:
             del out[key]
             return
     out[key] = c if type(c) is int else _exact(c)
+
+
+def _int_form(*parts: dict) -> tuple[int, tuple]:
+    """(D, numerators): D the lcm of the coefficient denominators in parts, and
+    each part as {key: c * D}, all ints; the parts themselves when D = 1."""
+    den = lcm(*{c.denominator for t in parts for c in t.values() if type(c) is not int})
+    if den == 1:
+        return 1, parts
+    return den, tuple(
+        {kj: c.numerator * (den // c.denominator) for kj, c in t.items()} for t in parts
+    )
 
 
 def _times(terms: dict, c, j: int = 0) -> dict:
@@ -405,7 +416,7 @@ def _word_to_e_single(w: str) -> dict:
 
 
 def _words_to_e(terms: dict) -> dict:
-    """word_to_e on graded terms {(word, j): c}, every nonempty word ending in b.
+    """word_to_e on graded int terms {(word, j): n}, every nonempty word ending in b.
 
     Words are grouped by their leading block a^n b; the suffixes of each
     group are converted recursively and only then multiplied by the
@@ -434,7 +445,9 @@ def word_to_e(x: NcPoly) -> EPoly:
     for w, _ in x.terms:
         if w.endswith("a"):
             raise NotInH1(f"word {w!r} ends in a")
-    return EPoly._wrap(_words_to_e(x.terms))
+    den, (terms,) = _int_form(x.terms)
+    out = EPoly._wrap(_words_to_e(terms))
+    return out.scale(Fraction(1, den)) if den > 1 else out
 
 
 def left_mul_a(x: EPoly) -> EPoly:

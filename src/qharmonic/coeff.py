@@ -29,10 +29,12 @@ _scalar = (int, Fraction)
 
 
 def _exact(c) -> int | Fraction:
-    """c as an exact rational: an int when integral, else a Fraction."""
+    """c as an exact rational: an int when integral, else a Fraction; never a float."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"exact rational expected, got the float {c!r}")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

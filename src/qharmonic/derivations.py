@@ -9,6 +9,10 @@ cached letter series, exponentials of one letter, along words. Psi_X stays on
 its definition, the loop applied to w: delta-factorization derives its
 multiplicativity from Phi_X = Psi_X Delta_X.
 
+The Leibniz rule (derive_words, _leibniz) runs on integer numerators over
+one denominator, divided out once; the letter images of delta_n, partial_n
+and mzv_partial are cached in that form.
+
 The Ohno pieces are pure functions of small index tuples that the Ohno,
 cyc-Ohno and export routes ask for again and again, so _dual_shift_sum,
 _ohno_rhs and A_ksp (through _A_ksp, keyed on tuple(k)) each keep a
@@ -31,6 +35,7 @@ from .algebra import (
     LinComb,
     NcPoly,
     _accumulate,
+    _int_form,
     binary_to_index,
     hoffman_dual,
     left_mul_a,
@@ -44,27 +49,34 @@ from .series import TruncSeries, series_const, ts_mul
 def derive_words(w: LinComb, images: dict) -> LinComb:
     """Leibniz extension of a map given on single letters of words, or on
     single entries of indices: images maps each to a value of w's type."""
+    den, nums = _int_form(*(v.terms for v in images.values()))
+    return _leibniz(w, den, dict(zip(images, nums)))
+
+
+def _leibniz(w: LinComb, den: int, imgs: dict) -> LinComb:
+    """derive_words with the images as integer terms over den: {letter: terms}."""
+    wden, (terms,) = _int_form(w.terms)
     out: dict = {}
-    for (word, j), c in w.terms.items():
+    for (word, j), c in terms.items():
         for i, ch in enumerate(word):
             head, tail = word[:i], word[i + 1:]
-            for (u, ju), d in images[ch].terms.items():
+            for (u, ju), d in imgs[ch].items():
                 _accumulate(out, (head + u + tail, j + ju), c * d)
-    return type(w)._wrap(out)
+    den *= wden
+    return type(w)._wrap(out).scale(Fraction(1, den)) if den > 1 else type(w)._wrap(out)
 
 
 @lru_cache(maxsize=None)
-def _delta_images(n: int) -> dict[str, NcPoly]:
-    c = Fraction((-1) ** (n - 1), n)
+def _delta_images(n: int) -> tuple[int, dict]:
     tail = "a" * n + "b"
-    return {"a": NcPoly.zero(), "b": NcPoly({"b" + tail: c, tail: c})}
+    return n, {"a": {}, "b": dict.fromkeys((("b" + tail, 0), (tail, 0)), (-1) ** (n - 1))}
 
 
 def delta_n(n: int, w: NcPoly) -> NcPoly:
     """The derivation with delta_n(a) = 0, delta_n(b) = ((-1)^(n-1)/n)(b+1)a^n b."""
     if n < 1:
         raise ValueError("n >= 1")
-    return derive_words(w, _delta_images(n))
+    return _leibniz(w, *_delta_images(n))
 
 
 def d_n(n: int, w: NcPoly) -> NcPoly:
@@ -91,19 +103,17 @@ def _nc_power(base: NcPoly, n: int) -> NcPoly:
 
 
 @lru_cache(maxsize=None)
-def _partial_images(n: int) -> dict[str, NcPoly]:
-    ca = Fraction((-1) ** n, n)
-    cb = Fraction((-1) ** (n - 1), n)
-    da = (NcPoly.word("a") * _nc_power(_Z_LEFT, n - 1) * _A_PLUS_H_B).scale(ca)
-    db = (NcPoly.word("a") * _nc_power(_Z_RIGHT, n - 1) * _B_PLUS_1_B).scale(cb)
-    return {"a": da, "b": db}
+def _partial_images(n: int) -> tuple[int, dict]:
+    da = NcPoly.word("a") * _nc_power(_Z_LEFT, n - 1) * _A_PLUS_H_B
+    db = NcPoly.word("a") * _nc_power(_Z_RIGHT, n - 1) * _B_PLUS_1_B
+    return n, {"a": da.scale((-1) ** n).terms, "b": db.scale((-1) ** (n - 1)).terms}
 
 
 def partial_n(n: int, w: NcPoly) -> NcPoly:
     """The derivation interpolating the two products; defined on all words."""
     if n < 1:
         raise ValueError("n >= 1")
-    return derive_words(w, _partial_images(n))
+    return _leibniz(w, *_partial_images(n))
 
 
 # --- partial_n in the e-basis ---------------------------------------------
@@ -336,17 +346,17 @@ def z_word(*ks: int) -> NcPoly:
 
 
 @lru_cache(maxsize=None)
-def _mzv_images(n: int) -> dict[str, NcPoly]:
+def _mzv_images(n: int) -> tuple[int, dict]:
     base = NcPoly({"x": 1, "y": 1})
     img = NcPoly.word("x") * _nc_power(base, n - 1) * NcPoly.word("y")
-    return {"x": img, "y": -img}
+    return 1, {"x": img.terms, "y": (-img).terms}
 
 
 def mzv_partial(n: int, w: NcPoly) -> NcPoly:
     """The classical derivation with x -> x(x+y)^(n-1) y -> -x(x+y)^(n-1)y."""
     if n < 1:
         raise ValueError("n >= 1")
-    return derive_words(w, _mzv_images(n))
+    return _leibniz(w, *_mzv_images(n))
 
 
 def iota(w: NcPoly) -> EPoly:

@@ -31,6 +31,7 @@ from math import comb, lcm
 from operator import mul
 
 from .algebra import BAR1, EPoly, Index, entry_wt, in_Ihat0, index_dep, index_wt
+from .coeff import _exact
 from .errors import Divergent, NotInI0hat, OutOfRange
 
 #: Parameters used by the acceptance-level numeric checks.
@@ -45,7 +46,7 @@ class QValue:
     q: Fraction
 
     def __post_init__(self):
-        q = _rational(self.q)
+        q = Fraction(_exact(self.q))
         object.__setattr__(self, "q", q)
         if not (0 < q < 1):
             raise OutOfRange(f"q must satisfy 0 < q < 1, got {q}")
@@ -62,7 +63,7 @@ class CertifiedValue:
     __slots__ = ("num", "den", "tail_bound", "truncation", "_value")
 
     def __init__(self, value, tail_bound: Fraction, truncation: int):
-        value = _rational(value)
+        value = Fraction(_exact(value))
         self.num, self.den, self._value = value.numerator, value.denominator, value
         self.tail_bound, self.truncation = tail_bound, truncation
         if tail_bound < 0:
@@ -113,13 +114,6 @@ class CertifiedValue:
         return f"{_exact_str(self.value)} +/- {_exact_str(self.tail_bound)} (M={self.truncation})"
 
 
-def _rational(x) -> Fraction:
-    """Fraction(x), refusing a float, whose binary value is not the rational meant."""
-    if isinstance(x, float):
-        raise TypeError(f"exact rational expected, got the float {x!r}")
-    return Fraction(x)
-
-
 def _exact_str(x: int | Fraction) -> str:
     """str(x) at any size: Decimal converts an int exactly and is not bound
     by CPython's 4300-digit limit on int -> str conversion."""
@@ -131,7 +125,7 @@ def q_int(m: int, q: QValue | Fraction) -> Fraction:
     """The q-integer [m] = (1 - q^m)/(1 - q)."""
     if m < 1:
         raise OutOfRange("q-integers need m >= 1")
-    qq = q.q if isinstance(q, QValue) else _rational(q)
+    qq = q.q if isinstance(q, QValue) else Fraction(_exact(q))
     return (1 - qq**m) / (1 - qq)
 
 
@@ -265,7 +259,7 @@ def polylog_partial(k: Index, t: Fraction, q: QValue, M: int) -> CertifiedValue:
     u = t q in place of q when the leading entry is not an unbarred 1 (then
     |t^m F_(k_1)(m)| <= (tq)^m) and u = t otherwise.
     """
-    t = _rational(t)
+    t = Fraction(_exact(t))
     if not (0 < t <= 1) or M < 1:
         raise OutOfRange(f"need 0 < t <= 1 and M >= 1, got t = {t}, M = {M}")
     if not k:

@@ -77,7 +77,7 @@ def _bilinear(u: LinComb, v: LinComb, on_basis, cls: type) -> LinComb:
         for (k2, j2), c2 in v.terms.items():
             c, j = c1 * c2, j1 + j2
             for (k, i), d in on_basis(k1, k2).terms.items():
-                _accumulate(out, (k, i + j), d * c)
+                _accumulate(out, (k, i + j), c * d)
     return cls._wrap(out)
 
 

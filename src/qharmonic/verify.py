@@ -23,7 +23,6 @@ from .algebra import (
     NcPoly,
     e_to_word,
     enumerate_indices_up_to,
-    in_I,
     index_sort_key,
     index_str,
     word_to_e,
@@ -229,8 +228,9 @@ def suite_cor_delta(order: int = 4, max_weight: int = 4):
     geo_w = geometric(NcPoly.word("ab"), order)
     for k in _sorted_indices(max_weight, "Ihat"):
         w = EPoly({k: 1})
-        lhs = ts_mul(stuffle_q, geo_e, series_const(w, order))
-        rhs = ts_mul(shuffle_q, geo_w, Delta_X(e_to_word(w), order)).map_coeffs(word_to_e)
+        # compared in words: e_to_word is injective, with word_to_e its inverse on H^1
+        lhs = ts_mul(stuffle_q, geo_e, series_const(w, order)).map_coeffs(e_to_word)
+        rhs = ts_mul(shuffle_q, geo_w, Delta_X(e_to_word(w), order))
         yield f"w={_idx_label(k)}", None if lhs == rhs else f"cor-Delta fails on e_{_idx_label(k)}"
 
 
@@ -393,11 +393,12 @@ def suite_cyc_ohno(primes=(7, 11, 13), max_weight: int = 3, max_m: int = 2):
 
 
 def _mzv_compare_witness(n: int, k):
+    """k is a nonempty index in I; the iota comparison is made in words, as in cor-delta."""
     w = z_word(*k)
     lhs = iota(mzv_partial(n, w)).scale(Fraction((-1) ** n, n))
-    if lhs != word_to_e(partial_n(n, e_to_word(iota(w)))):
+    if e_to_word(lhs) != partial_n(n, e_to_word(iota(w))):
         return f"iota comparison fails on z{k}"
-    if in_I(k) and (not k or k[0] != 1) and lhs != partial_n_e(n, iota(w)):
+    if k[0] != 1 and lhs != partial_n_e(n, iota(w)):
         return f"e-basis route disagrees on z{k}"
     return None
 

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qharmonic.algebra import (
     BAR1,
@@ -44,6 +46,22 @@ def epolys(max_terms=3):
 laurent_coeffs = st.dictionaries(st.integers(-2, 2), coeffs, min_size=1, max_size=2).map(Laurent)
 h1_words = st.lists(st.integers(0, 3), max_size=4).map(lambda runs: "".join("a" * r + "b" for r in runs))
 h1_polys = st.dictionaries(h1_words, laurent_coeffs, max_size=4).map(NcPoly)
+
+# Coprime denominators, so a wrong common denominator or a lost factor shows.
+coprime_coeffs = st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.sampled_from([1, 3, 5, 7, 11])
+)
+coprime_laurents = st.dictionaries(st.integers(-2, 2), coprime_coeffs, min_size=1, max_size=2).map(
+    Laurent
+)
+coprime_h1_polys = st.dictionaries(h1_words, coprime_laurents, max_size=5).map(NcPoly)
+
+
+def assert_exact_terms(x):
+    """Every stored coefficient of x is a nonzero int or a non-integral Fraction."""
+    for c in x.terms.values():
+        assert (type(c) is int and c) or (type(c) is Fraction and c.denominator != 1), x.terms
+
 
 B_BLOCK = EPoly({(1,): H(-1), (BAR1,): H(-1, -1)})
 
@@ -120,6 +138,32 @@ class TestWordToEAgainstPerWord:
         assert word_to_e(y) == word_to_e_per_word(y) == target + word_to_e_per_word(x)
         assert word_to_e(y - y) == word_to_e_per_word(y - y) == EPoly()
         assert word_to_e(y) + word_to_e(-y) == EPoly()
+
+    @given(coprime_h1_polys)
+    @settings(max_examples=80)
+    # aab -> e_2 - h e_1bar and h ab -> h e_1bar: the h e_1bar terms add up
+    # to an int (2/3 + 1/3), to zero (-1/3 + 1/3) or to -1/15 (-4/5 + 11/15)
+    @example(NcPoly({"aab": Fraction(-2, 3), "ab": H(1, Fraction(1, 3))}))
+    @example(NcPoly({"aab": Fraction(1, 3), "ab": H(1, Fraction(1, 3)), "b": Fraction(2, 7)}))
+    @example(NcPoly({"aab": Fraction(4, 5), "ab": H(1, Fraction(11, 15))}))
+    def test_coprime_denominators(self, x):
+        y = word_to_e(x)
+        assert y == word_to_e_per_word(x)
+        assert_exact_terms(y)
+        assert e_to_word(y) == x
+
+    def test_sums_cancel_to_ints_and_zero(self):
+        x = NcPoly({"aab": Fraction(-2, 3), "ab": H(1, Fraction(1, 3)), "b": Fraction(5, 11)})
+        y = word_to_e(x)
+        assert y.terms == {
+            ((2,), 0): Fraction(-2, 3),
+            ((BAR1,), 1): 1,
+            ((1,), -1): Fraction(5, 11),
+            ((BAR1,), -1): Fraction(-5, 11),
+        }
+        z = word_to_e(NcPoly({"aab": Fraction(1, 3), "ab": H(1, Fraction(1, 3))}))
+        assert z.terms == {((2,), 0): Fraction(1, 3)}
+        assert_exact_terms(y)
 
     @given(h1_polys, st.text(alphabet="ab", max_size=4), laurent_coeffs)
     def test_trailing_a_rejected_on_both_routes(self, x, w, c):

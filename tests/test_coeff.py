@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from laurent_oracle import constant, neg, power, sub, substitute
 from poly_oracle import BothZero, GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
+from qharmonic.algebra import EPoly, NcPoly
 from qharmonic.coeff import Laurent
 from qharmonic.cyclo import cyc_field
 from qharmonic.errors import NonInvertible
@@ -145,6 +146,33 @@ class TestLaurentExactness:
         value = substitute(a, v)
         assert type(value) in (int, Fraction)
         assert_exact(constant(a))
+
+
+class TestNoFloats:
+    """A float's binary value is not the rational meant, so every way into the
+    exact algebra refuses one (0.1 would be stored as 3602879701896397/2^55)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Laurent(0.1),
+            lambda: Laurent({1: 0.1}),
+            lambda: EPoly({(2,): 0.1}),
+            lambda: NcPoly({"ab": 0.1}),
+            lambda: NcPoly.word("ab", 0.1),
+            lambda: EPoly.gen(2).scale(0.1),
+            lambda: NcPoly.word("ab").scale(0.1, 1),
+        ],
+        ids=["Laurent", "Laurent dict", "EPoly", "NcPoly", "NcPoly.word", "EPoly.scale", "NcPoly.scale"],
+    )
+    def test_floats_raise(self, build):
+        with pytest.raises(TypeError, match="exact rational expected, got the float 0.1"):
+            build()
+
+    def test_exact_inputs_pass(self):
+        assert EPoly({(2,): Fraction(1, 10)}).terms == {((2,), 0): Fraction(1, 10)}
+        assert NcPoly({"ab": Fraction(4, 2)}).terms == {("ab", 0): 2}
+        assert NcPoly.word("ab").scale(Fraction(1, 10)).terms == {("ab", 0): Fraction(1, 10)}
 
 
 monomial_coeffs = st.sampled_from(

@@ -84,6 +84,23 @@ nc_polys = st.dictionaries(st.text(alphabet="ab", max_size=4), laurent_coeffs, m
     NcPoly
 )
 
+# Coprime denominators, so a wrong common denominator or a lost factor shows.
+coprime_coeffs = st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.sampled_from([1, 3, 5, 7, 11])
+)
+coprime_nc_polys = st.dictionaries(
+    st.text(alphabet="ab", max_size=3),
+    st.dictionaries(st.integers(-1, 1), coprime_coeffs, min_size=1, max_size=2).map(Laurent),
+    max_size=4,
+).map(NcPoly)
+
+
+def assert_exact_terms(x):
+    """Every stored coefficient of x is a nonzero int or a non-integral Fraction."""
+    for c in x.terms.values():
+        assert (type(c) is int and c) or (type(c) is Fraction and c.denominator != 1), x.terms
+
+
 e_polys = st.dictionaries(
     st.lists(st.sampled_from([1, BAR1]), max_size=3).map(tuple), laurent_coeffs, max_size=3
 ).map(EPoly)
@@ -101,6 +118,28 @@ class TestDeriveWords:
     def test_matches_product_route_on_indices(self, x, img_1, img_bar):
         images = {1: img_1, BAR1: img_bar}
         assert derive_words(x, images) == derive_words_by_products(x, images)
+
+    @given(coprime_nc_polys, coprime_nc_polys, coprime_nc_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_coprime_denominators(self, w, img_a, img_b):
+        images = {"a": img_a, "b": img_b}
+        got = derive_words(w, images)
+        assert got == derive_words_by_products(w, images)
+        assert_exact_terms(got)
+
+    def test_sums_cancel_to_ints_and_zero(self):
+        # d(ab) = d(ba) = 1/3 bb + 2/3 aa
+        images = {"a": NcPoly({"b": Fraction(1, 3)}), "b": NcPoly({"a": Fraction(2, 3)})}
+        got = derive_words(NcPoly({"ab": 1, "ba": 2}), images)
+        assert got.terms == {("bb", 0): 1, ("aa", 0): 2}
+        assert derive_words(NcPoly({"ab": Fraction(1, 5), "ba": Fraction(-1, 5)}), images).is_zero()
+        # 1/5 * 1/3 bb + 1/7 * 1/3 bb + (1/5 + 1/7) * 2/3 aa
+        got = derive_words(NcPoly({"ab": Fraction(1, 5), "ba": Fraction(1, 7)}), images)
+        assert got.terms == {("bb", 0): Fraction(4, 35), ("aa", 0): Fraction(8, 35)}
+        images = {"a": NcPoly({"b": Fraction(1, 11)}), "b": NcPoly({"b": Fraction(10, 11)})}
+        # d(ab) = 1/11 bb + 10/11 ab and d(bb) / 2 = 10/11 bb
+        got = derive_words(NcPoly({"ab": 1, "bb": Fraction(1, 2)}), images)
+        assert got.terms == {("bb", 0): 1, ("ab", 0): Fraction(10, 11)}
 
     def test_images_that_cancel(self):
         # d(a) = b, d(b) = a gives d(ab) = bb + aa = d(ba)

@@ -21,6 +21,12 @@ from qharmonic.products import psi_involution, shuffle_q, stuffle_q
 scalars = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])
 laurents = st.dictionaries(st.integers(-2, 2), scalars, min_size=1, max_size=3).map(Laurent)
 coefficients = laurents | scalars
+coprime_scalars = st.sampled_from(
+    [Fraction(n, d) for d in (3, 5, 7, 11) for n in (1, -1, d - 1, 1 - d)] + [1, -1]
+)
+coprime_laurents = st.dictionaries(st.integers(-2, 2), coprime_scalars, min_size=1, max_size=3).map(
+    Laurent
+)
 
 words = st.text(alphabet="ab", max_size=3)
 h1_words = st.lists(st.integers(0, 2), max_size=3).map(lambda r: "".join("a" * n + "b" for n in r))
@@ -131,8 +137,10 @@ class TestConversions:
         x, rx = ep(d)
         assert read(e_to_word(x)) == ref.e_to_word(rx)
 
-    @given(values(h1_words))
-    @settings(max_examples=60, deadline=None)
+    # also with denominators 3, 5, 7 and 11: the words meet on shared indices,
+    # where the parts cancel to ints or to 0
+    @given(values(h1_words) | st.dictionaries(h1_words, coprime_laurents, max_size=4))
+    @settings(max_examples=100, deadline=None)
     def test_word_to_e(self, d):
         w, rw = nc(d)
         assert read(word_to_e(w)) == ref.word_to_e(rw)

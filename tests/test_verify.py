@@ -1,13 +1,18 @@
 """Mutation tests: a suite fed one wrong coefficient must report FAIL."""
 import hashlib
+import inspect
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 from qharmonic import evalq, export, verify
-from qharmonic.algebra import EPoly, index_sort_key
+from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, index_sort_key, word_to_e
+from qharmonic.derivations import iota, mzv_partial, z_word
+from qharmonic.errors import NotInH1
 from qharmonic.evalq import CertifiedValue, tail_bound
-from qharmonic.series import TruncSeries
+from qharmonic.products import shuffle_q, stuffle_q
+from qharmonic.series import TruncSeries, geometric, series_const, ts_mul
 
 
 def bump_one_coefficient(x: EPoly) -> EPoly:
@@ -198,6 +203,98 @@ def test_mzv_compare_catches_a_wrong_partial_n(monkeypatch):
     monkeypatch.setattr(verify, "partial_n", lambda n, w: bump_smallest(good(n, w)))
     reports = verify.suite_mzv_compare(max_n=2, max_weight=2)
     assert_all_fail_with_witness(reports, "iota comparison fails")
+
+
+# --- the e-basis comparisons that mzv-compare and cor-delta made before ------
+# Both suites now compare e_to_word(lhs) with a right side in words. These
+# oracles compare lhs with word_to_e(right side), as the suites used to, and
+# read verify's partial_n, partial_n_e and Delta_X, so a patch reaches both.
+
+
+def defaults(suite):
+    return {name: p.default for name, p in inspect.signature(suite).parameters.items()}
+
+
+def mzv_compare_e_basis(max_n, max_weight):
+    verdicts = []
+    indices = [k for k in verify._sorted_indices(max_weight, "I") if k]
+    for n, k in iproduct(range(1, max_n + 1), indices):
+        w = z_word(*k)
+        lhs = iota(mzv_partial(n, w)).scale(Fraction((-1) ** n, n))
+        ok = lhs == word_to_e(verify.partial_n(n, e_to_word(iota(w))))
+        verdicts.append(ok and (k[0] == 1 or lhs == verify.partial_n_e(n, iota(w))))
+    return verdicts
+
+
+def cor_delta_e_basis(order, max_weight):
+    geo_e = geometric(EPoly.gen(BAR1), order)
+    geo_w = geometric(NcPoly.word("ab"), order)
+    verdicts = []
+    for k in verify._sorted_indices(max_weight, "Ihat"):
+        w = EPoly({k: 1})
+        lhs = ts_mul(stuffle_q, geo_e, series_const(w, order))
+        rhs = ts_mul(shuffle_q, geo_w, verify.Delta_X(e_to_word(w), order))
+        verdicts.append(lhs == rhs.map_coeffs(word_to_e))
+    return verdicts
+
+
+def longest_word(x) -> int:
+    return max((len(u) for u, _ in x.terms), default=0)
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["clean", "n=2 bumped"])
+def test_mzv_compare_agrees_with_e_basis_route(monkeypatch, mutate):
+    if mutate:
+        good = verify.partial_n
+        monkeypatch.setattr(
+            verify, "partial_n", lambda n, w: bump_smallest(good(n, w)) if n == 2 else good(n, w)
+        )
+    verdicts = [r.ok for r in verify.suite_mzv_compare()]
+    assert verdicts == mzv_compare_e_basis(**defaults(verify.suite_mzv_compare))
+    assert all(verdicts) != mutate and any(verdicts)
+
+
+def test_cor_delta_agrees_with_e_basis_route():
+    verdicts = [r.ok for r in verify.suite_cor_delta()]
+    assert verdicts == cor_delta_e_basis(**defaults(verify.suite_cor_delta))
+    assert all(verdicts)
+
+
+def bump_x1_term(s: TruncSeries) -> TruncSeries:
+    """s with 1 added to the coefficient of the smallest key of its X^1 term."""
+    return TruncSeries((s.coeffs[0], bump_smallest(s.coeffs[1])) + s.coeffs[2:])
+
+
+def test_cor_delta_agrees_with_e_basis_route_when_some_fail(monkeypatch):
+    # the bump sits at X^1, so a check that read only X^0 would pass every case
+    good = verify.Delta_X
+    monkeypatch.setattr(
+        verify,
+        "Delta_X",
+        lambda w, order: bump_x1_term(good(w, order)) if longest_word(w) > 2 else good(w, order),
+    )
+    verdicts = [r.ok for r in verify.suite_cor_delta(order=2, max_weight=3)]
+    assert verdicts == cor_delta_e_basis(order=2, max_weight=3)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_a_word_ending_in_a_fails_with_a_witness(monkeypatch):
+    # the e-basis route cannot convert such a right side at all
+    good_partial, good_delta = verify.partial_n, verify.Delta_X
+    monkeypatch.setattr(verify, "partial_n", lambda n, w: good_partial(n, w) + NcPoly.word("aba"))
+    monkeypatch.setattr(
+        verify,
+        "Delta_X",
+        lambda w, order: TruncSeries(
+            (good_delta(w, order).coeffs[0] + NcPoly.word("ba"),) + good_delta(w, order).coeffs[1:]
+        ),
+    )
+    assert_all_fail_with_witness(verify.suite_mzv_compare(max_n=2, max_weight=2), "iota comparison fails")
+    assert_all_fail_with_witness(verify.suite_cor_delta(order=2, max_weight=2), "cor-Delta fails")
+    with pytest.raises(NotInH1):
+        mzv_compare_e_basis(max_n=2, max_weight=2)
+    with pytest.raises(NotInH1):
+        cor_delta_e_basis(order=2, max_weight=2)
 
 
 def zn_duality_cases():
