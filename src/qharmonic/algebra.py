@@ -7,8 +7,8 @@ of a basis element in a homogeneous value is a single monomial c*h^j, so
 a term is stored as (basis key, j) -> c with c an exact scalar (a value
 that is not homogeneous takes one entry per power of h): a product adds
 exponents and multiplies scalars, and no Laurent polynomial is built on
-the way. The sum, the concatenation product, the scalar action and an
-in-place sum are defined once; coefficients() is the view
+the way. The sum, the concatenation product, the scalar action and their
+in-place forms are defined once; coefficients() is the view
 {key: Laurent} that printing, export and tests read. NcPoly has words
 as keys; EPoly is the same algebra written in the e-generator basis,
 with indices (tuples of entries) as keys. The generators are
@@ -173,6 +173,14 @@ def _accumulate(out: dict, key, c) -> None:
     out[key] = c if type(c) is int else _exact(c)
 
 
+def _concat_into(out: dict, u: dict, v: dict) -> dict:
+    """out += u * v in place, the concatenation product of graded terms; returns out."""
+    for (k1, j1), c1 in u.items():
+        for (k2, j2), c2 in v.items():
+            _accumulate(out, (k1 + k2, j1 + j2), c1 * c2)
+    return out
+
+
 def _int_form(*parts: dict) -> tuple[int, tuple]:
     """(D, numerators): D the lcm of the coefficient denominators in parts, and
     each part as {key: c * D}, all ints; the parts themselves when D = 1."""
@@ -182,6 +190,13 @@ def _int_form(*parts: dict) -> tuple[int, tuple]:
     return den, tuple(
         {kj: c.numerator * (den // c.denominator) for kj, c in t.items()} for t in parts
     )
+
+
+def _divided(terms: dict, den: int) -> dict:
+    """{kj: n / den} over integer terms, an int where den divides n; terms when den = 1."""
+    if den == 1:
+        return terms
+    return {kj: n // den if n % den == 0 else Fraction(n, den) for kj, n in terms.items()}
 
 
 def _times(terms: dict, c, j: int = 0) -> dict:
@@ -244,11 +259,17 @@ class LinComb:
         """The sum of parts, all of this type, accumulated in one dict."""
         out: dict = {}
         for x in parts:
-            if type(x) is not cls:
-                raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
-            for kj, c in x.terms.items():
-                _accumulate(out, kj, c)
+            cls._add_into(out, x)
         return cls._wrap(out)
+
+    @classmethod
+    def _add_into(cls, out: dict, x) -> dict:
+        """out += x in place, for x of this type; returns out."""
+        if type(x) is not cls:
+            raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
+        for kj, c in x.terms.items():
+            _accumulate(out, kj, c)
+        return out
 
     def coefficients(self) -> dict:
         """{key: Laurent}: the coefficient of each basis key as a Laurent polynomial."""
@@ -277,10 +298,7 @@ class LinComb:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for kj, c in other.terms.items():
-            _accumulate(out, kj, c)
-        return self._wrap(out)
+        return self._wrap(self._add_into(dict(self.terms), other))
 
     def __sub__(self, other):
         return self + (-other)
@@ -291,11 +309,7 @@ class LinComb:
             if isinstance(other, (Laurent, *_scalar)):
                 return self.scale(other)
             return NotImplemented
-        out: dict = {}
-        for (k1, j1), c1 in self.terms.items():
-            for (k2, j2), c2 in other.terms.items():
-                _accumulate(out, (k1 + k2, j1 + j2), c1 * c2)
-        return self._wrap(out)
+        return self._wrap(_concat_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__  # reached only for a scalar or a mismatched type
 
@@ -396,23 +410,13 @@ def enbar(n: int) -> EPoly:
 _B_BLOCK = EPoly._wrap({((1,), -1): 1, ((BAR1,), -1): -1})
 
 
-def _mul_block(n: int, tail: dict, out: dict) -> None:
-    """out += (a^n b in the e-basis) * tail, in place, on graded terms."""
-    block = enbar(n) if n else _B_BLOCK
-    for (k1, j1), c1 in block.terms.items():
-        for (k2, j2), c2 in tail.items():
-            _accumulate(out, (k1 + k2, j1 + j2), c1 * c2)
-
-
 @lru_cache(maxsize=4096)
 def _word_to_e_single(w: str) -> dict:
     """The graded e-basis terms of one word ending in b (or empty); read-only."""
     if not w:
         return {((), 0): 1}
     n = w.index("b")
-    out: dict = {}
-    _mul_block(n, _word_to_e_single(w[n + 1 :]), out)
-    return out
+    return _concat_into({}, (enbar(n) if n else _B_BLOCK).terms, _word_to_e_single(w[n + 1 :]))
 
 
 def _words_to_e(terms: dict) -> dict:
@@ -436,7 +440,7 @@ def _words_to_e(terms: dict) -> dict:
         n = w.index("b")
         groups.setdefault(n, {})[w[n + 1 :], j] = c
     for n, suffixes in groups.items():
-        _mul_block(n, _words_to_e(suffixes), out)
+        _concat_into(out, (enbar(n) if n else _B_BLOCK).terms, _words_to_e(suffixes))
     return out
 
 
@@ -446,8 +450,7 @@ def word_to_e(x: NcPoly) -> EPoly:
         if w.endswith("a"):
             raise NotInH1(f"word {w!r} ends in a")
     den, (terms,) = _int_form(x.terms)
-    out = EPoly._wrap(_words_to_e(terms))
-    return out.scale(Fraction(1, den)) if den > 1 else out
+    return EPoly._wrap(_divided(_words_to_e(terms), den))
 
 
 def left_mul_a(x: EPoly) -> EPoly:

@@ -5,13 +5,13 @@ two-letter algebra of multiple zeta values.
 
 Every exponential exp(sum X^n D_n) is one power loop, _exp_series over
 _sum_apply. Phi_X and Delta_X (delta_n, partial_n are derivations) multiply
-cached letter series, exponentials of one letter, along words. Psi_X stays on
-its definition, the loop applied to w: delta-factorization derives its
-multiplicativity from Phi_X = Psi_X Delta_X.
+cached letter series, exponentials of one letter, along words, in place into
+one dict per power of X. Psi_X stays on its definition, the loop applied to w:
+delta-factorization derives its multiplicativity from Phi_X = Psi_X Delta_X.
 
 The Leibniz rule (derive_words, _leibniz) runs on integer numerators over
 one denominator, divided out once; the letter images of delta_n, partial_n
-and mzv_partial are cached in that form.
+and mzv_partial are cached in that form. A letter with no image is a BadLetter.
 
 The Ohno pieces are pure functions of small index tuples that the Ohno,
 cyc-Ohno and export routes ask for again and again, so _dual_shift_sum,
@@ -35,15 +35,16 @@ from .algebra import (
     LinComb,
     NcPoly,
     _accumulate,
+    _divided,
     _int_form,
     binary_to_index,
     hoffman_dual,
     left_mul_a,
 )
 from .coeff import Laurent, _exact
-from .errors import BadEntry, NotInH0, NotInMzvH1
+from .errors import BadEntry, BadLetter, NotInH0, NotInMzvH1, OutOfRange
 from .products import shuffle_q
-from .series import TruncSeries, series_const, ts_mul
+from .series import TruncSeries, _cauchy_into, series_const
 
 
 def derive_words(w: LinComb, images: dict) -> LinComb:
@@ -57,13 +58,15 @@ def _leibniz(w: LinComb, den: int, imgs: dict) -> LinComb:
     """derive_words with the images as integer terms over den: {letter: terms}."""
     wden, (terms,) = _int_form(w.terms)
     out: dict = {}
-    for (word, j), c in terms.items():
-        for i, ch in enumerate(word):
-            head, tail = word[:i], word[i + 1:]
-            for (u, ju), d in imgs[ch].items():
-                _accumulate(out, (head + u + tail, j + ju), c * d)
-    den *= wden
-    return type(w)._wrap(out).scale(Fraction(1, den)) if den > 1 else type(w)._wrap(out)
+    try:
+        for (word, j), c in terms.items():
+            for i, ch in enumerate(word):
+                head, tail = word[:i], word[i + 1:]
+                for (u, ju), d in imgs[ch].items():
+                    _accumulate(out, (head + u + tail, j + ju), c * d)
+    except KeyError as e:
+        raise BadLetter(f"the derivation has no image of letter {e.args[0]!r}") from None
+    return type(w)._wrap(_divided(out, den * wden))
 
 
 @lru_cache(maxsize=None)
@@ -205,23 +208,26 @@ def _letter_series(apply_n, letter: str, order: int) -> TruncSeries:
     return _exp_series(apply_n, series_const(NcPoly.word(letter), order))
 
 
-def _hom_apply(apply_n, terms: dict, order: int) -> TruncSeries:
-    """exp(sum X^n D_n), D_n a derivation, on graded terms {(word, j): c}: words are
-    grouped by first letter, and each group's tail image is left-multiplied by its
-    letter series."""
+def _hom_apply(apply_n, w: NcPoly, order: int) -> TruncSeries:
+    """exp(sum X^n D_n)(w), D_n a derivation, truncated at X^order: each first letter's
+    series times the image of its tails goes straight into one dict per power of X."""
+    if type(w) is not NcPoly:
+        raise TypeError(f"the homomorphism takes an NcPoly, got {type(w).__name__}")
+    if order < 0:
+        raise OutOfRange(f"series order must be >= 0, got {order}")
     groups: dict[str, dict] = {}
-    for (word, j), c in terms.items():
+    for (word, j), c in w.terms.items():
         groups.setdefault(word[:1], {})[word[1:], j] = c
-    out = series_const(NcPoly._wrap(groups.pop("", {})), order)
+    outs = [groups.pop("", {})] + [{} for _ in range(order)]
     for letter, tails in groups.items():
-        head = _letter_series(apply_n, letter, order)
-        out = out + ts_mul(operator.mul, head, _hom_apply(apply_n, tails, order))
-    return out
+        tail = _hom_apply(apply_n, NcPoly._wrap(tails), order).coeffs
+        _cauchy_into(outs, operator.mul, _letter_series(apply_n, letter, order).coeffs, tail)
+    return TruncSeries(tuple(map(NcPoly._wrap, outs)))
 
 
 def Phi_X(w: NcPoly, order: int) -> TruncSeries:
     """Phi_X = exp(sum X^n delta_n) applied to w, truncated."""
-    return _hom_apply(delta_n, w.terms, order)
+    return _hom_apply(delta_n, w, order)
 
 
 def Psi_X(w: NcPoly, order: int) -> TruncSeries:
@@ -233,7 +239,7 @@ def Psi_X(w: NcPoly, order: int) -> TruncSeries:
 
 def Delta_X(w: NcPoly, order: int) -> TruncSeries:
     """Delta_X = exp(sum X^n partial_n) applied to w, truncated."""
-    return _hom_apply(partial_n, w.terms, order)
+    return _hom_apply(partial_n, w, order)
 
 
 def Psi_X_series(s: TruncSeries) -> TruncSeries:

@@ -13,6 +13,10 @@ class NotInH1(QHarmonicError):
     """A word does not end in b, so it has no e-basis expansion."""
 
 
+class BadLetter(QHarmonicError):
+    """A word has a letter, or an index an entry, that the operation has no rule for."""
+
+
 class NotInH0(QHarmonicError):
     """An e-polynomial has an index starting with an unbarred 1."""
 

@@ -13,18 +13,19 @@ _quasi_shuffle, computes both; the q-shuffle has its own recursion on
 words. Each recursion is memoized on basis pairs in its own cache; a
 cache only ever gains entries for argument pairs already fully
 determined by the rules, so results are independent of call order (and
-of thread interleaving under the GIL). The bilinear extensions
-accumulate in place. The L map of one index is an lru_cache(maxsize=4096)
-on l_map, cleared by l_map.cache_clear().
+of thread interleaving under the GIL). _IN_PLACE maps each product to its
+form that accumulates into a dict the caller passes. The L map of one index
+is an lru_cache(maxsize=4096) on l_map, cleared by l_map.cache_clear().
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
-from .algebra import BAR1, Entry, EPoly, Index, LinComb, NcPoly, _accumulate
-from .errors import BarEntry
+from .algebra import BAR1, Entry, EPoly, Index, LinComb, NcPoly, _accumulate, _concat_into
+from .errors import BadLetter, BarEntry
 
 
 def circ(k: Entry, l: Entry) -> EPoly:
@@ -67,21 +68,21 @@ def _quasi_shuffle(k1: Index, k2: Index, merge, cache: dict) -> EPoly:
     return out
 
 
-def _bilinear(u: LinComb, v: LinComb, on_basis, cls: type) -> LinComb:
-    """The bilinear extension to values of type cls of on_basis (two keys to
-    a cls value)."""
+def _bilinear(out: dict, u: LinComb, v: LinComb, on_basis, cls: type) -> dict:
+    """out += the bilinear extension of on_basis (two keys to a cls value) at
+    u and v, two values of type cls, in place on graded terms; returns out."""
     if type(u) is not cls or type(v) is not cls:
         raise TypeError(f"the product takes two {cls.__name__} values")
-    out: dict = {}
     for (k1, j1), c1 in u.terms.items():
         for (k2, j2), c2 in v.terms.items():
             c, j = c1 * c2, j1 + j2
             for (k, i), d in on_basis(k1, k2).terms.items():
                 _accumulate(out, (k, i + j), c * d)
-    return cls._wrap(out)
+    return out
 
 
 _stuffle_cache: dict[tuple[Index, Index], EPoly] = {}
+_stuffle_basis = partial(_quasi_shuffle, merge=circ, cache=_stuffle_cache)
 
 
 def stuffle_q(u: EPoly, v: EPoly) -> EPoly:
@@ -91,7 +92,7 @@ def stuffle_q(u: EPoly, v: EPoly) -> EPoly:
     source display of the unit rule reads "= 1"; the unit law "= w" is
     the only reading compatible with multiplicativity and is used here.)
     """
-    return _bilinear(u, v, lambda k1, k2: _quasi_shuffle(k1, k2, circ, _stuffle_cache), EPoly)
+    return EPoly._wrap(_bilinear({}, u, v, _stuffle_basis, EPoly))
 
 
 _shuffle_cache: dict[tuple[str, str], NcPoly] = {}
@@ -109,6 +110,8 @@ def _shuffle_words(w1: str, w2: str) -> NcPoly:
     # Fixed strategy: pull a leading b from the left argument first. When
     # both arguments start with b the two applicable rules rewrite to the
     # same element; a property test checks strategy independence.
+    if bad := (w1[0] + w2[0]).strip("ab"):
+        raise BadLetter(f"the q-shuffle takes words over a and b, got letter {bad[0]!r}")
     if w1[0] == "b":
         out = _prepend_letter("b", _shuffle_words(w1[1:], w2))
     elif w2[0] == "b":
@@ -133,7 +136,7 @@ def shuffle_q(u: NcPoly, v: NcPoly) -> NcPoly:
     b-letters factor out in front from either argument; two leading a's
     produce the three-term q-deformed rule with an h correction.
     """
-    return _bilinear(u, v, _shuffle_words, NcPoly)
+    return NcPoly._wrap(_bilinear({}, u, v, _shuffle_words, NcPoly))
 
 
 @lru_cache(maxsize=None)
@@ -162,12 +165,13 @@ def psi_involution(x: EPoly) -> EPoly:
     return EPoly.sum(_psi_index(k).scale(c, j) for (k, j), c in x.terms.items())
 
 
-_classical_cache: dict[tuple[Index, Index], EPoly] = {}
-
-
 def _add_entries(k: int, l: int) -> EPoly:
     """The classical merge of e_k and e_l: e_(k+l)."""
     return EPoly({(k + l,): 1})
+
+
+_classical_cache: dict[tuple[Index, Index], EPoly] = {}
+_classical_basis = partial(_quasi_shuffle, merge=_add_entries, cache=_classical_cache)
 
 
 def stuffle_classical(u: EPoly, v: EPoly) -> EPoly:
@@ -176,13 +180,22 @@ def stuffle_classical(u: EPoly, v: EPoly) -> EPoly:
     This is genuinely a different product from the h -> 0 limit of the
     q-stuffle on barred entries: the same recursion with another merge.
     """
-    for x in (u, v):
-        for k, _ in x.terms:
-            if not all(e is not BAR1 for e in k):
-                raise BarEntry("classical stuffle takes indices without 1bar")
-    return _bilinear(
-        u, v, lambda k1, k2: _quasi_shuffle(k1, k2, _add_entries, _classical_cache), EPoly
-    )
+    return EPoly._wrap(_stuffle_classical_into({}, u, v))
+
+
+def _stuffle_classical_into(out: dict, u: EPoly, v: EPoly) -> dict:
+    if any(e is BAR1 for x in (u, v) for k, _ in x.terms for e in k):
+        raise BarEntry("classical stuffle takes indices without 1bar")
+    return _bilinear(out, u, v, _classical_basis, EPoly)
+
+
+#: The form f(out, u, v) of each product that adds u * v to graded terms out in place.
+_IN_PLACE = {
+    operator.mul: lambda out, u, v: _concat_into(out, u.terms, v.terms),
+    stuffle_q: lambda out, u, v: _bilinear(out, u, v, _stuffle_basis, EPoly),
+    shuffle_q: lambda out, u, v: _bilinear(out, u, v, _shuffle_words, NcPoly),
+    stuffle_classical: _stuffle_classical_into,
+}
 
 
 @lru_cache(maxsize=4096)

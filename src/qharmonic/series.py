@@ -1,10 +1,10 @@
 """Truncated power series in X over the word algebra or the e-basis.
 
 A TruncSeries of order N stores the coefficients of X^0 .. X^N; all
-arithmetic truncates at X^N. ts_mul, ts_exp and ts_log take the
-coefficient product itself as their first argument -- operator.mul for
-concatenation, or shuffle_q, stuffle_q or stuffle_classical -- so exp
-and log work uniformly for all four.
+arithmetic truncates at X^N. ts_mul, ts_exp and ts_log take the coefficient
+product itself as their first argument -- operator.mul for concatenation, or
+shuffle_q, stuffle_q or stuffle_classical -- so exp and log work uniformly
+for all four; ts_mul adds each product in place into one dict per power of X.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from math import factorial
 from .algebra import NcPoly
 from .coeff import Laurent
 from .errors import BadConstantTerm, OrderMismatch, OutOfRange
+from .products import _IN_PLACE
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,18 @@ def series_one(like, order: int) -> TruncSeries:
 def ts_mul(mul, s: TruncSeries, t: TruncSeries) -> TruncSeries:
     """Cauchy product with mul as the product of coefficients."""
     _check_orders(s, t)
-    a, b = s.coeffs, t.coeffs
-    return TruncSeries(
-        tuple(
-            type(a[0]).sum(
-                mul(a[i], b[m - i]) for i in range(m + 1) if a[i] and b[m - i]
-            )
-            for m in range(len(a))
-        )
-    )
+    outs = [{} for _ in s.coeffs]
+    _cauchy_into(outs, mul, s.coeffs, t.coeffs)
+    return TruncSeries(tuple(map(type(s.coeffs[0])._wrap, outs)))
+
+
+def _cauchy_into(outs: list, mul, a: tuple, b: tuple) -> None:
+    """outs[m] += sum over i <= m of mul(a_i, b_(m-i)), in place on graded terms."""
+    into = _IN_PLACE.get(mul) or (lambda out, x, y: type(x)._add_into(out, mul(x, y)))
+    for m, out in enumerate(outs):
+        for i in range(m + 1):
+            if a[i] and b[m - i]:
+                into(out, a[i], b[m - i])
 
 
 def _power_sum(mul, f: TruncSeries, weight) -> TruncSeries:

@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cauchy_oracle import hom_apply_by_sums
 from exp_oracle import _exp_apply
 from laurent_oracle import constant
 from lemmas import rho_s, series_log_one_plus_hbx
@@ -29,7 +30,7 @@ from qharmonic.derivations import (
     partial_n_e,
     z_word,
 )
-from qharmonic.errors import NotInH0, NotInMzvH1, OutOfRange
+from qharmonic.errors import BadLetter, NotInH0, NotInMzvH1, OutOfRange
 from qharmonic.products import shuffle_q
 from qharmonic.series import (
     TruncSeries,
@@ -308,6 +309,58 @@ class TestHomomorphismRoute:
 
 
 WORDS_TO_4 = ["".join(t) for m in range(5) for t in iproduct("ab", repeat=m)]
+HOMOMORPHISMS = [(Phi_X, delta_n), (Delta_X, partial_n)]
+
+
+class TestInPlaceHomomorphism:
+    """Phi_X and Delta_X accumulate each letter series times its tail image in
+    one dict per power of X; the oracle adds series of products
+    (hom_apply_by_sums)."""
+
+    @pytest.mark.parametrize("op, derivation", HOMOMORPHISMS, ids=["Phi_X", "Delta_X"])
+    def test_words_agree_with_sum_of_products(self, op, derivation):
+        for w in WORDS_TO_4:
+            got = op(NcPoly.word(w), 4)
+            assert got == hom_apply_by_sums(derivation, NcPoly.word(w).terms, 4), w
+            for c in got.coeffs:
+                assert_exact_terms(c)
+
+    @pytest.mark.parametrize("op, derivation", HOMOMORPHISMS, ids=["Phi_X", "Delta_X"])
+    def test_mixed_coefficients_agree(self, op, derivation):
+        # Words sharing prefixes, with coefficients that cancel across groups.
+        x = NcPoly(
+            {"": H(-1, 3), "ab": Fraction(1, 3), "aab": Fraction(2, 3), "ba": H(2), "bab": -1}
+        )
+        got = op(x, 4)
+        assert got == hom_apply_by_sums(derivation, x.terms, 4)
+        for c in got.coeffs:
+            assert_exact_terms(c)
+
+    @pytest.mark.parametrize("op", [Phi_X, Delta_X], ids=["Phi_X", "Delta_X"])
+    def test_other_presentation_rejected(self, op):
+        before = op(NcPoly.word("ab"), 2)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                op(EPoly.gen(2), 2)
+        assert op(NcPoly.word("ab"), 2) == before
+
+    @pytest.mark.parametrize(
+        "apply, w, letter",
+        [
+            (Phi_X, "xb", "x"),
+            (Delta_X, "ay", "y"),
+            (lambda w, order: d_n(1, w), "xy", "x"),
+            (lambda w, order: delta_n(1, w), "xy", "x"),
+            (lambda w, order: partial_n(2, w), "bz", "z"),
+            (lambda w, order: mzv_partial(1, w), "ab", "a"),
+        ],
+        ids=["Phi_X", "Delta_X", "d_n", "delta_n", "partial_n", "mzv_partial"],
+    )
+    def test_foreign_letters_rejected(self, apply, w, letter):
+        for _ in range(2):
+            with pytest.raises(BadLetter, match=repr(letter)):
+                apply(NcPoly.word(w), 2)
+        assert delta_n(1, NcPoly.word("b")) == NcPoly({"bab": 1, "ab": 1})
 
 
 class TestPowerLoop:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, in_Ihat0, word_to_e
 from qharmonic.coeff import Laurent
-from qharmonic.errors import BarEntry
+from qharmonic.errors import BadLetter, BarEntry
 from qharmonic.products import (
     circ,
     l_map,
@@ -190,6 +190,16 @@ class TestShuffle:
     def test_associative(self, w1, w2, w3):
         a, b, c = NcPoly.word(w1), NcPoly.word(w2), NcPoly.word(w3)
         assert shuffle_q(shuffle_q(a, b), c) == shuffle_q(a, shuffle_q(b, c))
+
+    @pytest.mark.parametrize(
+        "w1, w2, letter", [("xy", "ab", "x"), ("ab", "xy", "x"), ("ba", "ay", "y"), ("b", "c", "c")]
+    )
+    def test_foreign_letters_rejected(self, w1, w2, letter):
+        # Each call raises again: a failed pair leaves no cache entry behind.
+        for _ in range(2):
+            with pytest.raises(BadLetter, match=repr(letter)):
+                shuffle_q(NcPoly.word(w1), NcPoly.word(w2))
+        assert shuffle_q(NcPoly.word("ab"), NcPoly.word("ab")) == NcPoly({"abab": 2, "abb": H()})
 
     def test_closure_in_h1_and_h0(self):
         from qharmonic.algebra import enumerate_indices_up_to

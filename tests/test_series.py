@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cauchy_oracle import ts_mul_by_sums
 from qharmonic.algebra import BAR1, EPoly, NcPoly, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.errors import BadConstantTerm, OrderMismatch
@@ -61,6 +62,73 @@ class TestMul:
                 series_one(NcPoly.one(), 2),
                 series_one(NcPoly.one(), 3),
             )
+
+
+def concat_reversed(x, y):
+    """A product outside ts_mul's table of in-place forms: y x."""
+    return y * x
+
+
+def assert_exact_terms(x):
+    """Every stored coefficient of x is a nonzero int or a non-integral Fraction."""
+    for c in x.terms.values():
+        assert (type(c) is int and c) or (type(c) is Fraction and c.denominator != 1), x.terms
+
+
+scalars = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
+h_coeffs = st.dictionaries(st.integers(-1, 2), scalars, min_size=1, max_size=2).map(Laurent)
+
+
+def combs(cls, keys):
+    return st.dictionaries(keys, h_coeffs, max_size=3).map(cls)
+
+
+WORD_COMBS = combs(NcPoly, st.text(alphabet="ab", max_size=3))
+PRODUCTS = [
+    (operator.mul, WORD_COMBS),
+    (shuffle_q, WORD_COMBS),
+    (stuffle_q, combs(EPoly, st.lists(st.sampled_from([1, 2, BAR1]), max_size=2).map(tuple))),
+    (stuffle_classical, combs(EPoly, st.lists(st.sampled_from([1, 2, 3]), max_size=2).map(tuple))),
+    (concat_reversed, WORD_COMBS),
+]
+PRODUCT_IDS = ["concat", "shuffle_q", "stuffle_q", "stuffle_classical", "outside_table"]
+
+
+class TestInPlaceCauchy:
+    """ts_mul accumulates every product in one dict per power of X; the oracle
+    sums the products as values (ts_mul_by_sums)."""
+
+    @pytest.mark.parametrize("mul, comb_values", PRODUCTS, ids=PRODUCT_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), order=st.integers(0, 4))
+    def test_agrees_with_sum_of_products(self, mul, comb_values, data, order):
+        pair = st.lists(comb_values, min_size=order + 1, max_size=order + 1).map(tuple)
+        s, t = TruncSeries(data.draw(pair)), TruncSeries(data.draw(pair))
+        got = ts_mul(mul, s, t)
+        assert got == ts_mul_by_sums(mul, s, t)
+        for c in got.coeffs:
+            assert_exact_terms(c)
+
+    @pytest.mark.parametrize("mul, comb_values", PRODUCTS, ids=PRODUCT_IDS)
+    def test_sums_cancel_to_ints_and_zero(self, mul, comb_values):
+        cls = EPoly if mul in (stuffle_q, stuffle_classical) else NcPoly
+        u = cls({(1, 2) if cls is EPoly else "ab": Fraction(1, 3)})
+        v = cls({(2,) if cls is EPoly else "b": H()})
+        # u carries 1/3: the X^1 coefficient uv + 2uv sums thirds to integers,
+        # and the X^2 coefficient -3uv + 2uv + uv cancels to zero.
+        s = TruncSeries((u, u.scale(2), u))
+        t = TruncSeries((v, v, v.scale(-3)))
+        got = ts_mul(mul, s, t)
+        assert got == ts_mul_by_sums(mul, s, t)
+        assert got.coeffs[1] and all(type(c) is int for c in got.coeffs[1].terms.values())
+        assert got.coeffs[2].terms == {}
+
+    def test_mismatched_types_outside_table(self):
+        w_series, e_series = series_one(NcPoly.one(), 1), series_one(EPoly.one(), 1)
+        with pytest.raises(TypeError):
+            ts_mul(lambda x, y: word_to_e(x * y), w_series, w_series)
+        with pytest.raises(TypeError):
+            ts_mul(operator.mul, w_series, e_series)
 
 
 class TestExpLog:
