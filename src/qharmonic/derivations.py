@@ -3,10 +3,11 @@ Phi_X, Psi_X, Delta_X built from them, plus the index combinatorics feeding
 the Ohno-type relations and the comparison embedding from the classical
 two-letter algebra of multiple zeta values.
 
-Every exponential exp(sum X^n D_n) is one power loop, _exp_series over
-_sum_apply. Phi_X and Delta_X (delta_n, partial_n are derivations) multiply
-cached letter series, exponentials of one letter, along words, in place into
-one dict per power of X. Psi_X stays on its definition, the loop applied to w:
+Every exponential exp(sum X^n D_n) is one derivative recursion, _exp_series,
+which needs the D_n to commute; delta-factorization checks that they do.
+Phi_X and Delta_X (delta_n, partial_n are derivations) multiply cached letter
+series, exponentials of one letter, along words, in place into one dict per
+power of X. Psi_X stays on its definition, the recursion applied to w:
 delta-factorization derives its multiplicativity from Phi_X = Psi_X Delta_X.
 
 The Leibniz rule (derive_words, _leibniz) runs on integer numerators over
@@ -26,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb
 
 from .algebra import (
     BAR1,
@@ -37,6 +38,7 @@ from .algebra import (
     _accumulate,
     _divided,
     _int_form,
+    _times,
     binary_to_index,
     hoffman_dual,
     left_mul_a,
@@ -179,27 +181,25 @@ def partial_n_e(n: int, x: EPoly) -> EPoly:
 # --- the exponential homomorphisms -----------------------------------------
 
 
-def _sum_apply(apply_n, s: TruncSeries) -> TruncSeries:
-    """(sum_n X^n D_n)(s), truncated at s's order: the X^m coefficient is
-    sum over i < m of D_(m-i)(s_i)."""
-    c = s.coeffs
-    cls = type(c[0])
-    return TruncSeries(
-        tuple(cls.sum(apply_n(m - i, c[i]) for i in range(m) if c[i]) for m in range(len(c)))
-    )
-
-
 def _exp_series(apply_n, s: TruncSeries) -> TruncSeries:
-    """exp(sum_n X^n D_n)(s) = sum over r <= order of (sum_n X^n D_n)^r(s) / r!.
-
-    Each power is built from the last by _sum_apply, so equal terms merge
-    before the next D_j acts, and is scaled once."""
-    powers = [s]
-    for _ in range(s.order):
-        powers.append(_sum_apply(apply_n, powers[-1]))
-    terms = [p.scale(Fraction(1, factorial(r))) for r, p in enumerate(powers)]
-    cls = type(s.coeffs[0])
-    return TruncSeries(tuple(cls.sum(cs) for cs in zip(*(t.coeffs for t in terms))))
+    """exp(sum_n X^n D_n)(s), truncated at s's order, for pairwise commuting D_n.
+    From each E_0 = s_i, E_m = (1/m) sum over j <= m of j D_j(E_(m-j)) is built
+    in one dict, scaled once, and added straight into the X^(i+m) coefficient."""
+    c, cls = s.coeffs, type(s.coeffs[0])
+    outs = [cls._add_into({}, x) for x in c]
+    for i, si in enumerate(c):
+        if not si:
+            continue
+        es = [si]
+        for m in range(1, len(c) - i):
+            acc: dict = {}
+            for j in range(1, m + 1):
+                if es[m - j]:
+                    for kj, v in apply_n(j, es[m - j]).terms.items():
+                        _accumulate(acc, kj, v * j if j > 1 else v)
+            es.append(cls._wrap(_times(acc, Fraction(1, m))))
+            cls._add_into(outs[i + m], es[m])
+    return TruncSeries(tuple(map(cls._wrap, outs)))
 
 
 @lru_cache(maxsize=32)

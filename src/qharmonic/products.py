@@ -99,19 +99,18 @@ _shuffle_cache: dict[tuple[str, str], NcPoly] = {}
 
 
 def _shuffle_words(w1: str, w2: str) -> NcPoly:
-    if not w1:
-        return NcPoly({w2: 1})
-    if not w2:
-        return NcPoly({w1: 1})
-    key = (w1, w2)
-    hit = _shuffle_cache.get(key)
-    if hit is not None:
-        return hit
+    if w1 and w2:
+        hit = _shuffle_cache.get((w1, w2))
+        if hit is not None:
+            return hit
+    # A cache miss or the unit rule checks every letter; a hit was checked.
+    if bad := (w1 + w2).strip("ab"):
+        raise BadLetter(f"the q-shuffle takes words over a and b, got letter {bad[0]!r}")
+    if not w1 or not w2:
+        return NcPoly({w1 + w2: 1})
     # Fixed strategy: pull a leading b from the left argument first. When
     # both arguments start with b the two applicable rules rewrite to the
     # same element; a property test checks strategy independence.
-    if bad := (w1[0] + w2[0]).strip("ab"):
-        raise BadLetter(f"the q-shuffle takes words over a and b, got letter {bad[0]!r}")
     if w1[0] == "b":
         out = _prepend_letter("b", _shuffle_words(w1[1:], w2))
     elif w2[0] == "b":
@@ -122,7 +121,7 @@ def _shuffle_words(w1: str, w2: str) -> NcPoly:
             [_shuffle_words(w1, v), _shuffle_words(u, w2), _shuffle_words(u, v).scale(1, 1)]
         )
         out = _prepend_letter("a", inner)
-    _shuffle_cache[key] = out
+    _shuffle_cache[w1, w2] = out
     return out
 
 

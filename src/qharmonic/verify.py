@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .algebra import (
     BAR1,
@@ -44,7 +44,9 @@ from .derivations import (
     Psi_X_series,
     _dual_shift_sum,
     _shift_sum,
+    d_n,
     delta_expansion,
+    delta_n,
     iota,
     mzv_partial,
     partial_n,
@@ -188,10 +190,19 @@ def _one_minus_e1bar_x(like, order: int) -> TruncSeries:
 
 @_suite("delta-factorization")
 def suite_delta_factorization(order: int = 4, max_weight: int = 4, delta_order: int = 6):
-    """The rewrites Phi_X = (1-e_1bar X)(1/(1-e_1bar X) *_q -) and
-    Psi_X = (1-e_1bar X)(1/(1-e_1bar X) sh_q -), and Phi_X = Psi_X Delta_X."""
+    """[D_i, D_j] = 0 for d_n on words of length <= 4 and for the derivations delta_n,
+    partial_n on letters; the rewrites Phi_X = (1-e_1bar X)(1/(1-e_1bar X) *_q -)
+    and Psi_X = (1-e_1bar X)(1/(1-e_1bar X) sh_q -); and Phi_X = Psi_X Delta_X."""
     if order < 1:
         raise OutOfRange("delta-factorization needs order >= 1")
+    short = [NcPoly.word("".join(t)) for m in range(5) for t in iproduct("ab", repeat=m)]
+    letters = [NcPoly.word("a"), NcPoly.word("b")]
+    for name, op, top, words in (("d", d_n, 6, short), ("delta", delta_n, 5, letters),
+                                 ("partial", partial_n, 5, letters)):
+        for i, j in combinations(range(1, top + 1), 2):
+            bad = next((w for w in words if op(i, op(j, w)) != op(j, op(i, w))), None)
+            witness = None if bad is None else f"[{name}_{i}, {name}_{j}]({bad}) != 0"
+            yield f"[{name}_{i}, {name}_{j}] = 0 on {len(words)} words", witness
     basis = _sorted_indices(max_weight, "Ihat")
     geo_e = geometric(EPoly.gen(BAR1), order)
     geo_w = geometric(NcPoly.word("ab"), order)

@@ -1,9 +1,14 @@
-"""exp(sum_n X^n D_n)(w) by enumerating compositions: the route the package's
-power loop (derivations._exp_series) replaced, kept here as the reference.
+"""exp(sum_n X^n D_n) by the two routes the package's derivative recursion
+(derivations._exp_series) replaced, kept here as references.
 
-It walks every composition (j_1..j_r) of each m with an explicit stack,
-applies D_j along each prefix and scales every term by 1/r! as it
+_exp_apply walks every composition (j_1..j_r) of each m with an explicit
+stack, applies D_j along each prefix and scales every term by 1/r! as it
 accumulates, so no two compositions share work beyond a common prefix.
+
+_exp_powers is the power loop: it builds each power of A = sum_n X^n D_n
+from the last by _sum_apply, so equal terms merge before the next D_j
+acts, and scales the r-th power once by 1/r!. Neither route assumes that
+the D_n commute.
 """
 from fractions import Fraction
 from math import factorial
@@ -11,6 +16,7 @@ from math import factorial
 from qharmonic.algebra import _accumulate
 from qharmonic.coeff import _exact
 from qharmonic.errors import OutOfRange
+from qharmonic.series import TruncSeries
 
 
 def _exp_apply(apply_n, w, order: int) -> list:
@@ -36,3 +42,23 @@ def _exp_apply(apply_n, w, order: int) -> list:
                 _accumulate(totals[m + j], kj, v * c)
             stack.append((y, m + j, r + 1))
     return [type(w)._wrap(t) for t in totals]
+
+
+def _sum_apply(apply_n, s: TruncSeries) -> TruncSeries:
+    """(sum_n X^n D_n)(s), truncated at s's order: the X^m coefficient is
+    sum over i < m of D_(m-i)(s_i)."""
+    c = s.coeffs
+    cls = type(c[0])
+    return TruncSeries(
+        tuple(cls.sum(apply_n(m - i, c[i]) for i in range(m) if c[i]) for m in range(len(c)))
+    )
+
+
+def _exp_powers(apply_n, s: TruncSeries) -> TruncSeries:
+    """exp(sum_n X^n D_n)(s) = sum over r <= order of (sum_n X^n D_n)^r(s) / r!."""
+    powers = [s]
+    for _ in range(s.order):
+        powers.append(_sum_apply(apply_n, powers[-1]))
+    terms = [p.scale(Fraction(1, factorial(r))) for r, p in enumerate(powers)]
+    cls = type(s.coeffs[0])
+    return TruncSeries(tuple(cls.sum(cs) for cs in zip(*(t.coeffs for t in terms))))

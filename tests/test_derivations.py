@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cauchy_oracle import hom_apply_by_sums
-from exp_oracle import _exp_apply
+from exp_oracle import _exp_apply, _exp_powers, _sum_apply
 from laurent_oracle import constant
 from lemmas import rho_s, series_log_one_plus_hbx
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, word_to_e
@@ -19,7 +19,6 @@ from qharmonic.derivations import (
     Psi_X_series,
     _exp_series,
     _letter_series,
-    _sum_apply,
     a_s_index,
     d_n,
     delta_n,
@@ -364,17 +363,28 @@ class TestInPlaceHomomorphism:
 
 
 class TestPowerLoop:
-    """_exp_series, the one power loop behind the letter series, Psi_X and
-    Psi_X_series, against the composition-stack oracle _exp_apply."""
+    """_exp_series, the derivative recursion behind the letter series, Psi_X
+    and Psi_X_series, against the power loop _exp_powers and the
+    composition-stack oracle _exp_apply, neither of which assumes that the
+    D_n commute. == cannot tell an int from Fraction(n, 1), so every stored
+    coefficient is also checked to be a nonzero int or a non-integral
+    Fraction."""
+
+    @staticmethod
+    def assert_exact_series(s: TruncSeries):
+        for c in s.coeffs:
+            assert_exact_terms(c)
 
     @pytest.mark.parametrize(
         "derivation, order", [(d_n, 5), (delta_n, 5), (partial_n, 4)], ids=["d", "delta", "partial"]
     )
     def test_words_agree_with_oracle(self, derivation, order):
         for w in WORDS_TO_4:
-            x = NcPoly.word(w)
-            got = _exp_series(derivation, series_const(x, order))
-            assert got == TruncSeries(tuple(_exp_apply(derivation, x, order))), w
+            s = series_const(NcPoly.word(w), order)
+            got = _exp_series(derivation, s)
+            assert got == TruncSeries(tuple(_exp_apply(derivation, s.coeffs[0], order))), w
+            assert got == _exp_powers(derivation, s), w
+            self.assert_exact_series(got)
 
     @settings(max_examples=25, deadline=None)
     @given(coeffs=st.lists(nc_polys, min_size=2, max_size=5).filter(lambda cs: any(cs[1:])))
@@ -387,7 +397,32 @@ class TestPowerLoop:
             for j, piece in enumerate(_exp_apply(d_n, c, order - i)):
                 parts[i + j].append(piece)
         want = TruncSeries(tuple(NcPoly.sum(p) for p in parts))
-        assert Psi_X_series(TruncSeries(tuple(coeffs))) == want
+        s = TruncSeries(tuple(coeffs))
+        got = Psi_X_series(s)
+        assert got == want
+        assert got == _exp_powers(d_n, s)
+        self.assert_exact_series(got)
+
+    def test_zero_and_order_zero(self):
+        for order in (0, 3):
+            zero = series_const(NcPoly.zero(), order)
+            assert Psi_X(NcPoly.zero(), order) == zero
+            assert Psi_X_series(zero) == zero
+        x = NcPoly({"ab": Fraction(1, 3), "b": H()})
+        assert Psi_X(x, 0) == series_const(x, 0) == _exp_powers(d_n, series_const(x, 0))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (NcPoly.word("b"), EPoly.gen(2)),
+            (NcPoly.word("b"), EPoly.zero()),
+            (EPoly.gen(2), NcPoly.word("b")),
+        ],
+        ids=["nc-e", "nc-zero-e", "e-nc"],
+    )
+    def test_mixed_presentations_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            Psi_X_series(TruncSeries(coeffs))
 
 
 GRADED_WORDS = ["".join(t) for m in range(4) for t in iproduct("ab", repeat=m)]

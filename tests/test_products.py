@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -192,13 +193,30 @@ class TestShuffle:
         assert shuffle_q(shuffle_q(a, b), c) == shuffle_q(a, shuffle_q(b, c))
 
     @pytest.mark.parametrize(
-        "w1, w2, letter", [("xy", "ab", "x"), ("ab", "xy", "x"), ("ba", "ay", "y"), ("b", "c", "c")]
+        "w1, w2, letter",
+        [
+            ("xy", "ab", "x"),
+            ("ab", "xy", "x"),
+            ("ba", "ay", "y"),
+            ("b", "c", "c"),
+            ("ax", "b", "x"),
+            ("bx", "b", "x"),
+            ("aab", "abzb", "z"),
+            ("b", "ax", "x"),
+            ("ab", "bay", "y"),
+            ("ax", "", "x"),
+            ("", "bx", "x"),
+        ],
     )
     def test_foreign_letters_rejected(self, w1, w2, letter):
-        # Each call raises again: a failed pair leaves no cache entry behind.
+        # A foreign letter anywhere, leading or not, raises; the call raises
+        # again, also once the pairs of the words with every foreign letter
+        # made a b are cached: a failed pair leaves no cache entry behind.
+        u, v = NcPoly.word(w1), NcPoly.word(w2)
         for _ in range(2):
             with pytest.raises(BadLetter, match=repr(letter)):
-                shuffle_q(NcPoly.word(w1), NcPoly.word(w2))
+                shuffle_q(u, v)
+            shuffle_q(NcPoly.word(re.sub("[^ab]", "b", w1)), NcPoly.word(re.sub("[^ab]", "b", w2)))
         assert shuffle_q(NcPoly.word("ab"), NcPoly.word("ab")) == NcPoly({"abab": 2, "abb": H()})
 
     def test_closure_in_h1_and_h0(self):

@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from qharmonic import evalq, export, verify
+from qharmonic import derivations, evalq, export, verify
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, index_sort_key, word_to_e
 from qharmonic.derivations import iota, mzv_partial, z_word
 from qharmonic.errors import NotInH1
@@ -122,6 +122,57 @@ def test_cor_delta_catches_a_wrong_delta_x(monkeypatch):
 def test_delta_factorization_catches_a_wrong_delta_x(monkeypatch):
     bump_delta_x(monkeypatch)
     assert_all_fail_with_witness(delta_factorization_cases(), "Phi_X != Psi_X Delta_X")
+
+
+def commutator_cases():
+    """{family: its [D_i, D_j] = 0 reports} from one small delta-factorization run."""
+    out: dict = {}
+    for r in verify.suite_delta_factorization(order=1, max_weight=1, delta_order=2):
+        if r.case.startswith("["):
+            out.setdefault(r.case[1:].split("_")[0], []).append(r)
+    return out
+
+
+def assert_pairs_with_2_fail(reports, family):
+    # [D_i, D_j] = 0 fails exactly for the pairs holding the perturbed D_2
+    assert reports and all(r.ok == ("_2," not in r.case and "_2]" not in r.case) for r in reports)
+    assert_all_fail_with_witness([r for r in reports if not r.ok], f"[{family}_")
+
+
+@pytest.fixture
+def fresh_letter_series():
+    """Cold letter series before and after, so none built from a perturbed
+    derivation outlives the test."""
+    derivations._letter_series.cache_clear()
+    yield
+    derivations._letter_series.cache_clear()
+
+
+def test_delta_factorization_catches_a_wrong_delta_image(monkeypatch, fresh_letter_series):
+    cases = commutator_cases()
+    assert sorted(cases) == ["d", "delta", "partial"]
+    assert all(r.ok for reports in cases.values() for r in reports)
+    good = derivations._delta_images
+
+    def bumped(n):
+        den, images = good(n)
+        if n != 2:
+            return den, images
+        return den, {**images, "b": {**images["b"], ("b", 0): 1}}  # delta_2(b) += b/2
+
+    monkeypatch.setattr(derivations, "_delta_images", bumped)
+    cases = commutator_cases()
+    assert_pairs_with_2_fail(cases["delta"], "delta")
+    assert all(r.ok for r in cases["d"] + cases["partial"])
+
+
+def test_delta_factorization_catches_a_wrong_d_n(monkeypatch):
+    good = verify.d_n
+    a = NcPoly.word("a")
+    monkeypatch.setattr(verify, "d_n", lambda n, w: good(n, w) + a * w if n == 2 else good(n, w))
+    cases = commutator_cases()
+    assert_pairs_with_2_fail(cases["d"], "d")
+    assert all(r.ok for r in cases["delta"] + cases["partial"])
 
 
 @pytest.fixture
