@@ -11,6 +11,7 @@ from .algebra import (
     BAR1,
     EPoly,
     LinComb,
+    MzvPoly,
     NcPoly,
     e_to_word,
     enumerate_indices,

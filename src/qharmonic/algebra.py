@@ -29,7 +29,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from .coeff import Laurent, _exact, _monomial_str, _scalar
-from .errors import BadEntry, EmptyIndex, HasBarEntry, NotInH1
+from .errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1
 
 
 class _Bar1:
@@ -86,7 +86,7 @@ def in_I0(k: Index) -> bool:
 def check_entry(e) -> Entry:
     if e is BAR1:
         return e
-    if isinstance(e, int) and e >= 1:
+    if type(e) is int and e >= 1:
         return e
     raise BadEntry(f"index entries are 1bar or integers >= 1, got {e!r}")
 
@@ -210,15 +210,15 @@ def _times(terms: dict, c, j: int = 0) -> dict:
 class LinComb:
     """A sparse linear combination of basis keys over Q[h, h^-1].
 
-    terms maps (key, j) to the nonzero coefficient c of h^j key, an int
-    when integral and a Fraction otherwise. Keys are words (str) in NcPoly
-    and indices (tuples) in EPoly; both concatenate with +, which is the
-    product of basis elements. The constructor takes {key: coefficient}
-    with int, Fraction or Laurent coefficients, and coefficients() gives
-    that view back. A subclass sets the unit key and the normalisation of
-    keys given to the constructor. Values of different subclasses never
-    compare equal and never combine: the arithmetic returns NotImplemented
-    on a mismatch. Values are immutable by convention.
+    terms maps (key, j) to the nonzero coefficient c of h^j key, an int when
+    integral and a Fraction otherwise. Keys are words (str) in NcPoly and MzvPoly,
+    indices (tuples) in EPoly; both concatenate with +, the product of basis
+    elements. The constructor takes {key: coefficient} with int, Fraction or
+    Laurent coefficients, and checks each key with the subclass's _key, the one
+    place keys are checked; _wrap checks nothing, for keys built from checked ones.
+    coefficients() gives that view back. Values of different subclasses never
+    compare equal and never combine: the arithmetic returns NotImplemented on a
+    mismatch. Values are immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -230,13 +230,14 @@ class LinComb:
         if terms:
             key = self._key
             for k, c in terms.items():
+                k = key(k)
                 if isinstance(c, Laurent):
                     for j, v in c.terms.items():
-                        out[key(k), j] = v
+                        out[k, j] = v
                 else:
                     c = _exact(c)
                     if c:
-                        out[key(k), 0] = c
+                        out[k, 0] = c
         self.terms = out
 
     @classmethod
@@ -325,11 +326,19 @@ class LinComb:
 
 
 class NcPoly(LinComb):
-    """Sparse noncommutative polynomial over Q[h, h^-1], words over 'ab'."""
+    """Sparse noncommutative polynomial over Q[h, h^-1], words over 'ab'. The
+    constructor raises BadLetter on a key that is not a str over _letters."""
 
     __slots__ = ()
     _unit = ""
-    _key = str
+    _letters = "ab"
+
+    @classmethod
+    def _key(cls, w):
+        bad = w.strip(cls._letters) if type(w) is str else [w]
+        if bad:
+            raise BadLetter(f"{cls.__name__} words use the letters {cls._letters}, got {bad[0]!r}")
+        return w
 
     @classmethod
     def word(cls, w: str, coeff=1) -> "NcPoly":
@@ -340,23 +349,32 @@ class NcPoly(LinComb):
         return _render_terms([(w or "1", c) for w, c in items], unit="1")
 
 
+class MzvPoly(NcPoly):
+    """Words over 'xy', the classical two-letter algebra of multiple zeta values.
+    It shares NcPoly's code, not its values: the two never add, multiply or compare equal."""
+
+    __slots__ = ()
+    _letters = "xy"
+
+
 class EPoly(LinComb):
     """Sparse element of the e-generator algebra: indices over Q[h, h^-1].
 
-    Its concatenation product is that of Hhat1, which is free on the e_k.
+    Its concatenation product is that of Hhat1, which is free on the e_k. A key
+    is any iterable of entries; the constructor raises BadEntry on a bad entry.
     """
 
     __slots__ = ()
     _unit = ()
-    _key = tuple
+    _key = staticmethod(lambda k: tuple(map(check_entry, k)))
 
     @classmethod
     def gen(cls, entry: Entry, coeff=1) -> "EPoly":
-        return cls({(check_entry(entry),): coeff})
+        return cls({(entry,): coeff})
 
     @classmethod
     def from_index(cls, k: Iterable[Entry], coeff=1) -> "EPoly":
-        return cls({tuple(check_entry(e) for e in k): coeff})
+        return cls({tuple(k): coeff})
 
     def prepend(self, entry: Entry, coeff=1, j: int = 0) -> "EPoly":
         """Left-multiply by coeff h^j e_entry, coeff a scalar or a Laurent polynomial."""

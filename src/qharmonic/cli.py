@@ -37,12 +37,6 @@ EXIT_USAGE = 2
 PROFILE_ROWS = 15
 
 
-def _parse_word(text: str) -> NcPoly:
-    if any(ch not in "ab" for ch in text):
-        raise QHarmonicError(f"words use the letters a and b, got {text!r}")
-    return NcPoly.word(text)
-
-
 def _is_word(text: str) -> bool:
     return text != "" and all(ch in "ab" for ch in text)
 
@@ -263,22 +257,22 @@ def _dispatch(args) -> int:
         prod = stuffle_classical if args.classical else stuffle_q
         print(prod(EPoly({left: 1}), EPoly({right: 1})), file=out)
     elif args.command == "shuffle":
-        res = shuffle_q(_parse_word(args.left), _parse_word(args.right))
+        res = shuffle_q(NcPoly.word(args.left), NcPoly.word(args.right))
         print(word_to_e(res) if args.to_e else res, file=out)
     elif args.command == "dual":
         print(index_str(hoffman_dual(parse_index(args.index))), file=out)
     elif args.command == "partial":
         if _is_word(args.target):
-            print(partial_n(args.n, _parse_word(args.target)), file=out)
+            print(partial_n(args.n, NcPoly.word(args.target)), file=out)
         else:
             k = parse_index(args.target)
             print(partial_n_e(args.n, EPoly({k: 1})), file=out)
     elif args.command == "delta":
-        print(delta_n(args.n, _parse_word(args.word)), file=out)
+        print(delta_n(args.n, NcPoly.word(args.word)), file=out)
     elif args.command == "series":
         op = {"phi": Phi_X, "psi": Psi_X, "delta": Delta_X}[args.which]
         if _is_word(args.target):
-            w = _parse_word(args.target)
+            w = NcPoly.word(args.target)
         else:
             w = e_to_word(EPoly({parse_index(args.target): 1}))
         _print_series(op(w, args.order), out)

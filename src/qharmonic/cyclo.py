@@ -31,7 +31,7 @@ from math import comb, gcd, lcm
 from typing import Iterable
 
 from .algebra import BAR1, EPoly, Index, in_I, index_dep
-from .coeff import ModPoly, UniPoly, poly_str
+from .coeff import ModPoly, UniPoly, _scalar, poly_str
 from .derivations import _dual_shift_sum, _ohno_rhs
 from .errors import (
     BadDenominator,
@@ -41,9 +41,6 @@ from .errors import (
     PreconditionViolated,
 )
 from .products import l_map_epoly
-
-_scalar = (int, Fraction)
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:

@@ -12,7 +12,9 @@ delta-factorization derives its multiplicativity from Phi_X = Psi_X Delta_X.
 
 The Leibniz rule (derive_words, _leibniz) runs on integer numerators over
 one denominator, divided out once; the letter images of delta_n, partial_n
-and mzv_partial are cached in that form. A letter with no image is a BadLetter.
+and mzv_partial are cached in that form. Each takes words of one class, and
+a value of another class is a TypeError; the class's constructor has checked
+the letters.
 
 The Ohno pieces are pure functions of small index tuples that the Ohno,
 cyc-Ohno and export routes ask for again and again, so _dual_shift_sum,
@@ -34,6 +36,7 @@ from .algebra import (
     EPoly,
     Index,
     LinComb,
+    MzvPoly,
     NcPoly,
     _accumulate,
     _divided,
@@ -44,7 +47,7 @@ from .algebra import (
     left_mul_a,
 )
 from .coeff import Laurent, _exact
-from .errors import BadEntry, BadLetter, NotInH0, NotInMzvH1, OutOfRange
+from .errors import BadEntry, NotInH0, NotInMzvH1, OutOfRange
 from .products import shuffle_q
 from .series import TruncSeries, _cauchy_into, series_const
 
@@ -53,22 +56,22 @@ def derive_words(w: LinComb, images: dict) -> LinComb:
     """Leibniz extension of a map given on single letters of words, or on
     single entries of indices: images maps each to a value of w's type."""
     den, nums = _int_form(*(v.terms for v in images.values()))
-    return _leibniz(w, den, dict(zip(images, nums)))
+    cls = type(next(iter(images.values()), w))  # w's own class when there are no images
+    return _leibniz(w, cls, den, dict(zip(images, nums)))
 
 
-def _leibniz(w: LinComb, den: int, imgs: dict) -> LinComb:
-    """derive_words with the images as integer terms over den: {letter: terms}."""
+def _leibniz(w: LinComb, cls: type, den: int, imgs: dict) -> LinComb:
+    """derive_words on w of class cls, the images integer terms over den: {letter: terms}."""
+    if type(w) is not cls:
+        raise TypeError(f"the derivation takes a {cls.__name__}, got {type(w).__name__}")
     wden, (terms,) = _int_form(w.terms)
     out: dict = {}
-    try:
-        for (word, j), c in terms.items():
-            for i, ch in enumerate(word):
-                head, tail = word[:i], word[i + 1:]
-                for (u, ju), d in imgs[ch].items():
-                    _accumulate(out, (head + u + tail, j + ju), c * d)
-    except KeyError as e:
-        raise BadLetter(f"the derivation has no image of letter {e.args[0]!r}") from None
-    return type(w)._wrap(_divided(out, den * wden))
+    for (word, j), c in terms.items():
+        for i, ch in enumerate(word):
+            head, tail = word[:i], word[i + 1:]
+            for (u, ju), d in imgs[ch].items():
+                _accumulate(out, (head + u + tail, j + ju), c * d)
+    return cls._wrap(_divided(out, den * wden))
 
 
 @lru_cache(maxsize=None)
@@ -81,14 +84,14 @@ def delta_n(n: int, w: NcPoly) -> NcPoly:
     """The derivation with delta_n(a) = 0, delta_n(b) = ((-1)^(n-1)/n)(b+1)a^n b."""
     if n < 1:
         raise ValueError("n >= 1")
-    return _leibniz(w, *_delta_images(n))
+    return _leibniz(w, NcPoly, *_delta_images(n))
 
 
 def d_n(n: int, w: NcPoly) -> NcPoly:
     """d_n(w) = ((-h)^(n-1)/n) { (a b^n) sh_q w - a b^n w }."""
     if n < 1:
         raise ValueError("n >= 1")
-    abn = NcPoly.word("a" + "b" * n)
+    abn = NcPoly._wrap({("a" + "b" * n, 0): 1})
     return (shuffle_q(abn, w) - abn * w).scale(Fraction((-1) ** (n - 1), n), n - 1)
 
 
@@ -101,7 +104,7 @@ _B_PLUS_1_B = NcPoly({"bb": 1, "b": 1})
 
 
 def _nc_power(base: NcPoly, n: int) -> NcPoly:
-    out = NcPoly.one()
+    out = base.one()
     for _ in range(n):
         out = out * base
     return out
@@ -118,7 +121,7 @@ def partial_n(n: int, w: NcPoly) -> NcPoly:
     """The derivation interpolating the two products; defined on all words."""
     if n < 1:
         raise ValueError("n >= 1")
-    return _leibniz(w, *_partial_images(n))
+    return _leibniz(w, NcPoly, *_partial_images(n))
 
 
 # --- partial_n in the e-basis ---------------------------------------------
@@ -307,7 +310,7 @@ def a_s_index(k: tuple[int, ...], s: int) -> EPoly:
                 pos += 1
             word.append("1")
         counts[binary_to_index("".join(word))] += 1
-    return EPoly(counts)
+    return EPoly._wrap({(k, 0): c for k, c in counts.items()})
 
 
 def A_ksp(k: Index, s: int, p: int) -> EPoly:
@@ -342,46 +345,38 @@ def delta_expansion(k: int, order: int) -> TruncSeries:
 
 # --- comparison with the classical two-letter algebra ----------------------
 
-# Words over {x, y} are carried by NcPoly with letters 'x' and 'y'; the
-# coefficients stay rational (no h ever appears on this side).
+# Words over {x, y} are MzvPoly values; the coefficients stay rational (no h
+# ever appears on this side).
 
 
-def z_word(*ks: int) -> NcPoly:
+def z_word(*ks: int) -> MzvPoly:
     """z_(k_1) ... z_(k_r) with z_k = x^(k-1) y."""
-    return NcPoly({"".join("x" * (k - 1) + "y" for k in ks): 1})
+    return MzvPoly({"".join("x" * (k - 1) + "y" for k in ks): 1})
 
 
 @lru_cache(maxsize=None)
 def _mzv_images(n: int) -> tuple[int, dict]:
-    base = NcPoly({"x": 1, "y": 1})
-    img = NcPoly.word("x") * _nc_power(base, n - 1) * NcPoly.word("y")
+    img = MzvPoly.word("x") * _nc_power(MzvPoly({"x": 1, "y": 1}), n - 1) * MzvPoly.word("y")
     return 1, {"x": img.terms, "y": (-img).terms}
 
 
-def mzv_partial(n: int, w: NcPoly) -> NcPoly:
+def mzv_partial(n: int, w: MzvPoly) -> MzvPoly:
     """The classical derivation with x -> x(x+y)^(n-1) y -> -x(x+y)^(n-1)y."""
     if n < 1:
         raise ValueError("n >= 1")
-    return _leibniz(w, *_mzv_images(n))
+    return _leibniz(w, MzvPoly, *_mzv_images(n))
 
 
-def iota(w: NcPoly) -> EPoly:
+def iota(w: MzvPoly) -> EPoly:
     """The embedding z_k -> e_k on words ending in y (and the empty word)."""
+    if type(w) is not MzvPoly:
+        raise TypeError(f"iota takes an MzvPoly, got {type(w).__name__}")
     out: dict = {}
     for (word, j), c in w.terms.items():
-        entries = []
-        run = 0
-        for ch in word:
-            if ch == "x":
-                run += 1
-            elif ch == "y":
-                entries.append(run + 1)
-                run = 0
-            else:
-                raise NotInMzvH1(f"unexpected letter {ch!r}")
-        if run:
+        if word.endswith("x"):
             raise NotInMzvH1(f"word {word!r} ends in x")
         if j:
             raise NotInMzvH1("classical words must have rational coefficients")
-        _accumulate(out, (tuple(entries), 0), c)
+        # z_k = x^(k-1) y, so each y closes an entry one longer than its run of x
+        _accumulate(out, (tuple(len(run) + 1 for run in word.split("y")[:-1]), 0), c)
     return EPoly._wrap(out)

@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from .algebra import BAR1, Entry, EPoly, Index, LinComb, NcPoly, _accumulate, _concat_into
-from .errors import BadLetter, BarEntry
+from .errors import BarEntry
 
 
 def circ(k: Entry, l: Entry) -> EPoly:
@@ -36,20 +36,17 @@ def circ(k: Entry, l: Entry) -> EPoly:
     """
     if k is BAR1 and l is BAR1:
         return EPoly._wrap({((2,), 0): 1, ((BAR1,), 1): -1})
-    if k is BAR1:
-        return EPoly({(l + 1,): 1})
-    if l is BAR1:
-        return EPoly({(k + 1,): 1})
+    if k is BAR1 or l is BAR1:
+        m = l if k is BAR1 else k
+        return EPoly._wrap({((m + 1,), 0): 1})
     return EPoly._wrap({((k + l,), 0): 1, ((k + l - 1,), 1): 1})
 
 
 def _quasi_shuffle(k1: Index, k2: Index, merge, cache: dict) -> EPoly:
     """The quasi-shuffle of two indices whose leading entries combine by
     merge (entries to a combination of depth-one indices), memoized in cache."""
-    if not k1:
-        return EPoly({k2: 1})
-    if not k2:
-        return EPoly({k1: 1})
+    if not k1 or not k2:
+        return EPoly._wrap({(k1 + k2, 0): 1})
     key = (k1, k2)
     hit = cache.get(key)
     if hit is not None:
@@ -99,15 +96,11 @@ _shuffle_cache: dict[tuple[str, str], NcPoly] = {}
 
 
 def _shuffle_words(w1: str, w2: str) -> NcPoly:
-    if w1 and w2:
-        hit = _shuffle_cache.get((w1, w2))
-        if hit is not None:
-            return hit
-    # A cache miss or the unit rule checks every letter; a hit was checked.
-    if bad := (w1 + w2).strip("ab"):
-        raise BadLetter(f"the q-shuffle takes words over a and b, got letter {bad[0]!r}")
     if not w1 or not w2:
-        return NcPoly({w1 + w2: 1})
+        return NcPoly._wrap({(w1 + w2, 0): 1})
+    hit = _shuffle_cache.get((w1, w2))
+    if hit is not None:
+        return hit
     # Fixed strategy: pull a leading b from the left argument first. When
     # both arguments start with b the two applicable rules rewrite to the
     # same element; a property test checks strategy independence.
@@ -166,7 +159,7 @@ def psi_involution(x: EPoly) -> EPoly:
 
 def _add_entries(k: int, l: int) -> EPoly:
     """The classical merge of e_k and e_l: e_(k+l)."""
-    return EPoly({(k + l,): 1})
+    return EPoly._wrap({((k + l,), 0): 1})
 
 
 _classical_cache: dict[tuple[Index, Index], EPoly] = {}

@@ -7,6 +7,7 @@ from qharmonic.algebra import (
     BAR1,
     EPoly,
     LinComb,
+    MzvPoly,
     NcPoly,
     e_to_word,
     enbar,
@@ -23,7 +24,7 @@ from qharmonic.algebra import (
     word_to_e,
 )
 from qharmonic.coeff import Laurent
-from qharmonic.errors import BadEntry, EmptyIndex, HasBarEntry, NotInH1
+from qharmonic.errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1
 
 H = Laurent.h
 
@@ -330,3 +331,65 @@ class TestLinComb:
             for name in ("__add__", "__mul__", "__neg__", "scale", "__eq__", "sum"):
                 assert name not in vars(cls)
             assert issubclass(cls, LinComb)
+
+
+class TestKeyChecks:
+    """Each class's constructor is the one place its keys are checked."""
+
+    def test_mixed_alphabet_word_to_e(self):
+        # used to read the block xyb as aab
+        with pytest.raises(BadLetter, match="'x'"):
+            word_to_e(NcPoly.word("xyb"))
+
+    @pytest.mark.parametrize("k", [(0,), (-2, 3), (2.0,), (True,), (2, False)])
+    def test_bad_entries(self, k):
+        with pytest.raises(BadEntry, match="got"):
+            EPoly({k: 1})
+
+    def test_zero_entry_e_to_word(self):
+        # used to expand entry 0 to h*baab + h^2*bab
+        with pytest.raises(BadEntry, match="got 0"):
+            e_to_word(EPoly({(0, 2): 1}))
+
+    def test_two_alphabets_never_concatenate(self):
+        with pytest.raises(BadLetter, match="'x'"):
+            NcPoly.word("ab") * NcPoly.word("xy")
+        with pytest.raises(TypeError):
+            NcPoly.word("ab") * MzvPoly.word("xy")
+
+    def test_non_str_word(self):
+        with pytest.raises(BadLetter, match="got 3"):
+            NcPoly({3: 1})
+
+    @given(st.text(alphabet="abxyc", max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_word_rejected_exactly_on_a_foreign_letter(self, w):
+        for cls in (NcPoly, MzvPoly):
+            if set(w) <= set(cls._letters):
+                assert cls.word(w).coefficients() == {w: Laurent(1)}
+            else:
+                with pytest.raises(BadLetter, match=repr(next(ch for ch in w if ch not in cls._letters))):
+                    cls.word(w)
+
+    @given(st.lists(st.one_of(st.integers(-2, 4), st.just(BAR1), st.booleans(), st.floats(0, 4)), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_index_rejected_exactly_on_a_foreign_entry(self, k):
+        if all(e is BAR1 or (type(e) is int and e >= 1) for e in k):
+            assert EPoly.from_index(k) == EPoly({tuple(k): 1})
+            assert list(EPoly.from_index(k).coefficients()) == [tuple(k)]
+        else:
+            with pytest.raises(BadEntry):
+                EPoly.from_index(k)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(NcPoly.word("ab"), MzvPoly.word("xy")), (NcPoly.word("ab"), EPoly.gen(2)),
+         (MzvPoly.word("xy"), EPoly.gen(2)), (NcPoly.one(), MzvPoly.one())],
+    )
+    def test_mixed_classes_never_combine(self, x, y):
+        for u, v in ((x, y), (y, x)):
+            assert u != v
+            with pytest.raises(TypeError):
+                u + v
+            with pytest.raises(TypeError):
+                u * v

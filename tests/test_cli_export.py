@@ -109,6 +109,13 @@ class TestCalculators:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, letter", [(("shuffle", "xy", "ab"), "x"), (("delta", "1", "ax"), "x")])
+    def test_foreign_letter_exits_2(self, capsys, argv, letter):
+        # NcPoly's constructor refuses the word; the CLI has no check of its own
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error:") and repr(letter) in err
+
     def test_usage_error_bad_precondition(self, capsys):
         code, _, err = run_cli(capsys, "verify", "ohno", "--index", "2", "--n", "2", "--m", "1")
         assert code == 2

@@ -9,7 +9,7 @@ from cauchy_oracle import hom_apply_by_sums
 from exp_oracle import _exp_apply, _exp_powers, _sum_apply
 from laurent_oracle import constant
 from lemmas import rho_s, series_log_one_plus_hbx
-from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, word_to_e
+from qharmonic.algebra import BAR1, EPoly, MzvPoly, NcPoly, e_to_word, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.derivations import (
     A_ksp,
@@ -344,21 +344,24 @@ class TestInPlaceHomomorphism:
         assert op(NcPoly.word("ab"), 2) == before
 
     @pytest.mark.parametrize(
-        "apply, w, letter",
+        "apply, cls, w, letter",
         [
-            (Phi_X, "xb", "x"),
-            (Delta_X, "ay", "y"),
-            (lambda w, order: d_n(1, w), "xy", "x"),
-            (lambda w, order: delta_n(1, w), "xy", "x"),
-            (lambda w, order: partial_n(2, w), "bz", "z"),
-            (lambda w, order: mzv_partial(1, w), "ab", "a"),
+            (Phi_X, NcPoly, "xb", "x"),
+            (Delta_X, NcPoly, "ay", "y"),
+            (lambda w, order: d_n(1, w), NcPoly, "xy", "x"),
+            (lambda w, order: delta_n(1, w), NcPoly, "xy", "x"),
+            (lambda w, order: partial_n(2, w), NcPoly, "bz", "z"),
+            (lambda w, order: mzv_partial(1, w), MzvPoly, "xa", "a"),
         ],
         ids=["Phi_X", "Delta_X", "d_n", "delta_n", "partial_n", "mzv_partial"],
     )
-    def test_foreign_letters_rejected(self, apply, w, letter):
+    def test_foreign_letters_rejected(self, apply, cls, w, letter):
+        # the foreign word is refused when it is built
         for _ in range(2):
             with pytest.raises(BadLetter, match=repr(letter)):
-                apply(NcPoly.word(w), 2)
+                apply(cls.word(w), 2)
+        with pytest.raises(TypeError):
+            apply({NcPoly: MzvPoly, MzvPoly: NcPoly}[cls].word(""), 2)
         assert delta_n(1, NcPoly.word("b")) == NcPoly({"bab": 1, "ab": 1})
 
 
@@ -531,13 +534,21 @@ class TestMzvComparison:
 
     def test_mzv_partial_z2(self):
         got = mzv_partial(1, z_word(2))
-        assert got == NcPoly({"xyy": 1, "xxy": -1})
+        assert got == MzvPoly({"xyy": 1, "xxy": -1})
 
     def test_comparison_instance(self):
         lhs = iota(mzv_partial(1, z_word(2))).scale(Fraction(-1, 1))
         assert lhs == EPoly({(3,): 1, (2, 1): -1})
         assert lhs == partial_n_e(1, iota(z_word(2)))
 
+    def test_wrong_word_class_rejected(self):
+        with pytest.raises(TypeError, match="MzvPoly"):
+            mzv_partial(1, NcPoly.word("ab"))
+        with pytest.raises(TypeError, match="NcPoly"):
+            delta_n(1, MzvPoly.word("xy"))
+        with pytest.raises(TypeError, match="MzvPoly"):
+            iota(NcPoly.word("ab"))
+
     def test_iota_rejects_trailing_x(self):
         with pytest.raises(NotInMzvH1):
-            iota(NcPoly.word("yx"))
+            iota(MzvPoly.word("yx"))

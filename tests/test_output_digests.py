@@ -202,7 +202,7 @@ def test_output_digest(capsys, command):
 SUITE_DIGESTS = {
     "verify double-shuffle --max-weight 1 --M 40": "4cd5e9fe7721b28a42f4afaece75118c9c4c20ed8010f860a71813ea9d1deff7",
     "verify log-formulas --order 3": "08d477161f4318738c7c229926ccc39357aa221100602246e5f72cd2bb4686d3",
-    "verify delta-factorization --order 1 --max-weight 1": "0be566f7dcbad0ca92c9f921e73fac08249ecc056d6615080ccf8b679b1c1fc9",
+    "verify delta-factorization --order 1 --max-weight 1": "c3f7476dc0c840bffd64a85ee37268bdaa40e9ac76a68827f43a0c4419f71f64",
     "verify cor-delta --order 2 --max-weight 2": "23e5dd95b79817702c31d9c6087457ddbbecfe64b101374b7e98e9bc96ca2456",
     "verify derivation --max-n 1 --max-weight 2 --M 40": "00a60630d3bb87936bcace32a8e5579523d3e077b38b8821e5b9632c7cb4e43e",
     "verify zn-stuffle --n 3:4 --max-weight 1": "f42a452dd7cd2416b195cded704d02ef9872e364decbdddc25caeccd5357b04e",

@@ -209,13 +209,12 @@ class TestShuffle:
         ],
     )
     def test_foreign_letters_rejected(self, w1, w2, letter):
-        # A foreign letter anywhere, leading or not, raises; the call raises
-        # again, also once the pairs of the words with every foreign letter
-        # made a b are cached: a failed pair leaves no cache entry behind.
-        u, v = NcPoly.word(w1), NcPoly.word(w2)
+        # A foreign letter anywhere, leading or not, is refused when the word
+        # is built; again, also once the pairs of the words with every foreign
+        # letter made a b are cached.
         for _ in range(2):
             with pytest.raises(BadLetter, match=repr(letter)):
-                shuffle_q(u, v)
+                shuffle_q(NcPoly.word(w1), NcPoly.word(w2))
             shuffle_q(NcPoly.word(re.sub("[^ab]", "b", w1)), NcPoly.word(re.sub("[^ab]", "b", w2)))
         assert shuffle_q(NcPoly.word("ab"), NcPoly.word("ab")) == NcPoly({"abab": 2, "abb": H()})
 

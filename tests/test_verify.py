@@ -166,6 +166,24 @@ def test_delta_factorization_catches_a_wrong_delta_image(monkeypatch, fresh_lett
     assert all(r.ok for r in cases["d"] + cases["partial"])
 
 
+def test_delta_factorization_catches_a_wrong_delta_6(monkeypatch, fresh_letter_series):
+    # delta_6 is the top of the delta_order = 6 letter series; [delta_i, delta_6]
+    # are the only commutator cases that hold it
+    good = derivations._delta_images
+
+    def bumped(n):
+        den, images = good(n)
+        if n != 6:
+            return den, images
+        return den, {**images, "b": {**images["b"], ("b", 0): 1}}  # delta_6(b) += b/6
+
+    monkeypatch.setattr(derivations, "_delta_images", bumped)
+    reports = verify.suite_delta_factorization(order=1, max_weight=1, delta_order=2)
+    failed = [r for r in reports if not r.ok]
+    assert [r.case for r in failed] == [f"[delta_{i}, delta_6] = 0 on 2 words" for i in range(1, 6)]
+    assert_all_fail_with_witness(failed, "[delta_")
+
+
 def test_delta_factorization_catches_a_wrong_d_n(monkeypatch):
     good = verify.d_n
     a = NcPoly.word("a")
