@@ -23,10 +23,10 @@ integer numerators of _int_form, and divide by its one denominator at the end.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping
 
 from .coeff import Laurent, _exact, _monomial_str, _scalar
 from .errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1
@@ -366,7 +366,14 @@ class EPoly(LinComb):
 
     __slots__ = ()
     _unit = ()
-    _key = staticmethod(lambda k: tuple(map(check_entry, k)))
+
+    @staticmethod
+    def _key(k):
+        try:
+            entries = iter(k)
+        except TypeError:
+            raise BadEntry(f"EPoly keys are iterables of index entries, got {k!r}") from None
+        return tuple(map(check_entry, entries))
 
     @classmethod
     def gen(cls, entry: Entry, coeff=1) -> "EPoly":

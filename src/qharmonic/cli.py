@@ -6,7 +6,6 @@ counterexample, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from fractions import Fraction
 from functools import cache
@@ -188,7 +187,11 @@ def _suite_kwargs(args) -> dict:
             flag = _flag(next(iter(given)))
             raise UsageError(f"verify all runs every suite at its defaults; drop {flag}")
         return {}
-    takes = inspect.signature(SUITES[args.suite]).parameters
+    gen = SUITES[args.suite]
+    while hasattr(gen, "__wrapped__"):  # to the generator under every wrapper
+        gen = gen.__wrapped__
+    code = gen.__code__
+    takes = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     for dest in given:
         if _SUITE_PARAMS[dest] not in takes:
             raise UsageError(f"verify {args.suite} does not take {_flag(dest)}")

@@ -19,8 +19,8 @@ of h, in the evaluators.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 #: The exact rational scalar type used everywhere in this package.
 Rational = Fraction
@@ -37,6 +37,40 @@ def _exact(c) -> int | Fraction:
             raise TypeError(f"exact rational expected, got the float {c!r}")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+class _Frozen:
+    """Base of the immutable value classes, behaving as a frozen dataclass
+    over the fields in the subclass's __slots__, in constructor order:
+    == and hash by the fields, the dataclass repr, AttributeError on
+    assignment. __init__ sets fields with object.__setattr__; __reduce__
+    rebuilds through the constructor, so pickle and deepcopy work."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class Laurent:

@@ -24,11 +24,11 @@ multiplies each group's combination once by a cached (1 - zeta)^e.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd, lcm
-from typing import Iterable
 
 from .algebra import BAR1, EPoly, Index, in_I, index_dep
 from .coeff import ModPoly, UniPoly, _scalar, poly_str

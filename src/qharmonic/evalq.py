@@ -22,7 +22,6 @@ one closed-form Fraction per (depth, q, M). A float is refused as input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -31,7 +30,7 @@ from math import comb, lcm
 from operator import mul
 
 from .algebra import BAR1, EPoly, Index, entry_wt, in_Ihat0, index_dep, index_wt
-from .coeff import _exact
+from .coeff import _exact, _Frozen
 from .errors import Divergent, NotInI0hat, OutOfRange
 
 #: Parameters used by the acceptance-level numeric checks.
@@ -39,17 +38,16 @@ DEFAULT_Q = Fraction(1, 2)
 DEFAULT_M = 120
 
 
-@dataclass(frozen=True)
-class QValue:
+class QValue(_Frozen):
     """A rational deformation parameter with 0 < q < 1."""
 
-    q: Fraction
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        q = Fraction(_exact(self.q))
-        object.__setattr__(self, "q", q)
+    def __init__(self, q: Fraction):
+        q = Fraction(_exact(q))
         if not (0 < q < 1):
             raise OutOfRange(f"q must satisfy 0 < q < 1, got {q}")
+        object.__setattr__(self, "q", q)
 
 
 class CertifiedValue:

@@ -8,29 +8,28 @@ for all four; ts_mul adds each product in place into one dict per power of X.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .algebra import NcPoly
-from .coeff import Laurent
+from .coeff import Laurent, _Frozen
 from .errors import BadConstantTerm, OrderMismatch, OutOfRange
 from .products import _IN_PLACE
 
 
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(_Frozen):
     """Coefficients (c_0, ..., c_N) of a series truncated at X^N."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        if not coeffs:
+            raise ValueError("a truncated series needs at least the X^0 coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a truncated series needs at least the X^0 coefficient")
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         _check_orders(self, other)

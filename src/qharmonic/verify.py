@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
 from itertools import combinations, product as iproduct
@@ -27,6 +26,7 @@ from .algebra import (
     index_str,
     word_to_e,
 )
+from .coeff import _Frozen
 from .cyclo import (
     fmzv_reduce,
     ohno_check,
@@ -61,13 +61,12 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    case: str
-    ok: bool
-    witness: str | None
-    ms: float
+class VerifyReport(_Frozen):
+    __slots__ = ("suite", "case", "ok", "witness", "ms")
+
+    def __init__(self, suite: str, case: str, ok: bool, witness: str | None, ms: float):
+        for field, value in zip(self.__slots__, (suite, case, ok, witness, ms)):
+            object.__setattr__(self, field, value)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -341,7 +341,7 @@ class TestKeyChecks:
         with pytest.raises(BadLetter, match="'x'"):
             word_to_e(NcPoly.word("xyb"))
 
-    @pytest.mark.parametrize("k", [(0,), (-2, 3), (2.0,), (True,), (2, False)])
+    @pytest.mark.parametrize("k", [(0,), (-2, 3), (2.0,), (True,), (2, False), 3, None])
     def test_bad_entries(self, k):
         with pytest.raises(BadEntry, match="got"):
             EPoly({k: 1})

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -236,6 +237,18 @@ class TestVerifyCommand:
         assert code == 0
         assert out.strip().endswith("cases verified")
 
+    def test_flags_read_through_nested_wrappers(self, monkeypatch):
+        # the benchmark's tracer wraps the registered suite, itself a wrapper
+        argvs = [("verify", "log-formulas", "--order", "2"),
+                 ("verify", "log-formulas", "--order", "2", "--max-n", "3")]
+        plain = [run_captured(argv) for argv in argvs]
+        suite = verify.SUITES["log-formulas"]
+        wrapped = functools.wraps(suite)(lambda *a, **kw: suite(*a, **kw))
+        monkeypatch.setitem(verify.SUITES, "log-formulas",
+                            functools.wraps(wrapped)(lambda *a, **kw: wrapped(*a, **kw)))
+        assert [run_captured(argv) for argv in argvs] == plain
+        assert plain[0][0] == 0 and plain[1][0] == 2 and "does not take --max-n" in plain[1][2]
+
 
 class TestExport:
     def test_json_roundtrip(self):
@@ -385,7 +398,19 @@ MALFORMED_FLAGS = (
 )
 
 
+#: Standard-library modules qsh start-up must not load: inspect and
+#: dataclasses pull in ast, dis and tokenize, and typing is slow to import.
+SLOW_IMPORTS = ("inspect", "dataclasses", "typing", "ast", "dis", "tokenize")
+
+
 class TestEntryPoint:
+    def test_import_leaves_out_slow_modules(self):
+        # -S skips site hooks, which may import typing themselves
+        src = str(Path(qharmonic.__file__).resolve().parents[1])
+        code = f"import sys, qharmonic.cli; print([m for m in {SLOW_IMPORTS} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
     def test_module_invocation(self):
         proc = run_module("dual", "2,3,1")
         assert proc.returncode == 0

@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frozen_value import assert_frozen_value
 from laurent_oracle import substitute
 from lemmas import f_basis_expand
 from qharmonic.algebra import (
@@ -162,6 +163,21 @@ class TestQInt:
             q_int(0, HALF)
         with pytest.raises(OutOfRange):
             QValue(Fraction(3, 2))
+
+
+class TestQValueClass:
+    def test_value_behaviour(self):
+        assert_frozen_value(HALF, QValue(q=Fraction(2, 4)), QValue(Fraction(1, 3)),
+                            "QValue(q=Fraction(1, 2))", "q")
+
+    def test_constructor_checks(self):
+        assert QValue(1 - Fraction(1, 2)).q == Fraction(1, 2)
+        assert type(QValue("1/3").q) is Fraction
+        with pytest.raises(TypeError, match="float"):
+            QValue(q=0.5)
+        for q in (0, 1, Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(OutOfRange, match="0 < q < 1"):
+                QValue(q)
 
 
 class TestNoFloats:

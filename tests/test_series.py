@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cauchy_oracle import ts_mul_by_sums
+from frozen_value import assert_frozen_value
 from qharmonic.algebra import BAR1, EPoly, NcPoly, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.errors import BadConstantTerm, OrderMismatch
@@ -25,6 +26,18 @@ H = Laurent.h
 
 def const_series(x, order):
     return TruncSeries((x,) + (type(x).zero(),) * order)
+
+
+class TestTruncSeriesClass:
+    def test_value_behaviour(self):
+        ab = NcPoly.word("ab")
+        assert_frozen_value(TruncSeries((ab, NcPoly.zero())), TruncSeries(coeffs=(ab, NcPoly())),
+                            TruncSeries((ab, ab)), "TruncSeries(coeffs=(ab, 0))", "coeffs")
+
+    def test_constructor_checks(self):
+        assert TruncSeries(coeffs=(NcPoly.one(),)).order == 0
+        with pytest.raises(ValueError, match="X\\^0"):
+            TruncSeries(())
 
 
 class TestMul:

@@ -6,6 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from frozen_value import assert_frozen_value
 from qharmonic import derivations, evalq, export, verify
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, index_sort_key, word_to_e
 from qharmonic.derivations import iota, mzv_partial, z_word
@@ -460,6 +461,18 @@ def test_unmutated_suites_pass():
 def test_run_suite_all_takes_no_parameters():
     with pytest.raises(ValueError, match="defaults"):
         verify.run_suite("all", max_weight=1)
+
+
+def test_verify_report_is_a_frozen_value():
+    report = verify.VerifyReport("fmzv", "p=5", False, "lhs 1 != rhs 2", 1.5)
+    assert_frozen_value(
+        report,
+        verify.VerifyReport(suite="fmzv", case="p=5", ok=False, witness="lhs 1 != rhs 2", ms=1.5),
+        verify.VerifyReport("fmzv", "p=5", True, None, 1.5),
+        "VerifyReport(suite='fmzv', case='p=5', ok=False, witness='lhs 1 != rhs 2', ms=1.5)",
+        "witness",
+    )
+    assert report.line() == "[FAIL] fmzv: p=5 (1.5 ms)\n    witness: lhs 1 != rhs 2"
 
 
 def test_suites_register_in_run_order():
