@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .coeff import Laurent, _exact, _monomial_str, _scalar
+from .coeff import Laurent, _accumulate, _exact, _monomial_str, _scalar
 from .errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1
 
 
@@ -89,6 +89,15 @@ def check_entry(e) -> Entry:
     if type(e) is int and e >= 1:
         return e
     raise BadEntry(f"index entries are 1bar or integers >= 1, got {e!r}")
+
+
+def check_index(k) -> Index:
+    """k as a tuple of entries; BadEntry on a bad entry or a k that is not iterable."""
+    try:
+        entries = iter(k)
+    except TypeError:
+        raise BadEntry(f"indices are iterables of index entries, got {k!r}") from None
+    return tuple(map(check_entry, entries))
 
 
 def parse_entry(token: str) -> Entry:
@@ -159,18 +168,6 @@ def _render_terms(items: list[tuple[str, Laurent]], unit: str) -> str:
         else:
             parts.append((" + " if sign else " - ") + body)
     return "".join(parts)
-
-
-def _accumulate(out: dict, key, c) -> None:
-    """out[key] += c in place for a nonzero exact scalar c, dropping the key
-    when the sum cancels and storing an integral sum as an int."""
-    s = out.get(key)
-    if s is not None:
-        c += s
-        if not c:
-            del out[key]
-            return
-    out[key] = c if type(c) is int else _exact(c)
 
 
 def _concat_into(out: dict, u: dict, v: dict) -> dict:
@@ -367,13 +364,7 @@ class EPoly(LinComb):
     __slots__ = ()
     _unit = ()
 
-    @staticmethod
-    def _key(k):
-        try:
-            entries = iter(k)
-        except TypeError:
-            raise BadEntry(f"EPoly keys are iterables of index entries, got {k!r}") from None
-        return tuple(map(check_entry, entries))
+    _key = staticmethod(check_index)
 
     @classmethod
     def gen(cls, entry: Entry, coeff=1) -> "EPoly":
@@ -498,7 +489,10 @@ def left_mul_a(x: EPoly) -> EPoly:
 
 
 def index_to_binary(k: Index) -> str:
-    """e_k as a word over e_0 = a (written '0') and e_1 (written '1')."""
+    """e_k as a word over e_0 = a (written '0') and e_1 (written '1'), for k
+    without 1bar; BadEntry on a bad entry, HasBarEntry on 1bar."""
+    if not in_I(check_index(k)):
+        raise HasBarEntry("binary words are defined on indices without 1bar")
     return "".join("0" * (e - 1) + "1" for e in k)
 
 
@@ -525,12 +519,7 @@ def hoffman_dual(k: Index) -> Index:
     """
     if not k:
         raise EmptyIndex("the Hoffman dual needs a nonempty index")
-    for e in k:
-        check_entry(e)
-    if not in_I(k):
-        raise HasBarEntry("the Hoffman dual is defined on indices without 1bar")
-    s = index_to_binary(k)
-    w = s[:-1]
+    w = index_to_binary(k)[:-1]
     flipped = "".join("1" if ch == "0" else "0" for ch in w)
     return binary_to_index(flipped + "1")
 
@@ -553,23 +542,16 @@ def enumerate_indices(weight: int, family: str = "Ihat") -> list[Index]:
         raise ValueError(f"unknown family {family!r}; use one of {sorted(_FAMILIES)}")
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    bar_ok = family in ("Ihat", "Ihat0")
-    first_one_ok = family in ("Ihat", "I")
 
-    def rec(remaining: int, first: bool):
+    def rec(remaining: int):
         if remaining == 0:
             yield ()
             return
-        entries: list[Entry] = [
-            e for e in range(1, remaining + 1) if not (first and not first_one_ok and e == 1)
-        ]
-        if bar_ok:
-            entries.append(BAR1)
-        for e in entries:
-            for rest in rec(remaining - entry_wt(e), False):
+        for e in [*range(1, remaining + 1), BAR1]:
+            for rest in rec(remaining - entry_wt(e)):
                 yield (e,) + rest
 
-    return list(rec(weight, True))
+    return list(filter(_FAMILIES[family], rec(weight)))
 
 
 def enumerate_indices_up_to(max_weight: int, family: str = "Ihat") -> list[Index]:
@@ -578,3 +560,8 @@ def enumerate_indices_up_to(max_weight: int, family: str = "Ihat") -> list[Index
     for w in range(max_weight + 1):
         out.extend(enumerate_indices(w, family))
     return out
+
+
+def _sorted_indices(max_weight: int, family: str) -> list[Index]:
+    """All indices of weight 0..max_weight in the family, sorted by index_sort_key."""
+    return sorted(enumerate_indices_up_to(max_weight, family), key=index_sort_key)

@@ -39,6 +39,18 @@ def _exact(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _accumulate(out: dict, key, c) -> None:
+    """out[key] += c in place for a nonzero exact scalar c, dropping the key
+    when the sum cancels and storing an integral sum as an int."""
+    s = out.get(key)
+    if s is not None:
+        c += s
+        if not c:
+            del out[key]
+            return
+    out[key] = c if type(c) is int else _exact(c)
+
+
 class _Frozen:
     """Base of the immutable value classes, behaving as a frozen dataclass
     over the fields in the subclass's __slots__, in constructor order:
@@ -79,9 +91,9 @@ class Laurent:
     Stored sparsely as {exponent: coefficient} with no zero coefficients;
     the empty map is the zero element. A coefficient is an int when it is
     integral and a Fraction otherwise, so the common +-h^j terms stay in
-    fast int arithmetic. Values are immutable: an operation may return
-    an operand itself (a product with the unit does), so nothing may
-    change the terms of a Laurent in place.
+    fast int arithmetic. The sum and the product add every term into one
+    dict with _accumulate. Values are immutable by convention: nothing
+    changes the terms of a Laurent in place.
 
     >>> str(Laurent({-1: Fraction(-2), 0: 1, 2: Fraction(3, 2)}))
     '-2*h^-1 + 1 + 3/2*h^2'
@@ -93,7 +105,7 @@ class Laurent:
         if type(terms) is Laurent:
             self.terms = dict(terms.terms)
         elif type(terms) is dict or isinstance(terms, Mapping):
-            self.terms = {e: _exact(c) for e, c in terms.items() if c != 0}
+            self.terms = {e: v for e, c in terms.items() if (v := _exact(c))}
         else:
             c = _exact(terms)
             self.terms = {0: c} if c else {}
@@ -127,11 +139,7 @@ class Laurent:
             other = Laurent(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = _exact(s)
-            else:
-                out.pop(e, None)
+            _accumulate(out, e, c)
         res = Laurent.__new__(Laurent)
         res.terms = out
         return res
@@ -142,29 +150,13 @@ class Laurent:
         if type(other) is not Laurent:
             if not isinstance(other, _scalar):
                 return NotImplemented
-            c = _exact(other)
-            return Laurent({e: v * c for e, v in self.terms.items()})
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1:
-            # The weight grading makes almost every product monomial x monomial.
-            (e1, c1), = a.items()
-            (e2, c2), = b.items()
-            if not e1 and c1 == 1:
-                return other
-            if not e2 and c2 == 1:
-                return self
-            c = c1 * c2
-            res = Laurent.__new__(Laurent)
-            res.terms = {e1 + e2: c if type(c) is int else _exact(c)}
-            return res
-        out: dict[int, int | Fraction] = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
+            other = Laurent(other)
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                _accumulate(out, e1 + e2, c1 * c2)
         res = Laurent.__new__(Laurent)
-        res.terms = {e: _exact(s) for e, s in out.items() if s}
+        res.terms = out
         return res
 
     __rmul__ = __mul__

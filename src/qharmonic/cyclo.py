@@ -13,11 +13,13 @@ division and equality. Each ring supplies what differs:
 - inverse(x) in closed form: the Galois conjugates over the rational
   norm in Q(zeta_n), u^(p-1)/u(1) by Frobenius in Z[zeta_p]/(p), whose
   nilpotents (Phi_p = (x-1)^(p-1) mod p) raise NonInvertible.
-- q_int_inv(m) = [m]^(-1) as an explicit sum, and lincomb(pairs), the
-  rational linear combination (mod p it raises BadDenominator).
+- q_int_inv(m) = [m]^(-1) as an explicit sum.
 - poly(x) for .poly (UniPoly or ModPoly), and a str suffix (" (mod p)").
 The base CycRing holds element, zeta, zeta_power(e) (the monomial
-x^(e mod n), folded once), one, zero and from_rational.
+x^(e mod n), folded once), one, zero, from_rational and lincomb(pairs),
+the rational linear combination: it sums over the lcm of every
+denominator and reduces once, so mod p a coefficient with p in its
+denominator raises BadDenominator in _reduce, even where its value is 0.
 _zn_cum is the cumulative-sum DP over the nested sum; _h_grouped groups
 the terms of an e-polynomial by their power of h = 1 - zeta and
 multiplies each group's combination once by a cached (1 - zeta)^e.
@@ -30,8 +32,8 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd, lcm
 
-from .algebra import BAR1, EPoly, Index, in_I, index_dep
-from .coeff import ModPoly, UniPoly, _scalar, poly_str
+from .algebra import BAR1, EPoly, Index, check_index, in_I, index_dep
+from .coeff import ModPoly, UniPoly, _exact, _scalar, poly_str
 from .derivations import _dual_shift_sum, _ohno_rhs
 from .errors import (
     BadDenominator,
@@ -71,7 +73,7 @@ class CycRing:
 
     def element(self, coeffs: Iterable[Fraction]) -> "CycNum":
         """sum c_i zeta^i for rational coefficients c_i."""
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         return CycNum(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -89,8 +91,31 @@ class CycRing:
         return CycNum(self, [])
 
     def from_rational(self, c) -> "CycNum":
-        c = Fraction(c)
+        c = _exact(c)
         return CycNum(self, [c.numerator], c.denominator)
+
+    def lincomb(self, pairs) -> "CycNum":
+        """sum c*v over (rational c, CycNum v) pairs, over the lcm of every
+        denominator, reduced once at the end. A c whose v is zero counts
+        too: mod p, p in any c's denominator raises BadDenominator."""
+        acc: list[int] = []
+        den = 1
+        for c, v in pairs:
+            if type(c) is int:
+                cn, vd = c, v.den
+            else:
+                cn, vd = c.numerator, v.den * c.denominator
+            common = lcm(den, vd)
+            if common != den:
+                scale = common // den
+                acc = [x * scale for x in acc]
+                den = common
+            cn *= common // vd
+            if len(acc) < len(v.num):
+                acc.extend([0] * (len(v.num) - len(acc)))
+            for i, x in enumerate(v.num):
+                acc[i] += cn * x
+        return CycNum(self, acc, den)
 
 
 class CycField(CycRing):
@@ -167,29 +192,6 @@ class CycField(CycRing):
             vec[j * m % n + 1] += j
         return CycNum(self, vec, order)
 
-    def lincomb(self, pairs) -> "CycNum":
-        """sum c*v over (rational c, CycNum v) pairs, with one gcd at the end."""
-        acc: list[int] = []
-        den = 1
-        for c, v in pairs:
-            if not v.num:
-                continue
-            if type(c) is int:
-                cn, vd = c, v.den
-            else:
-                cn, vd = c.numerator, v.den * c.denominator
-            common = lcm(den, vd)
-            if common != den:
-                scale = common // den
-                acc = [x * scale for x in acc]
-                den = common
-            cn *= common // vd
-            if len(acc) < len(v.num):
-                acc.extend([0] * (len(v.num) - len(acc)))
-            for i, x in enumerate(v.num):
-                acc[i] += cn * x
-        return CycNum(self, acc, den)
-
 
 @lru_cache(maxsize=None)
 def cyc_field(n: int) -> CycField:
@@ -255,15 +257,6 @@ class PrimeRing(CycRing):
         for j in range(pow(m, -1, p)):
             vec[j * m % p] += 1
         return CycNum(self, vec)
-
-    def lincomb(self, pairs) -> "CycNum":
-        """sum c*v over (rational c, CycNum v) pairs; every Fraction c is
-        reduced mod p, so one with p in its denominator raises BadDenominator."""
-        acc: list[int] = []
-        for c, v in pairs:
-            s = c if type(c) is int else _reduce_mod_p(c, self.n)
-            acc = [a + s * b for a, b in zip_longest(acc, v.num, fillvalue=0)]
-        return CycNum(self, acc)
 
 
 @lru_cache(maxsize=None)
@@ -460,7 +453,7 @@ def zn_eval(k: Index, n: int) -> CycNum:
     """
     if n < 2:
         raise OutOfRange("z_n needs n >= 2")
-    return _zn_cum(cyc_field(n), tuple(k))[n - 1]
+    return _zn_cum(cyc_field(n), check_index(k))[n - 1]
 
 
 def zn_map(x: EPoly, n: int) -> CycNum:

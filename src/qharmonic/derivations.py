@@ -44,6 +44,7 @@ from .algebra import (
     _times,
     binary_to_index,
     hoffman_dual,
+    index_to_binary,
     left_mul_a,
 )
 from .coeff import Laurent, _exact
@@ -350,8 +351,8 @@ def delta_expansion(k: int, order: int) -> TruncSeries:
 
 
 def z_word(*ks: int) -> MzvPoly:
-    """z_(k_1) ... z_(k_r) with z_k = x^(k-1) y."""
-    return MzvPoly({"".join("x" * (k - 1) + "y" for k in ks): 1})
+    """z_(k_1) ... z_(k_r) with z_k = x^(k-1) y, the binary word of ks over {x, y}."""
+    return MzvPoly({index_to_binary(ks).replace("0", "x").replace("1", "y"): 1})
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from .algebra import BAR1, EPoly, Index, entry_wt, in_Ihat0, index_dep, index_wt
+from .algebra import BAR1, EPoly, Index, check_index, entry_wt, in_Ihat0, index_dep, index_wt
 from .coeff import _exact, _Frozen
 from .errors import Divergent, NotInI0hat, OutOfRange
 
@@ -238,6 +238,7 @@ def zeta_q_partial(k: Index, q: QValue, M: int) -> CertifiedValue:
 
     k must lie in I0-hat (first entry != 1); the empty index gives 1.
     """
+    k = check_index(k)
     _check_index(k, M)
     if not k:
         return CertifiedValue(Fraction(1), Fraction(0), M)
@@ -257,6 +258,7 @@ def polylog_partial(k: Index, t: Fraction, q: QValue, M: int) -> CertifiedValue:
     u = t q in place of q when the leading entry is not an unbarred 1 (then
     |t^m F_(k_1)(m)| <= (tq)^m) and u = t otherwise.
     """
+    k = check_index(k)
     t = Fraction(_exact(t))
     if not (0 < t <= 1) or M < 1:
         raise OutOfRange(f"need 0 < t <= 1 and M >= 1, got t = {t}, M = {M}")

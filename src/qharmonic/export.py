@@ -10,7 +10,7 @@ import csv
 import io
 import json
 
-from .algebra import EPoly, enumerate_indices, index_sort_key, parse_entry
+from .algebra import EPoly, _sorted_indices, index_sort_key, parse_entry
 from .coeff import Laurent
 from .cyclo import zn_map
 from .derivations import _dual_shift_sum, _ohno_rhs, partial_n_e
@@ -49,11 +49,9 @@ def derivation_records(max_n: int, max_weight: int, q=None, M: int = DEFAULT_M) 
     _check_weight(max_weight)
     qv = QValue(q if q is not None else DEFAULT_Q)
     records = []
+    words = [w for w in _sorted_indices(max_weight, "Ihat0") if w]
     for n in range(1, max_n + 1):
-        words = []
-        for wt in range(1, max_weight + 1):
-            words.extend(enumerate_indices(wt, "Ihat0"))
-        for w in sorted(words, key=index_sort_key):
+        for w in words:
             rel = partial_n_e(n, EPoly({w: 1}))
             if rel.is_zero():
                 continue
@@ -75,11 +73,9 @@ def ohno_records(max_n: int, max_weight: int, max_m: int = 2) -> list[dict]:
     relation, with h standing for 1 - zeta_n; verified by exact evaluation."""
     _check_weight(max_weight)
     records = []
+    ks = [k for k in _sorted_indices(max_weight, "I") if k]
     for n in range(2, max_n + 1):
-        ks = []
-        for wt in range(1, max_weight + 1):
-            ks.extend(k for k in enumerate_indices(wt, "I") if k)
-        for k in sorted(ks, key=index_sort_key):
+        for k in ks:
             for m in range(0, max_m + 1):
                 if n < len(k) + m + 1:
                     continue

@@ -23,6 +23,7 @@ class TruncSeries(_Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least the X^0 coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -114,6 +115,8 @@ def ts_log(mul, g: TruncSeries) -> TruncSeries:
 
 def geometric(g, order: int) -> TruncSeries:
     """1/(1 - gX) = sum g^n X^n, with concatenation powers of g."""
+    if order < 0:
+        raise OutOfRange(f"series order must be >= 0, got {order}")
     coeffs = [type(g).one()]
     for _ in range(order):
         coeffs.append(coeffs[-1] * g)

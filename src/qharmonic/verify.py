@@ -20,9 +20,8 @@ from .algebra import (
     BAR1,
     EPoly,
     NcPoly,
+    _sorted_indices,
     e_to_word,
-    enumerate_indices_up_to,
-    index_sort_key,
     index_str,
     word_to_e,
 )
@@ -105,10 +104,6 @@ def _suite(name: str):
 
 def _idx_label(k) -> str:
     return f"({index_str(k)})"
-
-
-def _sorted_indices(max_weight: int, family: str):
-    return sorted(enumerate_indices_up_to(max_weight, family), key=index_sort_key)
 
 
 # --- Z_q and formal series suites -------------------------------------------

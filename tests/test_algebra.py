@@ -18,13 +18,17 @@ from qharmonic.algebra import (
     in_Ihat0,
     index_dep,
     index_str,
+    index_to_binary,
     index_wt,
     left_mul_a,
     parse_index,
     word_to_e,
 )
 from qharmonic.coeff import Laurent
+from qharmonic.cyclo import zn_eval
+from qharmonic.derivations import z_word
 from qharmonic.errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1
+from qharmonic.evalq import QValue, polylog_partial, zeta_q_partial
 
 H = Laurent.h
 
@@ -380,6 +384,31 @@ class TestKeyChecks:
         else:
             with pytest.raises(BadEntry):
                 EPoly.from_index(k)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: zn_eval((2, 0), 4), BadEntry),
+            (lambda: zn_eval((-1,), 4), BadEntry),
+            (lambda: zeta_q_partial((0,), QValue(Fraction(1, 2)), 5), BadEntry),
+            (lambda: zeta_q_partial((-1,), QValue(Fraction(1, 2)), 5), BadEntry),
+            (lambda: polylog_partial((0,), Fraction(1, 2), QValue(Fraction(1, 2)), 5), BadEntry),
+            (lambda: z_word(0), BadEntry),
+            (lambda: z_word(-2), BadEntry),
+            (lambda: z_word(BAR1), HasBarEntry),
+            (lambda: index_to_binary((BAR1,)), HasBarEntry),
+            (lambda: index_to_binary((2, 0)), BadEntry),
+        ],
+        ids=["zn_eval 2,0", "zn_eval -1", "zeta_q_partial 0", "zeta_q_partial -1",
+             "polylog_partial 0", "z_word 0", "z_word -2", "z_word 1bar",
+             "index_to_binary 1bar", "index_to_binary 2,0"],
+    )
+    def test_raw_index_entries(self, call, error):
+        # a function taking a raw index checks its entries like EPoly's
+        # constructor; these used to return z_1, 3/2 - z and 0, or raise a
+        # bare TypeError or ZeroDivisionError
+        with pytest.raises(error):
+            call()
 
     @pytest.mark.parametrize(
         "x, y",

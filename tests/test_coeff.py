@@ -7,7 +7,7 @@ from laurent_oracle import constant, neg, power, sub, substitute
 from poly_oracle import BothZero, GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
 from qharmonic.algebra import EPoly, NcPoly
 from qharmonic.coeff import Laurent
-from qharmonic.cyclo import cyc_field
+from qharmonic.cyclo import cyc_field, prime_ring
 from qharmonic.errors import NonInvertible
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -162,12 +162,21 @@ class TestNoFloats:
             lambda: NcPoly.word("ab", 0.1),
             lambda: EPoly.gen(2).scale(0.1),
             lambda: NcPoly.word("ab").scale(0.1, 1),
+            lambda: cyc_field(3).element([0.1, 1]),
+            lambda: cyc_field(3).from_rational(0.1),
+            lambda: prime_ring(5).element([0.1]),
         ],
-        ids=["Laurent", "Laurent dict", "EPoly", "NcPoly", "NcPoly.word", "EPoly.scale", "NcPoly.scale"],
+        ids=["Laurent", "Laurent dict", "EPoly", "NcPoly", "NcPoly.word", "EPoly.scale", "NcPoly.scale",
+             "cyc_field.element", "cyc_field.from_rational", "prime_ring.element"],
     )
     def test_floats_raise(self, build):
         with pytest.raises(TypeError, match="exact rational expected, got the float 0.1"):
             build()
+
+    def test_zero_float_raises(self):
+        # a zero coefficient is checked before it is dropped
+        with pytest.raises(TypeError, match="got the float 0.0"):
+            Laurent({1: 0.0})
 
     def test_exact_inputs_pass(self):
         assert EPoly({(2,): Fraction(1, 10)}).terms == {((2,), 0): Fraction(1, 10)}
@@ -183,7 +192,8 @@ monomials = st.builds(Laurent.h, st.integers(-3, 3), monomial_coeffs)
 
 class TestMonomialProduct:
     """Monomial x monomial, the shape the weight grading makes common,
-    takes a fast path; schoolbook stays the reference."""
+    goes through the one accumulator like any product; schoolbook stays
+    the reference."""
 
     @given(monomials, monomials)
     @example(Laurent.h(0, 1), Laurent.h(2, Fraction(-3, 4)))
@@ -205,7 +215,7 @@ class TestMonomialProduct:
 
     def test_unit_returns_the_other_operand(self):
         x = Laurent.h(-2, Fraction(3, 4))
-        assert Laurent(1) * x is x and x * Laurent(1) is x
+        assert Laurent(1) * x == x and x * Laurent(1) == x
         assert Laurent.h(1) * x == Laurent.h(-1, Fraction(3, 4))
         assert Laurent.h(0, -1) * x == neg(x)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lemmas import A_m_helper
 from poly_oracle import QPoly
@@ -17,6 +18,7 @@ from qharmonic.algebra import (
 from qharmonic.coeff import Laurent, UniPoly
 from qharmonic.cyclo import (
     CycNum,
+    PrimeRing,
     _f_factor,
     cyc_field,
     cyclotomic_poly,
@@ -177,6 +179,50 @@ class TestZetaPower:
         zeta = ring.zeta()
         for e in range(3 * ring.n):
             assert ring.zeta_power(e) == zeta**e, e
+
+
+def lincomb_by_products(ring, pairs):
+    """sum c*v through CycNum's * and +, one pair at a time."""
+    out = ring.zero()
+    for c, v in pairs:
+        out = out + v * c
+    return out
+
+
+LINCOMB_RINGS = [cyc_field(n) for n in (2, 3, 5, 6, 12)] + [prime_ring(p) for p in (2, 3, 5, 7)]
+
+
+class TestLincomb:
+    """The one lincomb of both rings against products and sums. Mod p, every
+    coefficient needs a residue, also one whose value is zero."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sum_of_products(self, data):
+        ring = data.draw(st.sampled_from(LINCOMB_RINGS), label="ring")
+        fractions = st.fractions(-3, 3, max_denominator=14).filter(lambda c: c.denominator > 1)
+        scalars = st.one_of(st.integers(-5, 5).filter(bool), fractions)
+        # an element of Z[zeta_p]/(p) has int coefficients; Q(zeta_n) takes any rational
+        ints = st.integers(-9, 9)
+        entries = ints if isinstance(ring, PrimeRing) else st.one_of(ints, fractions)
+        values = st.one_of(st.just(ring.zero()), st.lists(entries, max_size=ring.n + 1).map(ring.element))
+        pairs = data.draw(st.lists(st.tuples(scalars, values), max_size=4), label="pairs")
+        try:
+            want = lincomb_by_products(ring, pairs)
+        except BadDenominator:
+            with pytest.raises(BadDenominator):
+                ring.lincomb(pairs)
+        else:
+            assert ring.lincomb(pairs) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_zero_value_still_needs_a_residue(self, p):
+        ring = prime_ring(p)
+        pairs = [(1, ring.one()), (Fraction(1, p), ring.zero())]
+        with pytest.raises(BadDenominator):
+            ring.lincomb(pairs)
+        field = cyc_field(p)
+        assert field.lincomb([(1, field.one()), (Fraction(1, p), field.zero())]) == 1
 
 
 def zn_brute(k, n):

@@ -8,7 +8,7 @@ from cauchy_oracle import ts_mul_by_sums
 from frozen_value import assert_frozen_value
 from qharmonic.algebra import BAR1, EPoly, NcPoly, word_to_e
 from qharmonic.coeff import Laurent
-from qharmonic.errors import BadConstantTerm, OrderMismatch
+from qharmonic.errors import BadConstantTerm, OrderMismatch, OutOfRange
 from qharmonic.products import shuffle_q, stuffle_classical, stuffle_q
 from qharmonic.series import (
     TruncSeries,
@@ -38,6 +38,16 @@ class TestTruncSeriesClass:
         assert TruncSeries(coeffs=(NcPoly.one(),)).order == 0
         with pytest.raises(ValueError, match="X\\^0"):
             TruncSeries(())
+
+    def test_list_is_stored_as_a_tuple(self):
+        ab = NcPoly.word("ab")
+        s = TruncSeries([ab])
+        assert s.coeffs == (ab,) and hash(s) == hash(TruncSeries((ab,)))
+
+    def test_geometric_rejects_a_negative_order(self):
+        with pytest.raises(OutOfRange, match="got -1"):
+            geometric(NcPoly.word("ab"), -1)
+        assert geometric(NcPoly.word("ab"), 0) == TruncSeries((NcPoly.one(),))
 
 
 class TestMul:
