@@ -497,15 +497,17 @@ def index_to_binary(k: Index) -> str:
 
 
 def binary_to_index(s: str) -> Index:
-    """Inverse of index_to_binary; s must end in '1'."""
+    """Inverse of index_to_binary; s must be over {0, 1} and end in '1'."""
     out = []
     run = 0
     for ch in s:
         if ch == "0":
             run += 1
-        else:
+        elif ch == "1":
             out.append(run + 1)
             run = 0
+        else:
+            raise BadLetter(f"binary word {s!r} has the letter {ch!r}")
     if run:
         raise ValueError(f"binary word {s!r} does not end in e_1")
     return tuple(out)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import index
 
 #: The exact rational scalar type used everywhere in this package.
 Rational = Fraction
@@ -105,6 +106,8 @@ class Laurent:
         if type(terms) is Laurent:
             self.terms = dict(terms.terms)
         elif type(terms) is dict or isinstance(terms, Mapping):
+            if not all(type(e) is int for e in terms):
+                raise TypeError(f"Laurent exponents must be ints, got {list(terms)!r}")
             self.terms = {e: v for e, c in terms.items() if (v := _exact(c))}
         else:
             c = _exact(terms)
@@ -236,7 +239,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(_exact(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -310,7 +313,7 @@ class ModPoly:
 
     def __init__(self, p: int, coeffs=()):
         self.p = p
-        cs = [int(c) % p for c in coeffs]
+        cs = [index(_exact(c)) % p for c in coeffs]  # TypeError unless integral
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

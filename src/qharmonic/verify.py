@@ -7,13 +7,17 @@ one VerifyReport per case, timed from the previous yield up to its own,
 so the first case also carries the suite's setup. Suites are pure and
 deterministic; cases are emitted in sorted parameter order, and
 `verify all` runs the suites in the order they are registered.
+
+Five suites check the relation families of `export` through its
+realizations, which return None or a nonzero image, so `v and witness`
+is the witness exactly when the check fails.
 """
 from __future__ import annotations
 
 import operator
 import time
 from fractions import Fraction
-from functools import cache, wraps
+from functools import wraps
 from itertools import combinations, product as iproduct
 
 from .algebra import (
@@ -28,10 +32,8 @@ from .algebra import (
 from .coeff import _Frozen
 from .cyclo import (
     fmzv_reduce,
-    ohno_check,
     ones_bar_closed_form,
     varpi_l_check,
-    zcyc_mod_p,
     zn_eval,
     zn_map,
 )
@@ -42,7 +44,6 @@ from .derivations import (
     Psi_X,
     Psi_X_series,
     _dual_shift_sum,
-    _shift_sum,
     d_n,
     delta_expansion,
     delta_n,
@@ -52,9 +53,13 @@ from .derivations import (
     partial_n_e,
     z_word,
 )
-from .errors import BadDenominator, OutOfRange
+from .errors import OutOfRange
 from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval, _exact_str, zeta_q_partial
-from .products import l_map_epoly, psi_involution, shuffle_q, stuffle_q
+from .export import (
+    certified, cyc_ohno_relations, cyclotomic, derivation_relations, double_shuffle_relations,
+    duality_relations, mod_p, ohno_relations,
+)
+from .products import shuffle_q, stuffle_q
 from .series import (
     TruncSeries, geometric, series_const, series_one, series_phi, series_psi, ts_log, ts_mul
 )
@@ -109,22 +114,11 @@ def _idx_label(k) -> str:
 # --- Z_q and formal series suites -------------------------------------------
 
 
-def _double_shuffle_witness(w1, w2, qv: QValue, M: int):
-    """Z_q(w *_q w' - w sh_q w') certifies zero, and with v, t the values and
-    tail bounds of Z_q(w *_q w'), Z_q(w), Z_q(w'):
-        |vs - v1 v2| <= ts + t1 (|v2| + t2) + t2 (|v1| + t1) + t1 t2."""
-    e1, e2 = EPoly({w1: 1}), EPoly({w2: 1})
-    st = stuffle_q(e1, e2)
-    sh = word_to_e(shuffle_q(e_to_word(e1), e_to_word(e2)))
-    resid = Zq_eval(st - sh, qv, M)
-    if not resid.certifies_zero():
-        return f"double-shuffle residual {resid}"
-    v1, v2 = zeta_q_partial(w1, qv, M), zeta_q_partial(w2, qv, M)
-    return _product_witness(Zq_eval(st, qv, M), v1, v2)
-
-
 def _product_witness(vs, v1, v2):
-    """The stuffle product rule passes on integer enclosures at 2^-P, P being
+    """|vs - v1 v2| <= ts + t1 (|v2| + t2) + t2 (|v1| + t1) + t1 t2, for v, t
+    the values and tail bounds of Z_q(w *_q w'), Z_q(w), Z_q(w').
+
+    The stuffle product rule passes on integer enclosures at 2^-P, P being
     64 bits below the smallest nonzero tail bound, with no value reduced: the
     residual is bounded above and the bound below. Any other case is decided,
     and its witness built, in exact Fractions."""
@@ -155,9 +149,13 @@ def suite_double_shuffle(q: Fraction = DEFAULT_Q, M: int = DEFAULT_M, max_weight
     """Z_q(w *_q w' - w sh_q w') = 0 within the certified bound, and the
     stuffle product rule against the product of values."""
     qv = QValue(q)
-    words = _sorted_indices(max_weight, "Ihat0")
-    for w1, w2 in iproduct(words, words):
-        witness = _double_shuffle_witness(w1, w2, qv, M)
+    for (w1, w2), rel in double_shuffle_relations(max_weight):
+        resid = certified(rel, qv, M)
+        if resid is not None:
+            witness = f"double-shuffle residual {resid}"
+        else:
+            vs = Zq_eval(stuffle_q(EPoly({w1: 1}), EPoly({w2: 1})), qv, M)
+            witness = _product_witness(vs, zeta_q_partial(w1, qv, M), zeta_q_partial(w2, qv, M))
         yield f"w={_idx_label(w1)} w'={_idx_label(w2)}", witness
 
 
@@ -246,11 +244,9 @@ def suite_derivation(
 ):
     """Z_q(partial_n(w)) = 0 within the certified bound on Hhat0 words."""
     qv = QValue(q)
-    words = [k for k in _sorted_indices(max_weight, "Ihat0") if k]
-    for n, w in iproduct(range(1, max_n + 1), words):
-        cv = Zq_eval(partial_n_e(n, EPoly({w: 1})), qv, M)
-        witness = None if cv.certifies_zero() else f"Z_q(partial_{n} e_{_idx_label(w)}) = {cv}"
-        yield f"n={n} w={_idx_label(w)}", witness
+    for (n, w), rel in derivation_relations(max_n, max_weight):
+        cv = certified(rel, qv, M)
+        yield f"n={n} w={_idx_label(w)}", cv and f"Z_q(partial_{n} e_{_idx_label(w)}) = {cv}"
 
 
 # --- root-of-unity suites ---------------------------------------------------
@@ -271,17 +267,10 @@ def suite_zn_stuffle(n_range=range(3, 11), max_weight: int = 3):
 @_suite("zn-duality")
 def suite_zn_duality(n_range=range(3, 11), max_weight: int = 3, dual_max_n: int = 12):
     """z_n(w sh_q w') = z_n(psi(w) w') exactly, plus z_n(e_1bar) = -z_n(e_1)."""
-    words = _sorted_indices(max_weight, "Ihat")
-
-    @cache
-    def sides(w1, w2):
-        # Both sides before z_n; they do not depend on n.
-        e1, e2 = EPoly({w1: 1}), EPoly({w2: 1})
-        return word_to_e(shuffle_q(e_to_word(e1), e_to_word(e2))), psi_involution(e1) * e2
-
-    for n, w1, w2 in iproduct(n_range, words, words):
-        lhs, rhs = (zn_map(x, n) for x in sides(w1, w2))
-        witness = None if lhs == rhs else f"z_{n} shuffle-psi fails: {lhs} != {rhs}"
+    relations = list(duality_relations(max_weight))  # they do not depend on n
+    for n, ((w1, w2), rel) in iproduct(n_range, relations):
+        v = cyclotomic(rel, n)
+        witness = v and f"z_{n} shuffle-psi fails: lhs - rhs = {v}"
         yield f"n={n} w={_idx_label(w1)} w'={_idx_label(w2)}", witness
     for n in range(2, dual_max_n + 1):
         lhs = zn_map(EPoly.gen(BAR1), n)
@@ -311,11 +300,9 @@ def suite_ohno(n_range=range(4, 13), max_weight: int = 4, max_m: int = 3):
             witness = None if lhs == rhs else f"combination identity fails k={k} p={p} m-p={mp}"
             yield f"combination k={_idx_label(k)} p={p} m-p={mp}", witness
 
-    ohno_indices = [k for k in _sorted_indices(max_weight, "I") if k]
-    for n, k, m in iproduct(n_range, ohno_indices, range(max_m + 1)):
-        if n >= len(k) + m + 1:
-            ok, lhs, rhs = ohno_check(k, m, n)
-            yield f"n={n} k={_idx_label(k)} m={m}", None if ok else f"Ohno fails: lhs={lhs} rhs={rhs}"
+    for (n, k, m), rel in ohno_relations(n_range, max_weight, max_m):
+        v = cyclotomic(rel, n)
+        yield f"n={n} k={_idx_label(k)} m={m}", v and f"Ohno fails: lhs - rhs = {v}"
 
 
 @_suite("ones-bar")
@@ -362,40 +349,14 @@ def suite_varpi_l(primes=(7, 11, 13), max_weight: int = 3):
             yield f"p={p} k={_idx_label(k)}", witness
 
 
-def _cyc_ohno_witness(dual, pairs, p: int):
-    try:
-        lhs = zcyc_mod_p(dual, p)
-        rhs = None
-        for c, shift in pairs:
-            term = c * zcyc_mod_p(shift, p)
-            rhs = term if rhs is None else rhs + term
-    except BadDenominator:
-        # p divides a denominator, so nothing is checked; the case still
-        # reports PASS (ROADMAP item 1 turns it into a SKIP).
-        return None
-    return None if lhs == rhs else f"cyc-Ohno fails: {lhs} != {rhs}"
-
-
 @_suite("cyc-ohno")
 def suite_cyc_ohno(primes=(7, 11, 13), max_weight: int = 3, max_m: int = 2):
     """The Ohno-type relation for the cyclotomic analogue at single primes."""
-    indices = [k for k in _sorted_indices(max_weight, "I") if k]
-
-    @cache
-    def sides(k, m):
-        # Both sides before reduction mod p; they do not depend on p. The
-        # right side is a list of (coefficient, iterated L image) pairs.
-        pairs = []
-        for l in range(m + 1):
-            shift = _shift_sum(k, l)
-            for _ in range(m - l):
-                shift = l_map_epoly(shift)
-            pairs.append((Fraction((-1) ** (m - l), m - l + 1), shift))
-        return _dual_shift_sum(k, m), pairs
-
-    for p, k, m in iproduct(primes, indices, range(max_m + 1)):
+    relations = list(cyc_ohno_relations(max_weight, max_m))  # they do not depend on p
+    for p, ((k, m), rel) in iproduct(primes, relations):
         if p >= len(k) + m + 1:
-            yield f"p={p} k={_idx_label(k)} m={m}", _cyc_ohno_witness(*sides(k, m), p)
+            v = mod_p(rel, p)
+            yield f"p={p} k={_idx_label(k)} m={m}", v and f"cyc-Ohno fails: lhs - rhs = {v}"
 
 
 def _mzv_compare_witness(n: int, k):

@@ -9,6 +9,7 @@ from qharmonic.algebra import (
     LinComb,
     MzvPoly,
     NcPoly,
+    binary_to_index,
     e_to_word,
     enbar,
     enumerate_indices,
@@ -270,6 +271,17 @@ class TestIndexText:
         assert str(x) == "e[2,3] + e[3,2] + e[5] + h*e[4]"
         assert str(EPoly({(2,): 1, (BAR1,): H(1, -1)})) == "e[2] - h*e[1bar]"
 
+    @pytest.mark.parametrize(
+        "x, text",
+        [(lambda: NcPoly({"ab": 1 + H()}), "(1 + h)*ab"),
+         (lambda: EPoly({(2, 1): 1 + H()}), "(1 + h)*e[2,1]"),
+         (lambda: EPoly({(): 1 + H()}), "(1 + h)")],
+        ids=["NcPoly", "EPoly", "EPoly unit"],
+    )
+    def test_coefficient_of_several_powers_of_h(self, x, text):
+        # a term that is not graded prints its whole coefficient in parentheses
+        assert str(x()) == text
+
 
 class TestNcMul:
     def test_concatenation(self):
@@ -384,6 +396,12 @@ class TestKeyChecks:
         else:
             with pytest.raises(BadEntry):
                 EPoly.from_index(k)
+
+    def test_binary_word_over_0_and_1_only(self):
+        # used to read every letter other than 0 as 1: "0a1" gave (2, 1)
+        with pytest.raises(BadLetter, match="'a'"):
+            binary_to_index("0a1")
+        assert binary_to_index("0101") == (2, 2)
 
     @pytest.mark.parametrize(
         "call, error",

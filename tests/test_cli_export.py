@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import qharmonic
-from qharmonic import verify
+from qharmonic import export, verify
 from qharmonic.algebra import EPoly
 from qharmonic.cli import build_parser, main
 from qharmonic.evalq import QValue, Zq_eval, zeta_q_partial
@@ -132,8 +132,8 @@ class TestVerifyCommand:
     def test_counterexample_past_the_digit_limit(self, capsys, monkeypatch):
         # a wrong stuffle at the acceptance truncation M = 120 is a FAIL with
         # its exact witness (exit 1), not a usage error
-        good = verify.stuffle_q
-        monkeypatch.setattr(verify, "stuffle_q", lambda x, y: good(x, y) + EPoly.gen(2))
+        good = export.stuffle_q
+        monkeypatch.setattr(export, "stuffle_q", lambda x, y: good(x, y) + EPoly.gen(2))
         code, out, err = run_cli(capsys, "verify", "double-shuffle", "--max-weight", "2")
         assert code == 1 and err == ""
         witnesses = [ln for ln in out.splitlines() if ln.startswith("    witness: ")]

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 from laurent_oracle import constant, neg, power, sub, substitute
 from poly_oracle import BothZero, GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
 from qharmonic.algebra import EPoly, NcPoly
-from qharmonic.coeff import Laurent
+from qharmonic.coeff import Laurent, ModPoly, UniPoly
 from qharmonic.cyclo import cyc_field, prime_ring
 from qharmonic.errors import NonInvertible
 
@@ -177,6 +177,25 @@ class TestNoFloats:
         # a zero coefficient is checked before it is dropped
         with pytest.raises(TypeError, match="got the float 0.0"):
             Laurent({1: 0.0})
+
+    @pytest.mark.parametrize("e", [0.5, "a", Fraction(1), True], ids=repr)
+    def test_exponents_are_ints(self, e):
+        # h^0.5 and h^a used to print, and no parse could read them back
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            Laurent({e: 1})
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            Laurent.h(e)
+
+    def test_poly_coefficients(self):
+        # ModPoly(5, [2.5, 1]) used to truncate to 2 + x, UniPoly([0.5]) kept the float
+        for build in (lambda: ModPoly(5, [2.5, 1]), lambda: UniPoly([0.5])):
+            with pytest.raises(TypeError, match="got the float"):
+                build()
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            ModPoly(5, [Fraction(1, 2)])
+        assert ModPoly(5, [Fraction(12, 2), -1]).coeffs == (1, 4)
+        assert UniPoly([Fraction(1, 2), 2]).coeffs == (Fraction(1, 2), 2)
+        assert all(type(c) is Fraction for c in UniPoly([1, 2]).coeffs)
 
     def test_exact_inputs_pass(self):
         assert EPoly({(2,): Fraction(1, 10)}).terms == {((2,), 0): Fraction(1, 10)}

@@ -41,15 +41,15 @@ def assert_all_fail_with_witness(reports, needle):
 
 
 def test_derivation_catches_a_wrong_partial_n(monkeypatch):
-    good = verify.partial_n_e
-    monkeypatch.setattr(verify, "partial_n_e", lambda n, x: bump_one_coefficient(good(n, x)))
+    good = export.partial_n_e
+    monkeypatch.setattr(export, "partial_n_e", lambda n, x: bump_one_coefficient(good(n, x)))
     reports = verify.suite_derivation(M=40, max_n=1, max_weight=2)
     assert_all_fail_with_witness(reports, "Z_q(partial_1")
 
 
 def test_double_shuffle_catches_a_wrong_stuffle(monkeypatch):
-    good = verify.stuffle_q
-    monkeypatch.setattr(verify, "stuffle_q", lambda x, y: bump_one_coefficient(good(x, y)))
+    good = export.stuffle_q
+    monkeypatch.setattr(export, "stuffle_q", lambda x, y: bump_one_coefficient(good(x, y)))
     reports = verify.suite_double_shuffle(M=40, max_weight=2)
     assert_all_fail_with_witness(reports, "double-shuffle residual")
 
@@ -247,13 +247,11 @@ def ohno_cases(**kwargs):
 
 
 def test_ohno_catches_a_wrong_dual_shift_sum(monkeypatch):
-    # both the combination identity and the relation itself read it
-    from qharmonic import cyclo
-
+    # both the combination identity (verify) and the relation itself (export) read it
     good = verify._dual_shift_sum
     bumped = lambda k, m: good(k, m) + EPoly.gen(2)  # noqa: E731
     monkeypatch.setattr(verify, "_dual_shift_sum", bumped)
-    monkeypatch.setattr(cyclo, "_dual_shift_sum", bumped)
+    monkeypatch.setattr(export, "_dual_shift_sum", bumped)
     reports = [r for r in ohno_cases() if not r.case.startswith("Delta expansion")]
     combination = [r for r in reports if r.case.startswith("combination")]
     assert combination and len(combination) < len(reports)
@@ -374,8 +372,8 @@ def zn_duality_cases():
 def test_zn_duality_catches_a_wrong_psi(monkeypatch):
     # 1 added to the coefficient of the empty index: a bump on a longer
     # index can reach depth >= n, where z_n vanishes
-    good = verify.psi_involution
-    monkeypatch.setattr(verify, "psi_involution", lambda x: good(x) + EPoly.one())
+    good = export.psi_involution
+    monkeypatch.setattr(export, "psi_involution", lambda x: good(x) + EPoly.one())
     reports = [r for r in zn_duality_cases() if not r.case.startswith("duality instance")]
     assert_all_fail_with_witness(reports, "shuffle-psi fails")
 
@@ -410,8 +408,8 @@ def cyc_ohno_cases():
 
 
 def test_cyc_ohno_catches_a_wrong_dual_shift_sum(monkeypatch):
-    good = verify._dual_shift_sum
-    monkeypatch.setattr(verify, "_dual_shift_sum", lambda k, m: good(k, m) + EPoly.one())
+    good = export._dual_shift_sum
+    monkeypatch.setattr(export, "_dual_shift_sum", lambda k, m: good(k, m) + EPoly.one())
     assert_all_fail_with_witness(cyc_ohno_cases(), "cyc-Ohno fails")
 
 
@@ -419,16 +417,16 @@ def test_cyc_ohno_catches_a_wrong_l_map(monkeypatch):
     # only the m >= 1 cases apply the L map; the clean run first would
     # leave behind any side cached across suite calls
     assert all(r.ok for r in cyc_ohno_cases())
-    good = verify.l_map_epoly
-    monkeypatch.setattr(verify, "l_map_epoly", lambda x: good(x) + EPoly.one())
+    good = export.l_map_epoly
+    monkeypatch.setattr(export, "l_map_epoly", lambda x: good(x) + EPoly.one())
     reports = [r for r in cyc_ohno_cases() if not r.case.endswith("m=0")]
     assert_all_fail_with_witness(reports, "cyc-Ohno fails")
 
 
 def test_cyc_ohno_catches_a_wrong_shift_sum(monkeypatch):
     assert all(r.ok for r in cyc_ohno_cases())
-    good = verify._shift_sum
-    monkeypatch.setattr(verify, "_shift_sum", lambda k, l: good(k, l) + EPoly.one())
+    good = export._shift_sum
+    monkeypatch.setattr(export, "_shift_sum", lambda k, l: good(k, l) + EPoly.one())
     assert_all_fail_with_witness(cyc_ohno_cases(), "cyc-Ohno fails")
 
 
