@@ -39,8 +39,8 @@ from .cyclo import (
     zn_map,
 )
 from .derivations import Delta_X, Phi_X, Psi_X, d_n, delta_n, iota, mzv_partial, partial_n, partial_n_e
-from .evalq import CertifiedValue, QValue, Zq_eval, polylog_partial, q_int, zeta_q_partial
+from .evalq import CertifiedValue, QValue, Zq_eval, zeta_q_partial
 from .products import circ, l_map, psi_involution, shuffle_q, stuffle_classical, stuffle_q
-from .series import TruncSeries, geometric, series_phi, series_psi, ts_exp, ts_log, ts_mul
+from .series import TruncSeries, geometric, series_phi, series_psi, ts_log, ts_mul
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .coeff import Laurent, _accumulate, _exact, _monomial_str, _scalar
+from .coeff import Laurent, _accumulate, _exact, _join_signed, _monomial_str, _scalar
 from .errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1
 
 
@@ -145,29 +145,18 @@ def index_sort_key(k: Index):
 
 def _render_terms(items: list[tuple[str, Laurent]], unit: str) -> str:
     """Shared pretty-printer: items are (basis string, coefficient)."""
-    if not items:
-        return "0"
-    parts = []
-    for basis, coeff in items:
+
+    def term(basis: str, coeff: Laurent) -> tuple[bool, str]:
         mono = coeff.single_term()
-        if mono is not None:
-            e, c = mono
-            cs = _monomial_str(e, abs(c))
-            if basis == unit:
-                body = cs
-            elif cs == "1":
-                body = basis
-            else:
-                body = f"{cs}*{basis}"
-            sign = c > 0
-        else:
-            body = f"({coeff})" if basis == unit else f"({coeff})*{basis}"
-            sign = True
-        if not parts:
-            parts.append(body if sign else "-" + body)
-        else:
-            parts.append((" + " if sign else " - ") + body)
-    return "".join(parts)
+        if mono is None:
+            return True, f"({coeff})" if basis == unit else f"({coeff})*{basis}"
+        e, c = mono
+        cs = _monomial_str(e, abs(c))
+        if basis == unit:
+            return c > 0, cs
+        return c > 0, basis if cs == "1" else f"{cs}*{basis}"
+
+    return _join_signed(term(basis, coeff) for basis, coeff in items)
 
 
 def _concat_into(out: dict, u: dict, v: dict) -> dict:

@@ -171,16 +171,7 @@ class Laurent:
         return None
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            body = _monomial_str(e, abs(c))
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+        return _join_signed((c > 0, _monomial_str(e, abs(c))) for e, c in sorted(self.terms.items()))
 
     __repr__ = __str__
 
@@ -197,11 +188,21 @@ class Laurent:
         return cls(out)
 
 
-def _monomial_str(e: int, c: Fraction) -> str:
+def _monomial_str(e: int, c: Fraction, var: str = "h") -> str:
+    """c var^e for c > 0, as Laurent and poly_str print it."""
     if e == 0:
         return str(c)
-    hpart = "h" if e == 1 else f"h^{e}"
-    return hpart if c == 1 else f"{c}*{hpart}"
+    vpart = var if e == 1 else f"{var}^{e}"
+    return vpart if c == 1 else f"{c}*{vpart}"
+
+
+def _join_signed(terms) -> str:
+    """One sum from (positive, body) pairs: the first term prints as body or
+    -body, each later one adds " + body" or " - body"; an empty sum prints 0."""
+    text = "".join((" + " if positive else " - ") + body for positive, body in terms)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _split_terms(text: str):
@@ -288,20 +289,7 @@ class UniPoly:
 
 def poly_str(coeffs, var: str) -> str:
     """Ascending-degree polynomial rendering shared by UniPoly and CycNum."""
-    parts = []
-    for e, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if e == 0:
-            body = str(abs(c))
-        else:
-            vp = var if e == 1 else f"{var}^{e}"
-            body = vp if abs(c) == 1 else f"{abs(c)}*{vp}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts) or "0"
+    return _join_signed((c > 0, _monomial_str(e, abs(c), var)) for e, c in enumerate(coeffs) if c)
 
 
 class ModPoly:

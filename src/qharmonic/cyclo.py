@@ -4,16 +4,14 @@ multiple harmonic q-series z_n(k; zeta_n) evaluated there.
 Everything here is plain int arithmetic. One element class, CycNum,
 serves both rings, cyc_field(n) for Q(zeta_n) and prime_ring(p) for
 Z[zeta_p]/(p) = GF(p)[x]/Phi_p(x): an int vector over one positive int
-denominator, with shared sum, product (an int convolution), power,
-division and equality. Each ring supplies what differs:
+denominator, with shared sum, product (an int convolution), power and
+equality; there is no division. Each ring supplies what differs:
 - _reduce(num, den), the one stored form. Q(zeta_n) folds by the monic
   int Phi_n and takes one gcd. Z[zeta_p]/(p) folds with x^p = 1 and
   x^(p-1) = -(1 + ... + x^(p-2)), multiplies by den^(-1) mod p (p | den
   raises BadDenominator) and keeps den = 1.
-- inverse(x) in closed form: the Galois conjugates over the rational
-  norm in Q(zeta_n), u^(p-1)/u(1) by Frobenius in Z[zeta_p]/(p), whose
-  nilpotents (Phi_p = (x-1)^(p-1) mod p) raise NonInvertible.
-- q_int_inv(m) = [m]^(-1) as an explicit sum.
+- q_int_inv(m) = [m]^(-1) as an explicit sum, the one inverse the
+  evaluator needs besides h^(-1) = (1 - zeta)^(-1) (see _h_power).
 - poly(x) for .poly (UniPoly or ModPoly), and a str suffix (" (mod p)").
 The base CycRing holds element, zeta, zeta_power(e) (the monomial
 x^(e mod n), folded once), one, zero, from_rational and lincomb(pairs),
@@ -160,24 +158,6 @@ class CycField(CycRing):
     def poly(self, x: "CycNum") -> UniPoly:
         return UniPoly([Fraction(c, x.den) for c in x.num])
 
-    def inverse(self, x: "CycNum") -> "CycNum":
-        """x^(-1) = c / N(x) with c the product of the Galois conjugates
-        sigma_j(x), zeta -> zeta^j, over the j != 1 prime to n; the norm
-        N(x) = x c is rational and nonzero for x != 0."""
-        if not x.num:
-            raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        n = self.n
-        conj = self.one()
-        for j in range(2, n):
-            if gcd(j, n) == 1:
-                vec = [0] * n
-                for i, c in enumerate(x.num):
-                    vec[i * j % n] += c
-                conj = conj * CycNum(self, vec, x.den)
-        norm = x * conj
-        (c,) = norm.num
-        return conj * Fraction(norm.den, c)
-
     def q_int_inv(self, m: int) -> "CycNum":
         """[m]^(-1) = (1 - zeta)/(1 - w) at w = zeta^m, 0 < m < n, in closed form.
 
@@ -239,16 +219,6 @@ class PrimeRing(CycRing):
     def poly(self, x: "CycNum") -> ModPoly:
         return ModPoly(self.n, x.num)
 
-    def inverse(self, x: "CycNum") -> "CycNum":
-        """u^(-1) = u(1)^(-1) u^(p-1). Frobenius fixes GF(p) and x^p = 1, so
-        u^p = u(1): u is a unit exactly when u(1) != 0 mod p, and nilpotent
-        otherwise."""
-        p = self.n
-        u1 = sum(x.num) % p
-        if not u1:
-            raise NonInvertible(f"{x} is not a unit in {self!r}")
-        return x ** (p - 1) * pow(u1, -1, p)
-
     def q_int_inv(self, m: int) -> "CycNum":
         """[m]^(-1) = [m']_(zeta^m) with m m' = 1 mod p, an integral sum:
         [m] [m']_(zeta^m) = (1 - zeta^(m m'))/(1 - zeta) = 1 as zeta^p = 1."""
@@ -271,7 +241,8 @@ class CycNum:
     in the one form the ring's _reduce gives: in Q(zeta_n) at most
     phi(n) entries with gcd(den, *num) = 1, in Z[zeta_p]/(p) at most
     p - 1 entries in [0, p) over den = 1. The arithmetic is shared;
-    inverse, .poly and the str suffix come from the ring.
+    .poly and the str suffix come from the ring. There is no division:
+    x / y raises TypeError and a negative power OutOfRange.
     """
 
     __slots__ = ("ring", "num", "den")
@@ -357,20 +328,11 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycNum":
-        return self.ring.inverse(self)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, e: int):
-        """x^e by repeated squaring; a negative e inverts x first."""
-        x = self.inverse() if e < 0 else self
-        e = abs(e)
-        out = self.ring.one()
+        """x^e for e >= 0 by repeated squaring."""
+        if e < 0:
+            raise OutOfRange(f"cyclotomic powers need e >= 0, got {e}")
+        x, out = self, self.ring.one()
         while e:
             if e & 1:
                 out = out * x
@@ -402,9 +364,15 @@ def fmzv_reduce(v: CycNum, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _h_power(ring, e: int):
-    """h^e at h = 1 - zeta, for any integer e. In Z[zeta_p]/(p) a negative e
-    raises NonInvertible, as (1 - zeta_p)^(p-1) is p times a unit."""
-    return (ring.one() - ring.zeta()) ** e
+    """h^e at h = 1 - zeta, for any integer e. A negative e takes the closed
+    form h^(-1) = -(1/n) sum_(j<n) j zeta^j in Q(zeta_n), as (1 - zeta)
+    sum_(j<n) j zeta^j = -n; in Z[zeta_p]/(p) it raises NonInvertible, as
+    (1 - zeta_p)^(p-1) is p times a unit."""
+    if e >= 0:
+        return (ring.one() - ring.zeta()) ** e
+    if isinstance(ring, PrimeRing):
+        raise NonInvertible(f"1 - zeta is not a unit in {ring!r}")
+    return CycNum(ring, [-j for j in range(ring.n)], ring.n) ** -e
 
 
 @lru_cache(maxsize=None)

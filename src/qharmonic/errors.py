@@ -53,10 +53,6 @@ class NotInMzvH1(QHarmonicError):
     """A word over {x, y} does not end in y."""
 
 
-class Divergent(QHarmonicError):
-    """The requested polylogarithm value diverges (t = 1 with leading 1)."""
-
-
 class OutOfRange(QHarmonicError):
     """A numeric parameter lies outside its documented range."""
 

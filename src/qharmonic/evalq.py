@@ -19,6 +19,7 @@ Z_q of an e-polynomial sums these over one shared denominator L b^W G^K
 bound checks cross-multiply or compare fixed-point enclosures (`_enclose`),
 and a value is reduced only when it is read or printed. The tail bound is
 one closed-form Fraction per (depth, q, M). A float is refused as input.
+zeta_q_partial(k, q, M) is Z_q(e_k), kept per (k, q, M).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from operator import mul
 
 from .algebra import BAR1, EPoly, Index, check_index, entry_wt, in_Ihat0, index_dep, index_wt
 from .coeff import _exact, _Frozen
-from .errors import Divergent, NotInI0hat, OutOfRange
+from .errors import NotInI0hat, OutOfRange
 
 #: Parameters used by the acceptance-level numeric checks.
 DEFAULT_Q = Fraction(1, 2)
@@ -119,14 +120,6 @@ def _exact_str(x: int | Fraction) -> str:
     return str(Decimal(num)) + ("" if den == 1 else f"/{Decimal(den)}")
 
 
-def q_int(m: int, q: QValue | Fraction) -> Fraction:
-    """The q-integer [m] = (1 - q^m)/(1 - q)."""
-    if m < 1:
-        raise OutOfRange("q-integers need m >= 1")
-    qq = q.q if isinstance(q, QValue) else Fraction(_exact(q))
-    return (1 - qq**m) / (1 - qq)
-
-
 @lru_cache(maxsize=1024)
 def tail_bound(depth: int, q: Fraction, M: int) -> Fraction:
     """Exact tail of the counting bound: sum_(m>M) C(m-1, depth-1) q^m.
@@ -176,9 +169,10 @@ def _head_factors(head, kappa: int, a: int, b: int, M: int) -> tuple[int, ...]:
     )
 
 
-def _layer(f, suffix: Index, kappa: int, a: int, b: int, M: int):
-    """The step N(m-1), m -> N(m) of a head with factors f over `suffix` at kappa."""
-    gk, sub = _gamma_powers(kappa, a, b, M), _suffix_numerators(suffix, kappa, a, b, M)
+def _layer(k: Index, kappa: int, a: int, b: int, M: int):
+    """The step N(m-1), m -> N(m) of the head of k over the suffix k[1:] at kappa."""
+    f, gk = _head_factors(k[0], kappa, a, b, M), _gamma_powers(kappa, a, b, M)
+    sub = _suffix_numerators(k[1:], kappa, a, b, M)
     return lambda acc, m: acc * gk[m] + f[m] * sub[m - 1]
 
 
@@ -188,8 +182,7 @@ def _suffix_numerators(suffix: Index, kappa: int, a: int, b: int, M: int) -> tup
     over b^W prod_(i<=m) g_i^kappa; kappa is at least every entry weight."""
     if not suffix:
         return _gamma_prefix(kappa, a, b, M)
-    step = _layer(_head_factors(suffix[0], kappa, a, b, M), suffix[1:], kappa, a, b, M)
-    return tuple(accumulate(range(1, M + 1), step, initial=0))
+    return tuple(accumulate(range(1, M + 1), _layer(suffix, kappa, a, b, M), initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -198,8 +191,7 @@ def _index_numerator(k: Index, a: int, b: int, M: int) -> tuple[int, int, int]:
     if not k:
         return 1, 0, 0
     kappa = max(map(entry_wt, k))
-    step = _layer(_head_factors(k[0], kappa, a, b, M), k[1:], kappa, a, b, M)
-    return reduce(step, range(1, M + 1), 0), kappa, index_wt(k)
+    return reduce(_layer(k, kappa, a, b, M), range(1, M + 1), 0), kappa, index_wt(k)
 
 
 def _combined_partial_sum(terms, a: int, b: int, M: int) -> tuple[int, int]:
@@ -234,45 +226,15 @@ def _check_index(k: Index, M: int):
 
 
 def zeta_q_partial(k: Index, q: QValue, M: int) -> CertifiedValue:
-    """Exact partial sum of zeta_q(k) over m_1 <= M with a certified tail.
+    """Exact partial sum of zeta_q(k) over m_1 <= M with a certified tail:
+    Z_q(e_k), kept in _zeta_cache per (k, q, M).
 
     k must lie in I0-hat (first entry != 1); the empty index gives 1.
     """
-    k = check_index(k)
-    _check_index(k, M)
-    if not k:
-        return CertifiedValue(Fraction(1), Fraction(0), M)
-    key = (k, q.q, M)
+    key = (check_index(k), q.q, M)
     if key not in _zeta_cache:
-        num, den = _combined_partial_sum([(k, 1)], q.q.numerator, q.q.denominator, M)
-        _zeta_cache[key] = CertifiedValue._unreduced(num, den, tail_bound(index_dep(k), q.q, M), M)
+        _zeta_cache[key] = Zq_eval(EPoly({key[0]: 1}), q, M)
     return _zeta_cache[key]
-
-
-def polylog_partial(k: Index, t: Fraction, q: QValue, M: int) -> CertifiedValue:
-    """Partial sum of the one-variable multiple polylogarithm L_k(t).
-
-    Needs M >= 1 and 0 < t < 1, or t = 1 with k in I0-hat. The sum is the
-    head layer of the zeta_q DP with its m-th factor weighted by t^m, which at
-    t = c/d is c^m d^(M-m) over d^M. The tail is the counting bound with
-    u = t q in place of q when the leading entry is not an unbarred 1 (then
-    |t^m F_(k_1)(m)| <= (tq)^m) and u = t otherwise.
-    """
-    k = check_index(k)
-    t = Fraction(_exact(t))
-    if not (0 < t <= 1) or M < 1:
-        raise OutOfRange(f"need 0 < t <= 1 and M >= 1, got t = {t}, M = {M}")
-    if not k:
-        return CertifiedValue(Fraction(1), Fraction(0), M)
-    if t == 1 and k[0] == 1:
-        raise Divergent("L_k(1) diverges when the index starts with 1")
-    (a, b), (c, d) = q.q.as_integer_ratio(), t.as_integer_ratio()
-    kappa, weight = max(map(entry_wt, k)), index_wt(k)
-    f = [x * c**m * d ** (M - m) for m, x in enumerate(_head_factors(k[0], kappa, a, b, M))]
-    num = reduce(_layer(f, k[1:], kappa, a, b, M), range(1, M + 1), 0)
-    den = d**M * b**weight * _gamma_prefix(kappa, a, b, M)[M]
-    u = t if k[0] == 1 else t * q.q
-    return CertifiedValue._unreduced(num, den, tail_bound(len(k), u, M), M)
 
 
 def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:

@@ -1,15 +1,15 @@
 """Truncated power series in X over the word algebra or the e-basis.
 
 A TruncSeries of order N stores the coefficients of X^0 .. X^N; all
-arithmetic truncates at X^N. ts_mul, ts_exp and ts_log take the coefficient
-product itself as their first argument -- operator.mul for concatenation, or
-shuffle_q, stuffle_q or stuffle_classical -- so exp and log work uniformly
-for all four; ts_mul adds each product in place into one dict per power of X.
+arithmetic truncates at X^N. ts_mul and ts_log take the coefficient product
+itself as their first argument -- operator.mul for concatenation, or
+shuffle_q, stuffle_q or stuffle_classical -- so log works uniformly for all
+four; ts_mul adds each product in place into one dict per power of X. Every
+exponential of the package is a derivation series (qharmonic.derivations).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .algebra import NcPoly
 from .coeff import Laurent, _Frozen
@@ -86,31 +86,18 @@ def _cauchy_into(outs: list, mul, a: tuple, b: tuple) -> None:
                 into(out, a[i], b[m - i])
 
 
-def _power_sum(mul, f: TruncSeries, weight) -> TruncSeries:
-    """sum over m = 1 .. order of weight(m) f^m, with powers taken under mul."""
-    terms = [f.scale(weight(1))]
-    power = f
-    for m in range(2, f.order + 1):
-        power = ts_mul(mul, power, f)
-        terms.append(power.scale(weight(m)))
-    cls = type(f.coeffs[0])
-    return TruncSeries(tuple(cls.sum(cs) for cs in zip(*(t.coeffs for t in terms))))
-
-
-def ts_exp(mul, f: TruncSeries) -> TruncSeries:
-    """exp with respect to the product mul; f must have zero constant term."""
-    if not f.coeffs[0].is_zero():
-        raise BadConstantTerm("exp needs constant term 0")
-    exp_minus_one = _power_sum(mul, f, lambda m: Fraction(1, factorial(m)))
-    return series_one(f.coeffs[0], f.order) + exp_minus_one
-
-
 def ts_log(mul, g: TruncSeries) -> TruncSeries:
-    """log with respect to the product mul; g must have constant term 1."""
+    """log with respect to the product mul, sum over m = 1 .. order of
+    ((-1)^(m-1)/m) f^m with f = g - 1; g must have constant term 1."""
     if g.coeffs[0] != type(g.coeffs[0]).one():
         raise BadConstantTerm("log needs constant term 1")
     f = g - series_one(g.coeffs[0], g.order)
-    return _power_sum(mul, f, lambda m: Fraction((-1) ** (m - 1), m))
+    terms, power = [f], f
+    for m in range(2, f.order + 1):
+        power = ts_mul(mul, power, f)
+        terms.append(power.scale(Fraction((-1) ** (m - 1), m)))
+    cls = type(f.coeffs[0])
+    return TruncSeries(tuple(cls.sum(cs) for cs in zip(*(t.coeffs for t in terms))))
 
 
 def geometric(g, order: int) -> TruncSeries:

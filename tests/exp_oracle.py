@@ -9,14 +9,17 @@ _exp_powers is the power loop: it builds each power of A = sum_n X^n D_n
 from the last by _sum_apply, so equal terms merge before the next D_j
 acts, and scales the r-th power once by 1/r!. Neither route assumes that
 the D_n commute.
+
+ts_exp is exp under a coefficient product, sum over m of f^m/m!: the
+inverse of series.ts_log, which the exp/log round trips check.
 """
 from fractions import Fraction
 from math import factorial
 
 from qharmonic.algebra import _accumulate
 from qharmonic.coeff import _exact
-from qharmonic.errors import OutOfRange
-from qharmonic.series import TruncSeries
+from qharmonic.errors import BadConstantTerm, OutOfRange
+from qharmonic.series import TruncSeries, series_one, ts_mul
 
 
 def _exp_apply(apply_n, w, order: int) -> list:
@@ -62,3 +65,14 @@ def _exp_powers(apply_n, s: TruncSeries) -> TruncSeries:
     terms = [p.scale(Fraction(1, factorial(r))) for r, p in enumerate(powers)]
     cls = type(s.coeffs[0])
     return TruncSeries(tuple(cls.sum(cs) for cs in zip(*(t.coeffs for t in terms))))
+
+
+def ts_exp(mul, f: TruncSeries) -> TruncSeries:
+    """exp with respect to the product mul; f must have zero constant term."""
+    if not f.coeffs[0].is_zero():
+        raise BadConstantTerm("exp needs constant term 0")
+    total, power = series_one(f.coeffs[0], f.order) + f, f
+    for m in range(2, f.order + 1):
+        power = ts_mul(mul, power, f)
+        total = total + power.scale(Fraction(1, factorial(m)))
+    return total

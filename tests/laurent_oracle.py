@@ -31,10 +31,11 @@ _scalar = (int, Fraction)
 # --- Laurent operations that left the package --------------------------------
 
 
-def substitute(c: Laurent, value):
+def substitute(c: Laurent, value, inverse=None):
     """c evaluated at h = value in any exact commutative ring.
 
-    Negative exponents need value to be invertible; rings signal that
+    Negative exponents take powers of `inverse` when it is given (a ring
+    without division, such as a cyclotomic one, needs it), else of 1/value
     through __pow__ with a negative exponent. An int value is then taken
     as a Fraction, so that its inverse stays exact.
     """
@@ -45,7 +46,7 @@ def substitute(c: Laurent, value):
     acc = None
     for e, v in sorted(c.terms.items()):
         try:
-            term = v * value**e
+            term = v * (inverse ** -e if e < 0 and inverse is not None else value**e)
         except ZeroDivisionError as exc:
             raise NonInvertible(f"h^{e} at zero value") from exc
         acc = term if acc is None else acc + term

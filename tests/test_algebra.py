@@ -29,7 +29,7 @@ from qharmonic.coeff import Laurent
 from qharmonic.cyclo import zn_eval
 from qharmonic.derivations import z_word
 from qharmonic.errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1
-from qharmonic.evalq import QValue, polylog_partial, zeta_q_partial
+from qharmonic.evalq import QValue, zeta_q_partial
 
 H = Laurent.h
 
@@ -410,7 +410,6 @@ class TestKeyChecks:
             (lambda: zn_eval((-1,), 4), BadEntry),
             (lambda: zeta_q_partial((0,), QValue(Fraction(1, 2)), 5), BadEntry),
             (lambda: zeta_q_partial((-1,), QValue(Fraction(1, 2)), 5), BadEntry),
-            (lambda: polylog_partial((0,), Fraction(1, 2), QValue(Fraction(1, 2)), 5), BadEntry),
             (lambda: z_word(0), BadEntry),
             (lambda: z_word(-2), BadEntry),
             (lambda: z_word(BAR1), HasBarEntry),
@@ -418,7 +417,7 @@ class TestKeyChecks:
             (lambda: index_to_binary((2, 0)), BadEntry),
         ],
         ids=["zn_eval 2,0", "zn_eval -1", "zeta_q_partial 0", "zeta_q_partial -1",
-             "polylog_partial 0", "z_word 0", "z_word -2", "z_word 1bar",
+             "z_word 0", "z_word -2", "z_word 1bar",
              "index_to_binary 1bar", "index_to_binary 2,0"],
     )
     def test_raw_index_entries(self, call, error):

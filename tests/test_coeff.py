@@ -7,7 +7,7 @@ from laurent_oracle import constant, neg, power, sub, substitute
 from poly_oracle import BothZero, GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
 from qharmonic.algebra import EPoly, NcPoly
 from qharmonic.coeff import Laurent, ModPoly, UniPoly
-from qharmonic.cyclo import cyc_field, prime_ring
+from qharmonic.cyclo import _h_power, cyc_field, prime_ring
 from qharmonic.errors import NonInvertible
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -55,15 +55,18 @@ class TestLaurent:
         assert substitute(Laurent(), Fraction(3, 7)) == 0
 
     def test_substitute_cyclotomic_inverse(self):
-        # 1/(1 - zeta_3) = (2 + zeta_3)/3, checked against extended Euclid
+        # 1/(1 - zeta_3) = (2 + zeta_3)/3, the closed form of h^(-1) checked
+        # against extended Euclid; a cyclotomic ring has no division, so
+        # substitute takes the inverse
         fld = cyc_field(3)
         value = fld.one() - fld.zeta()
-        got = substitute(Laurent.h(-1), value)
         expected = fld.element([Fraction(2, 3), Fraction(1, 3)])
-        assert got == expected
+        assert _h_power(fld, -1) == expected
         g, s, _ = poly_ext_gcd(QPoly([1, -1]), fld.modulus)
         assert g == QPoly([1])
         assert fld.element(s.coeffs) == expected
+        got = substitute(Laurent({-2: 1, 1: 1}), value, expected)
+        assert got == expected * expected + value
 
     def test_substitute_needs_inverse(self):
         with pytest.raises(NonInvertible):

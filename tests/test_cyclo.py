@@ -20,6 +20,7 @@ from qharmonic.cyclo import (
     CycNum,
     PrimeRing,
     _f_factor,
+    _h_power,
     cyc_field,
     cyclotomic_poly,
     fmzv_reduce,
@@ -55,28 +56,31 @@ class TestCyclotomicPoly:
 
 class TestCycNum:
     def test_inverse_goldens(self):
+        # the closed-form inverses that stay: [m]^(-1), zeta^(-e) and h^(-1)
         f3 = cyc_field(3)
-        assert f3.element([1, 1]).inverse() == f3.element([0, -1])
-        assert f3.one().inverse() == f3.one()
+        assert f3.q_int_inv(2) == f3.element([0, -1])  # 1/(1 + zeta_3)
+        assert f3.q_int_inv(1) == f3.one()
         f4 = cyc_field(4)
-        assert f4.zeta().inverse() == -f4.zeta()
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            cyc_field(5).zero().inverse()
+        assert f4.zeta_power(-1) == -f4.zeta()
+        assert _h_power(f4, -1) == f4.element([Fraction(1, 2), Fraction(1, 2)])
 
     def test_inverse_roundtrip(self):
         for n in (3, 5, 8, 12):
             fld = cyc_field(n)
-            v = fld.element([Fraction(1, 2), 3, Fraction(-2, 7)])
-            if v.is_zero():
-                continue
-            assert v * v.inverse() == fld.one()
+            h = fld.one() - fld.zeta()
+            assert h * _h_power(fld, -1) == fld.one()
+            for m in range(1, n):
+                q_int = fld.element([1] * m)
+                assert q_int * fld.q_int_inv(m) == fld.one()
+                assert fld.zeta_power(m) * fld.zeta_power(-m) == fld.one()
 
     def test_pow_negative(self):
-        fld = cyc_field(7)
-        v = fld.one() - fld.zeta()
-        assert v**-2 * v**2 == fld.one()
+        # there is no division: a negative power is refused, not inverted
+        for ring in (cyc_field(7), prime_ring(7)):
+            v = ring.one() - ring.zeta()
+            for x, e in ((v, -1), (v, -2), (ring.one(), -1)):
+                with pytest.raises(OutOfRange, match="e >= 0"):
+                    x**e
 
     @pytest.mark.parametrize(
         "left, other",
@@ -104,9 +108,12 @@ class TestCycNum:
             assert not left == other and left != other
 
     def test_division(self):
-        fld = cyc_field(7)
-        v = fld.one() - fld.zeta()
-        assert v / v == fld.one() and v / 2 == v * Fraction(1, 2)
+        # no CycNum divides, by a value of its own ring or by a scalar
+        for ring in (cyc_field(7), prime_ring(7)):
+            v = ring.one() - ring.zeta()
+            for left, right in ((v, v), (ring.one(), ring.zeta()), (v, 2), (2, v), (v, Fraction(1, 2))):
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    left / right
 
 
 class TestHash:
@@ -131,17 +138,20 @@ class TestPrimeRingValues:
         assert ring.one() and ring.zeta()
 
     def test_division_by_a_unit(self):
+        # the units the evaluator inverts are the [m], through q_int_inv
         ring = prime_ring(7)
         u = ring.element([3, 1, 4])
-        for v in (ring.element([2, 4]), ring.zeta(), ring.element([3])):
-            assert u / v == u * v.inverse() and (u / v) * v == u
-        assert u / 2 == u * Fraction(1, 2) == u * 4
+        for m in range(1, 7):
+            assert u * ring.element([1] * m) * ring.q_int_inv(m) == u
+        assert u * Fraction(1, 2) == u * 4
 
     def test_division_by_a_nilpotent(self):
+        # h = 1 - zeta_p is nilpotent mod p: h^(p-1) = 0, so h^(-1) does not exist
         ring = prime_ring(7)
-        for v in (ring.one() - ring.zeta(), ring.element([2, 5]), ring.zero()):
-            with pytest.raises(NonInvertible):
-                ring.one() / v
+        h = ring.one() - ring.zeta()
+        assert h**5 and not h**6
+        with pytest.raises(NonInvertible):
+            _h_power(ring, -1)
 
     @pytest.mark.parametrize("value", [prime_ring(7).zeta(), prime_ring(7).zero()], ids=["zeta", "zero"])
     def test_fraction_with_p_in_its_denominator(self, value):

@@ -203,6 +203,14 @@ class TestPartial:
         u, v = NcPoly.word(w1), NcPoly.word(w2)
         assert partial_n(n, u * v) == partial_n(n, u) * v + u * partial_n(n, v)
 
+    def test_commutes_with_partial_6(self):
+        # [partial_i, partial_6] = 0 on the letters, hence on every word: the
+        # premise of _exp_series for Delta_X at delta_order 6, which verify
+        # delta-factorization checks only up to partial_5
+        for i in range(1, 6):
+            for w in (NcPoly.word("a"), NcPoly.word("b")):
+                assert partial_n(i, partial_n(6, w)) == partial_n(6, partial_n(i, w)), (i, w)
+
 
 class TestPartialE:
     def test_partial1_e2(self):

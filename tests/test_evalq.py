@@ -20,7 +20,7 @@ from qharmonic.algebra import (
     word_to_e,
 )
 from qharmonic.coeff import Laurent
-from qharmonic.errors import Divergent, NotInI0hat, OutOfRange
+from qharmonic.errors import NotInI0hat, OutOfRange
 from qharmonic.evalq import (
     CertifiedValue,
     QValue,
@@ -29,8 +29,6 @@ from qharmonic.evalq import (
     _gamma_prefix,
     _index_numerator,
     _suffix_numerators,
-    polylog_partial,
-    q_int,
     tail_bound,
     zeta_q_partial,
 )
@@ -45,6 +43,14 @@ TRUNCATIONS = [1, 2, 17, 120]
 
 
 # --- oracles: the Fraction-accumulating routes the shared denominator replaced
+
+
+def q_int(m: int, q: QValue | Fraction) -> Fraction:
+    """The q-integer [m] = (1 - q^m)/(1 - q)."""
+    if m < 1:
+        raise OutOfRange("q-integers need m >= 1")
+    qq = q.q if isinstance(q, QValue) else q
+    return (1 - qq**m) / (1 - qq)
 
 
 def f_factor(entry, m: int, q: Fraction) -> Fraction:
@@ -104,9 +110,8 @@ def suffix_numerators_lifted(suffix, a: int, b: int, M: int):
     return head_step_lifted(suffix[0], suffix_numerators_lifted(suffix[1:], a, b, M), a, b, M)
 
 
-def head_step_lifted(head, rest, a: int, b: int, M: int, outer=None):
-    """(N, K, W) for `head` followed by a suffix with (N, K, W) = `rest`; the
-    m-th term is multiplied by outer[m] when `outer` is given."""
+def head_step_lifted(head, rest, a: int, b: int, M: int):
+    """(N, K, W) for `head` followed by a suffix with (N, K, W) = `rest`."""
     sub, k_rest, w_rest = rest
     v = 1 if head is BAR1 else head  # exponent of g_m in F_head(m), and its weight
     kappa = max(v, k_rest)
@@ -122,8 +127,6 @@ def head_step_lifted(head, rest, a: int, b: int, M: int, outer=None):
             term *= g[m] ** (kappa - v)
         if pp is not None:
             term *= pp[m - 1]
-        if outer is not None:
-            term *= outer[m]
         acc = acc * g[m] ** kappa + term
         out[m] = acc
     return tuple(out), kappa, v + w_rest
@@ -188,15 +191,10 @@ class TestNoFloats:
             QValue(0.1)
         with pytest.raises(TypeError, match="float"):
             CertifiedValue(0.1, Fraction(0), 1)
-        with pytest.raises(TypeError, match="float"):
-            polylog_partial((2,), 0.5, HALF, 5)
-        with pytest.raises(TypeError, match="float"):
-            q_int(2, 0.5)
 
     def test_exact_inputs_pass(self):
         assert QValue(Fraction(1, 10)).q == Fraction(1, 10)
         assert CertifiedValue(1, Fraction(0), 1).value == 1
-        assert polylog_partial((2,), 1, HALF, 5) == polylog_partial((2,), Fraction(1), HALF, 5)
 
 
 class TestZetaPartial:
@@ -218,6 +216,12 @@ class TestZetaPartial:
         with pytest.raises(NotInI0hat):
             zeta_q_partial((1, 2), HALF, 10)
 
+    def test_is_cached_Zq_of_e_k(self):
+        for k in [(), (2,), (BAR1, 1), (3, 1)]:
+            cv, want = zeta_q_partial(k, HALF, 12), Zq_eval(EPoly({k: 1}), HALF, 12)
+            assert (cv.value, cv.tail_bound, str(cv)) == (want.value, want.tail_bound, str(want))
+            assert zeta_q_partial(list(k), HALF, 12) is cv
+
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 5), Fraction(3, 7)])
     def test_matches_brute_force(self, q):
         qv = QValue(q)
@@ -238,62 +242,6 @@ class TestZetaPartial:
             a = zeta_q_partial(k, HALF, 8)
             b = zeta_q_partial(k, HALF, 30)
             assert abs(b.value - a.value) <= a.tail_bound
-
-
-class TestPolylog:
-    def test_golden(self):
-        cv = polylog_partial((1,), Fraction(1, 2), HALF, 2)
-        assert cv.value == Fraction(2, 3)
-        assert cv.tail_bound == Fraction(1, 4)
-
-    def test_empty(self):
-        cv = polylog_partial((), Fraction(1, 2), HALF, 4)
-        assert (cv.value, cv.tail_bound) == (1, 0)
-
-    def test_empty_index_still_checks_t(self):
-        with pytest.raises(OutOfRange):
-            polylog_partial((), 5, HALF, 4)
-
-    def test_truncation_below_one(self):
-        for M in (0, -3):
-            with pytest.raises(OutOfRange):
-                polylog_partial((2,), 1, HALF, M)
-
-    def test_at_one_equals_zeta(self):
-        got = polylog_partial((2,), Fraction(1), HALF, 50)
-        want = zeta_q_partial((2,), HALF, 50)
-        assert got.value == want.value
-
-    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 7)])
-    def test_at_one_equals_zeta_on_ihat0(self, q):
-        qv = QValue(q)
-        for k in IHAT0_4:
-            got = polylog_partial(k, Fraction(1), qv, 25)
-            want = zeta_q_partial(k, qv, 25)
-            assert (got.value, got.tail_bound) == (want.value, want.tail_bound), k
-
-    def test_divergent(self):
-        with pytest.raises(Divergent):
-            polylog_partial((1,), Fraction(1), HALF, 10)
-
-    def test_matches_brute_force(self):
-        # the value against the brute-force sum, the tail against the closed
-        # form minus the summed finite part at u = tq, or u = t for a leading 1
-        M = 8
-        for q in (Fraction(1, 2), Fraction(2, 7)):
-            for t in (Fraction(2, 3), Fraction(1, 5)):
-                for k in enumerate_indices_up_to(3, "Ihat"):
-                    got = polylog_partial(k, t, QValue(q), M)
-                    want = Fraction(0) if k else Fraction(1)
-                    for combo in combinations(range(1, M + 1), len(k)) if k else ():
-                        ms = tuple(reversed(combo))
-                        term = t ** ms[0]
-                        for entry, m in zip(k, ms):
-                            term *= f_factor(entry, m, q)
-                        want += term
-                    u = t if k and k[0] == 1 else t * q
-                    assert got.value == want, (q, t, k)
-                    assert got.tail_bound == tail_bound_summed(len(k), u, M), (q, t, k)
 
 
 class TestZqEval:
@@ -461,7 +409,7 @@ class TestUnreduced:
 
 class TestLiftedRoute:
     """The DP at each index's own K against the lifted route it replaced,
-    bit for bit: suffix tables, final numerators and polylog numerators."""
+    bit for bit: suffix tables and final numerators."""
 
     @pytest.fixture(autouse=True)
     def cold_caches(self):
@@ -482,22 +430,6 @@ class TestLiftedRoute:
                 lift = gamma_prefix_ref(kappa - s_kappa, a, b, M)
                 want = tuple(x * y for x, y in zip(s_nums, lift))
                 assert _suffix_numerators(k[i:], kappa, a, b, M) == want, (k, i)
-
-    @given(
-        st.sampled_from([k for k in enumerate_indices_up_to(5, "Ihat") if k]),
-        st.sampled_from([Fraction(2, 3), Fraction(1, 5)]),
-        st.sampled_from(Q_VALUES),
-        st.sampled_from(TRUNCATIONS),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_polylog(self, k, t, q, M):
-        (a, b), (c, d) = q.q.as_integer_ratio(), t.as_integer_ratio()
-        outer = [c**m * d ** (M - m) for m in range(M + 1)]
-        rest = suffix_numerators_lifted(k[1:], a, b, M)
-        nums, kappa, weight = head_step_lifted(k[0], rest, a, b, M, outer)
-        got = polylog_partial(k, t, q, M)
-        den = d**M * b**weight * gamma_prefix_ref(kappa, a, b, M)[M]
-        assert (got.num, got.den) == (nums[M], den)
 
 
 class TestExactStr:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import laurent_oracle as ref
 from laurent_oracle import H, RefE, RefNc, of, substitute
+from poly_oracle import QPoly, poly_ext_gcd
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, left_mul_a, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.cyclo import cyc_field, zn_eval, zn_map
@@ -169,8 +170,10 @@ class TestEvaluators:
         x = EPoly(d)
         fld = cyc_field(n)
         h = fld.one() - fld.zeta()
+        h_inv = fld.element(poly_ext_gcd(QPoly([1, -1]), fld.modulus)[1].coeffs)
         want = sum(
-            (substitute(c, h) * zn_eval(k, n) for k, c in x.coefficients().items()), fld.zero()
+            (substitute(c, h, h_inv) * zn_eval(k, n) for k, c in x.coefficients().items()),
+            fld.zero(),
         )
         assert zn_map(x, n) == want
 

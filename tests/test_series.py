@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cauchy_oracle import ts_mul_by_sums
+from exp_oracle import ts_exp
 from frozen_value import assert_frozen_value
 from qharmonic.algebra import BAR1, EPoly, NcPoly, word_to_e
 from qharmonic.coeff import Laurent
@@ -16,7 +17,6 @@ from qharmonic.series import (
     series_one,
     series_phi,
     series_psi,
-    ts_exp,
     ts_log,
     ts_mul,
 )
