@@ -79,10 +79,6 @@ def in_Ihat0(k: Index) -> bool:
     return not k or k[0] != 1
 
 
-def in_I0(k: Index) -> bool:
-    return in_I(k) and in_Ihat0(k)
-
-
 def check_entry(e) -> Entry:
     if e is BAR1:
         return e
@@ -371,9 +367,6 @@ class EPoly(LinComb):
     def supported_in_Ihat0(self) -> bool:
         return all(in_Ihat0(k) for k, _ in self.terms)
 
-    def max_weight(self) -> int:
-        return max((index_wt(k) for k, _ in self.terms), default=0)
-
     def __str__(self):
         items = sorted(self.coefficients().items(), key=lambda kv: _index_print_key(kv[0]))
         return _render_terms(
@@ -519,7 +512,6 @@ _FAMILIES = {
     "Ihat": lambda k: True,
     "I": in_I,
     "Ihat0": in_Ihat0,
-    "I0": in_I0,
 }
 
 
@@ -527,7 +519,7 @@ def enumerate_indices(weight: int, family: str = "Ihat") -> list[Index]:
     """All indices of exact weight in the family, in deterministic order.
 
     Entries are ordered 1 < 2 < ... < 1bar, indices lexicographically.
-    Families: "Ihat", "I", "Ihat0", "I0".
+    Families: "Ihat", "I", "Ihat0".
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; use one of {sorted(_FAMILIES)}")

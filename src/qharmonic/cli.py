@@ -2,6 +2,10 @@
 
 Exit codes: 0 success / everything verified, 1 a check found a
 counterexample, 2 usage or parse errors.
+
+Every suite parameter has exactly one `qsh verify` flag, from the table
+_SUITE_FLAGS; a flag whose parameter the suite does not take (its
+`params`, recorded at registration) is a usage error.
 """
 from __future__ import annotations
 
@@ -55,8 +59,8 @@ def _size(text: str) -> int:
 
 def _parse_n_range(text: str) -> range:
     """n or a nonempty inclusive range A:B of nonnegative integers."""
-    lo, _, hi = text.partition(":")
-    n_range = range(_size(lo), _size(hi or lo) + 1)
+    lo, sep, hi = text.partition(":")
+    n_range = range(_size(lo), _size(hi if sep else lo) + 1)
     if not n_range:
         raise UsageError(f"--n {text} is an empty range, so the flags select no case")
     return n_range
@@ -73,37 +77,25 @@ def _parse_q(text: str) -> Fraction:
 def _parse_primes(text: str) -> tuple[int, ...]:
     """Comma separated primes; any other value is a usage error (exit 2)."""
     primes = tuple(_size(x) for x in text.split(","))
-    for p in primes:
+    for i, p in enumerate(primes):
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise UsageError(f"--p takes primes only, got {p}")
+        if p in primes[:i]:
+            raise UsageError(f"--p {text} gives the prime {p} twice")
     return primes
 
 
-#: qsh verify flag (its argparse dest) -> the suite parameter it sets.
-_SUITE_PARAMS = {
-    "max_weight": "max_weight",
-    "order": "order",
-    "max_n": "max_n",
-    "max_m": "max_m",
-    "n": "n_range",
-    "p": "primes",
-    "q": "q",
-    "M": "M",
+#: Suite parameter -> the qsh verify flag that sets it, its parser, its help.
+_SUITE_FLAGS = {
+    "max_weight": ("--max-weight", _size, "weight ceiling"),
+    "order": ("--order", _size, "series truncation order"),
+    "max_n": ("--max-n", _size, "n ceiling"),
+    "max_m": ("--max-m", _size, "Ohno shift ceiling"),
+    "n_range": ("--n", _parse_n_range, "n or n range as A:B (inclusive)"),
+    "primes": ("--p", _parse_primes, "comma separated primes"),
+    "q": ("--q", _parse_q, "rational q in (0,1), e.g. 1/2"),
+    "M": ("--M", _size, "partial sum truncation"),
 }
-
-
-def _add_common_verify_args(p: argparse.ArgumentParser):
-    p.add_argument("--max-weight", type=_size, default=None, help="weight ceiling")
-    p.add_argument("--order", type=_size, default=None, help="series truncation order")
-    p.add_argument("--max-n", type=_size, default=None, help="n ceiling")
-    p.add_argument("--max-m", type=_size, default=None, help="Ohno shift ceiling")
-    p.add_argument("--n", type=_parse_n_range, default=None, help="n or n range as A:B (inclusive)")
-    p.add_argument("--p", type=_parse_primes, default=None, help="comma separated primes")
-    p.add_argument("--q", type=_parse_q, default=None, help="rational q in (0,1), e.g. 1/2")
-    p.add_argument("--M", type=_size, default=None, help="partial sum truncation")
-    p.add_argument("--index", default=None, help="single index, e.g. 2,1 (ohno only)")
-    p.add_argument("--m", type=_size, default=None, help="single Ohno shift (ohno only)")
-    p.add_argument("--quiet", action="store_true", help="print only the summary")
 
 
 @cache
@@ -162,7 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    _add_common_verify_args(p)
+    for param, (flag, parse, text) in _SUITE_FLAGS.items():
+        p.add_argument(flag, dest=param, type=parse, default=None, help=text)
+    p.add_argument("--index", default=None, help="single index, e.g. 2,1 (ohno only)")
+    p.add_argument("--m", type=_size, default=None, help="single Ohno shift (ohno only)")
+    p.add_argument("--quiet", action="store_true", help="print only the summary")
 
     p = sub.add_parser("export", help="export relation records")
     p.add_argument("--kind", choices=["derivation", "ohno"], required=True)
@@ -174,39 +170,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
-
-
 def _suite_kwargs(args) -> dict:
     """The suite parameters set by the flags given; a flag the suite would
     ignore is a usage error."""
-    given = {d: getattr(args, d) for d in _SUITE_PARAMS if getattr(args, d) is not None}
-    if args.suite == "all":
-        if given:
-            flag = _flag(next(iter(given)))
+    given = {param: getattr(args, param) for param in _SUITE_FLAGS
+             if getattr(args, param) is not None}
+    for param in given:
+        flag = _SUITE_FLAGS[param][0]
+        if args.suite == "all":
             raise UsageError(f"verify all runs every suite at its defaults; drop {flag}")
-        return {}
-    gen = SUITES[args.suite]
-    while hasattr(gen, "__wrapped__"):  # to the generator under every wrapper
-        gen = gen.__wrapped__
-    code = gen.__code__
-    takes = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-    for dest in given:
-        if _SUITE_PARAMS[dest] not in takes:
-            raise UsageError(f"verify {args.suite} does not take {_flag(dest)}")
-    if "n" in given and "max_n" in given:
-        raise UsageError("give --n or --max-n, not both")
-    return {_SUITE_PARAMS[d]: v for d, v in given.items()}
+        if param not in SUITES[args.suite].params:
+            raise UsageError(f"verify {args.suite} does not take {flag}")
+    return given
 
 
 def _cmd_single_ohno(args, out) -> int:
-    others = [d for d in _SUITE_PARAMS if d != "n" and getattr(args, d) is not None]
-    single = None not in (args.index, args.m, args.n) and len(args.n) == 1
+    others = [p for p in _SUITE_FLAGS if p != "n_range" and getattr(args, p) is not None]
+    single = None not in (args.index, args.m, args.n_range) and len(args.n_range) == 1
     if args.suite != "ohno" or not single or others or args.quiet:
         raise UsageError("one Ohno instance is verify ohno --index K --n N --m M, no other flag")
     k = parse_index(args.index)
-    n = args.n[0]
+    n = args.n_range[0]
     ok, lhs, rhs = ohno_check(k, args.m, n)
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] ohno: n={n} k=({index_str(k)}) m={args.m}", file=out)

@@ -18,11 +18,8 @@ class BadLetter(QHarmonicError):
 
 
 class NotInH0(QHarmonicError):
-    """An e-polynomial has an index starting with an unbarred 1."""
-
-
-class NotInI0hat(QHarmonicError):
-    """An index outside I0-hat was passed to a q-series evaluator."""
+    """An index starts with an unbarred 1: it lies outside I0-hat, and its
+    e-basis element outside the subalgebra Hhat0."""
 
 
 class EmptyIndex(QHarmonicError):
@@ -30,11 +27,7 @@ class EmptyIndex(QHarmonicError):
 
 
 class HasBarEntry(QHarmonicError):
-    """Hoffman duality is only defined for indices without 1bar entries."""
-
-
-class BarEntry(QHarmonicError):
-    """The classical stuffle product does not accept 1bar entries."""
+    """An index has a 1bar entry where the operation takes indices without one."""
 
 
 class BadEntry(QHarmonicError):

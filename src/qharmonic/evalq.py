@@ -32,7 +32,7 @@ from operator import mul
 
 from .algebra import BAR1, EPoly, Index, check_index, entry_wt, in_Ihat0, index_dep, index_wt
 from .coeff import _exact, _Frozen
-from .errors import NotInI0hat, OutOfRange
+from .errors import NotInH0, OutOfRange
 
 #: Parameters used by the acceptance-level numeric checks.
 DEFAULT_Q = Fraction(1, 2)
@@ -222,7 +222,7 @@ def _check_index(k: Index, M: int):
     if M < 1:
         raise OutOfRange("M >= 1")
     if not in_Ihat0(k):
-        raise NotInI0hat(f"index {k} starts with an unbarred 1")
+        raise NotInH0(f"index {k} starts with an unbarred 1")
 
 
 def zeta_q_partial(k: Index, q: QValue, M: int) -> CertifiedValue:

@@ -144,16 +144,6 @@ def relation_records(kind: str, max_n: int, max_weight: int, **kwargs) -> list[d
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
-def export_relations(kind: str, max_n: int, max_weight: int, fmt: str = "json", **kwargs) -> str:
-    """Render records in the requested format; returns the file contents."""
-    records = relation_records(kind, max_n, max_weight, **kwargs)
-    if fmt == "json":
-        return render_json(records)
-    if fmt == "csv":
-        return render_csv(records)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 _KEY_ORDER = ("kind", "n", "word", "m", "terms", "verified")
 
 

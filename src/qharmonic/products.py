@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from .algebra import BAR1, Entry, EPoly, Index, LinComb, NcPoly, _accumulate, _concat_into
-from .errors import BarEntry
+from .errors import HasBarEntry
 
 
 def circ(k: Entry, l: Entry) -> EPoly:
@@ -177,7 +177,7 @@ def stuffle_classical(u: EPoly, v: EPoly) -> EPoly:
 
 def _stuffle_classical_into(out: dict, u: EPoly, v: EPoly) -> dict:
     if any(e is BAR1 for x in (u, v) for k, _ in x.terms for e in k):
-        raise BarEntry("classical stuffle takes indices without 1bar")
+        raise HasBarEntry("classical stuffle takes indices without 1bar")
     return _bilinear(out, u, v, _classical_basis, EPoly)
 
 
@@ -200,7 +200,7 @@ def l_map(k: Index) -> EPoly:
     fails at every prime, starting from (1-zeta_p) = -2 z_p((1)) mod p.)
     """
     if not all(e is not BAR1 for e in k):
-        raise BarEntry("the L map takes indices without 1bar")
+        raise HasBarEntry("the L map takes indices without 1bar")
     factor = Fraction(-2, 2 * len(k) + 1)
     return stuffle_classical(EPoly.gen(1), EPoly({k: 1})).scale(factor)
 

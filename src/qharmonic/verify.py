@@ -4,9 +4,12 @@ A suite is a generator of (case label, witness) pairs, registered by name
 with `_suite`: the witness is None when the case verified and a failure
 string otherwise, built only on failure. The registered function returns
 one VerifyReport per case, timed from the previous yield up to its own,
-so the first case also carries the suite's setup. Suites are pure and
-deterministic; cases are emitted in sorted parameter order, and
-`verify all` runs the suites in the order they are registered.
+so the first case also carries the suite's setup, and lists the
+generator's parameter names in `params`. Each parameter has one qsh
+verify flag; a bound that no flag sets is a constant in the suite's
+body. Suites are pure and deterministic; cases are emitted in sorted
+parameter order, and `verify all` runs the suites in the order they are
+registered.
 
 Five suites check the relation families of `export` through its
 realizations, which return None or a nonzero image, so `v and witness`
@@ -88,7 +91,8 @@ def _suite(name: str):
     """Register a generator of (case, witness) pairs as the suite `name`.
 
     The registered function keeps the generator's name, docstring and
-    signature, and returns list[VerifyReport]."""
+    signature, returns list[VerifyReport], and lists the generator's
+    parameter names in `params`."""
 
     def register(gen):
         @wraps(gen)
@@ -101,6 +105,8 @@ def _suite(name: str):
                 t0 = time.perf_counter()
             return reports
 
+        code = gen.__code__
+        suite.params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
         SUITES[name] = suite
         return suite
 
@@ -181,11 +187,12 @@ def _one_minus_e1bar_x(like, order: int) -> TruncSeries:
 
 
 @_suite("delta-factorization")
-def suite_delta_factorization(order: int = 4, max_weight: int = 4, delta_order: int = 6):
+def suite_delta_factorization(order: int = 4, max_weight: int = 4):
     """[D_i, D_j] = 0 for i < j <= 6 for d_n on words of length <= 4 and delta_n on
     letters, and for j <= 5 for partial_n on letters ([partial_i, partial_6] alone
     takes 2.5 s); the rewrites Phi_X = (1-e_1bar X)(1/(1-e_1bar X) *_q -)
-    and Psi_X = (1-e_1bar X)(1/(1-e_1bar X) sh_q -); and Phi_X = Psi_X Delta_X."""
+    and Psi_X = (1-e_1bar X)(1/(1-e_1bar X) sh_q -); and Phi_X = Psi_X Delta_X
+    on letters to order 6."""
     if order < 1:
         raise OutOfRange("delta-factorization needs order >= 1")
     short = [NcPoly.word("".join(t)) for m in range(5) for t in iproduct("ab", repeat=m)]
@@ -219,10 +226,10 @@ def suite_delta_factorization(order: int = 4, max_weight: int = 4, delta_order: 
         yield f"Psi_X rewrite w={name}", None if lhs == rhs else f"Psi rewrite fails on {name}"
 
     for name, u in (("a", NcPoly.word("a")), ("b", NcPoly.word("b"))):
-        lhs = Phi_X(u, delta_order)
-        rhs = Psi_X_series(Delta_X(u, delta_order))
+        lhs = Phi_X(u, 6)
+        rhs = Psi_X_series(Delta_X(u, 6))
         witness = None if lhs == rhs else f"Phi_X != Psi_X Delta_X on {name}"
-        yield f"Phi=Psi.Delta on {name}, order {delta_order}", witness
+        yield f"Phi=Psi.Delta on {name}, order 6", witness
 
 
 @_suite("cor-delta")
@@ -265,14 +272,15 @@ def suite_zn_stuffle(n_range=range(3, 11), max_weight: int = 3):
 
 
 @_suite("zn-duality")
-def suite_zn_duality(n_range=range(3, 11), max_weight: int = 3, dual_max_n: int = 12):
-    """z_n(w sh_q w') = z_n(psi(w) w') exactly, plus z_n(e_1bar) = -z_n(e_1)."""
+def suite_zn_duality(n_range=range(3, 11), max_weight: int = 3):
+    """z_n(w sh_q w') = z_n(psi(w) w') exactly, plus z_n(e_1bar) = -z_n(e_1)
+    for n = 2..12."""
     relations = list(duality_relations(max_weight))  # they do not depend on n
     for n, ((w1, w2), rel) in iproduct(n_range, relations):
         v = cyclotomic(rel, n)
         witness = v and f"z_{n} shuffle-psi fails: lhs - rhs = {v}"
         yield f"n={n} w={_idx_label(w1)} w'={_idx_label(w2)}", witness
-    for n in range(2, dual_max_n + 1):
+    for n in range(2, 13):
         lhs = zn_map(EPoly.gen(BAR1), n)
         rhs = -zn_map(EPoly.gen(1), n)
         witness = None if lhs == rhs else f"z_{n}(e_1bar) = {lhs} but -z_{n}(e_1) = {rhs}"
@@ -306,11 +314,10 @@ def suite_ohno(n_range=range(4, 13), max_weight: int = 4, max_m: int = 3):
 
 
 @_suite("ones-bar")
-def suite_ones_bar(max_n: int = 16, max_r: int = 8, n_range=None):
-    """z_n({1bar}^r) against its closed form, for n in n_range (2..max_n
-    when n_range is not given)."""
-    for n in n_range if n_range is not None else range(2, max_n + 1):
-        for r in range(0, min(n - 1, max_r) + 1):
+def suite_ones_bar(n_range=range(2, 17)):
+    """z_n({1bar}^r) against its closed form, for n in n_range and r <= min(n - 1, 8)."""
+    for n in n_range:
+        for r in range(min(n - 1, 8) + 1):
             lhs = zn_eval((BAR1,) * r, n)
             rhs = ones_bar_closed_form(n, r)
             yield f"n={n} r={r}", None if lhs == rhs else f"z_{n}(1bar^{r}) = {lhs} != {rhs}"

@@ -17,7 +17,7 @@ from qharmonic.algebra import (
     word_to_e,
 )
 from qharmonic.evalq import QValue, Zq_eval
-from qharmonic.export import export_relations, parse_json, record_combination, render_json
+from qharmonic.export import parse_json, record_combination, relation_records, render_json
 from qharmonic.verify import (
     suite_cor_delta,
     suite_cyc_ohno,
@@ -51,7 +51,7 @@ def all_ok(reports):
 
 @pytest.fixture(scope="module")
 def delta_factorization_reports():
-    return suite_delta_factorization(order=4, max_weight=4, delta_order=6)
+    return suite_delta_factorization(order=4, max_weight=4)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ def test_criterion_10_ohno_relation(ohno_reports):
 
 
 def test_criterion_11_ones_bar_closed_form():
-    reports = suite_ones_bar(max_n=16, max_r=8)
+    reports = suite_ones_bar(n_range=range(2, 17))
     ok, n = all_ok(reports)
     report(11, ok, f"closed form for z_n(1bar^r), n <= 16, r < min(n,9) ({n} cases)")
 
@@ -186,7 +186,7 @@ def test_criterion_14_mzv_comparison():
 
 
 def test_criterion_15_export_roundtrip_and_reverify():
-    text = export_relations("derivation", 3, 5, "json")
+    text = render_json(relation_records("derivation", 3, 5))
     records = parse_json(text)
     roundtrip_ok = render_json(records) == text
     qv = QValue(Q_HALF)

@@ -15,7 +15,6 @@ from qharmonic.algebra import (
     enumerate_indices,
     hoffman_dual,
     in_I,
-    in_I0,
     in_Ihat0,
     index_dep,
     index_str,
@@ -237,11 +236,12 @@ class TestEnumeration:
         assert enumerate_indices(2, "Ihat0") == [(2,), (BAR1, 1), (BAR1, BAR1)]
 
     def test_weight_zero(self):
-        for fam in ("Ihat", "I", "Ihat0", "I0"):
+        for fam in ("Ihat", "I", "Ihat0"):
             assert enumerate_indices(0, fam) == [()]
 
     def test_weight_two_i0(self):
-        assert enumerate_indices(2, "I0") == [(2,)]
+        # I0 = I meet Ihat0 is no family of its own: no command asks for it
+        assert [k for k in enumerate_indices(2, "I") if in_Ihat0(k)] == [(2,)]
 
     def test_counts_and_membership(self):
         for w in range(6):
@@ -249,7 +249,6 @@ class TestEnumeration:
             assert len(set(all_)) == len(all_)
             assert [k for k in all_ if in_I(k)] == enumerate_indices(w, "I")
             assert [k for k in all_ if in_Ihat0(k)] == enumerate_indices(w, "Ihat0")
-            assert [k for k in all_ if in_I0(k)] == enumerate_indices(w, "I0")
             for k in all_:
                 assert index_wt(k) == w
 

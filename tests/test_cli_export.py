@@ -16,13 +16,14 @@ import pytest
 import qharmonic
 from qharmonic import export, verify
 from qharmonic.algebra import EPoly
-from qharmonic.cli import build_parser, main
+from qharmonic.cli import _SUITE_FLAGS, build_parser, main
 from qharmonic.evalq import QValue, Zq_eval, zeta_q_partial
 from qharmonic.export import (
-    export_relations,
     ohno_records,
     parse_json,
     record_combination,
+    relation_records,
+    render_csv,
     render_json,
 )
 from qharmonic.cyclo import zn_map
@@ -173,11 +174,34 @@ class TestVerifyCommand:
         assert code == 2
         assert "order >= 1" in err
 
-    def test_ones_bar_honours_max_n(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "ones-bar", "--max-n", "3")
+    def test_ones_bar_rejects_max_n(self, capsys):
+        # ones-bar takes its n only from --n; --n 2:3 runs what --max-n 3 ran
+        code, out, err = run_cli(capsys, "verify", "ones-bar", "--max-n", "3")
+        assert code == 2
+        assert out == "" and "does not take --max-n" in err
+        code, out, _ = run_cli(capsys, "verify", "ones-bar", "--n", "2:3")
         assert code == 0
         assert "n=3 r=2" in out and "n=4" not in out
         assert "ones-bar: 5/5 cases verified" in out
+
+    def test_every_suite_parameter_has_one_flag(self):
+        params = [param for suite in verify.SUITES.values() for param in suite.params]
+        assert set(params) == set(_SUITE_FLAGS)
+        assert len(params) == 29
+
+    @pytest.mark.parametrize("value", ["5:", ":5"])
+    def test_open_n_range_rejected(self, capsys, value):
+        # an A:B range needs both ends; 5: is not read as 5
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "ones-bar", "--n", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --n" in err and f"'{value}'" in err
+
+    def test_repeated_prime_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "fmzv", "--p", "5,7,5")
+        assert code == 2
+        assert out == "" and "gives the prime 5 twice" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -252,14 +276,14 @@ class TestVerifyCommand:
 
 class TestExport:
     def test_json_roundtrip(self):
-        text = export_relations("derivation", 1, 2, "json")
+        text = render_json(relation_records("derivation", 1, 2))
         records = parse_json(text)
         assert render_json(records) == text
         assert all(r["verified"] for r in records)
         assert all(r["kind"] == "derivation" for r in records)
 
     def test_derivation_record_content(self):
-        text = export_relations("derivation", 1, 2, "json")
+        text = render_json(relation_records("derivation", 1, 2))
         records = parse_json(text)
         by_word = {tuple(r["word"]): r for r in records if r["n"] == 1}
         rec = by_word[("2",)]
@@ -269,7 +293,7 @@ class TestExport:
         assert comb == EPoly({(3,): 1, (2, 1): -1})
 
     def test_derivation_records_reverify(self):
-        text = export_relations("derivation", 2, 3, "json")
+        text = render_json(relation_records("derivation", 2, 3))
         qv = QValue(Fraction(1, 2))
         for rec in parse_json(text):
             cv = Zq_eval(record_combination(rec), qv, 120)
@@ -295,14 +319,14 @@ class TestExport:
         assert coeffs[(3,)] == Laurent(-1)
 
     def test_csv(self):
-        text = export_relations("derivation", 1, 1, "csv")
+        text = render_csv(relation_records("derivation", 1, 1))
         lines = text.strip().splitlines()
         assert lines[0] == "kind,n,word,m,combination,verified"
         assert len(lines) > 1
 
     def test_weight_ceiling(self):
         with pytest.raises(OutOfRange):
-            export_relations("derivation", 1, 9, "json")
+            relation_records("derivation", 1, 9)
 
     def test_cli_export_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "rels.json"

@@ -20,7 +20,7 @@ from qharmonic.algebra import (
     word_to_e,
 )
 from qharmonic.coeff import Laurent
-from qharmonic.errors import NotInI0hat, OutOfRange
+from qharmonic.errors import NotInH0, OutOfRange
 from qharmonic.evalq import (
     CertifiedValue,
     QValue,
@@ -75,7 +75,7 @@ def zeta_value_reduced(k, q: QValue, M: int) -> Fraction:
     if M < 1:
         raise OutOfRange("M >= 1")
     if k and k[0] == 1:
-        raise NotInI0hat(f"index {k} starts with an unbarred 1")
+        raise NotInH0(f"index {k} starts with an unbarred 1")
     a, b = q.q.numerator, q.q.denominator
     num, kappa, weight = _index_numerator(k, a, b, M)
     return Fraction(num, b**weight * _gamma_prefix(kappa, a, b, M)[M])
@@ -213,7 +213,7 @@ class TestZetaPartial:
         assert cv.tail_bound == Fraction(1, 2)
 
     def test_gate(self):
-        with pytest.raises(NotInI0hat):
+        with pytest.raises(NotInH0):
             zeta_q_partial((1, 2), HALF, 10)
 
     def test_is_cached_Zq_of_e_k(self):
@@ -272,7 +272,7 @@ class TestZqEval:
     def test_term_outside_ihat0(self):
         x = EPoly({(2,): 1, (1, 2): H(1, 3)})
         for evaluate in (Zq_eval, zq_eval_summed):
-            with pytest.raises(NotInI0hat):
+            with pytest.raises(NotInH0):
                 evaluate(x, HALF, 10)
 
     def test_truncation_zero_with_a_term(self):

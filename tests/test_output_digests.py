@@ -208,7 +208,7 @@ SUITE_DIGESTS = {
     "verify zn-stuffle --n 3:4 --max-weight 1": "f42a452dd7cd2416b195cded704d02ef9872e364decbdddc25caeccd5357b04e",
     "verify zn-duality --n 3:4 --max-weight 2": "fb00c59ecd5a41049f1d8563a3c2b367242798cddae4689e3c1c2f9b38e944b0",
     "verify ohno --n 4:5 --max-weight 2 --max-m 1": "e6366c7954a0f384a63907865a48fb230c7767c7ecccf641a5b502ebeea0a58b",
-    "verify ones-bar --max-n 6": "2ac56e601fef8ec30b11f8b948f7bf7827cd3fee76067513bd9ac4217042a5e7",
+    "verify ones-bar --n 2:6": "2ac56e601fef8ec30b11f8b948f7bf7827cd3fee76067513bd9ac4217042a5e7",
     "verify fmzv --p 5,7 --max-weight 2": "bbc9e647d2ce53196909cdeaf00d44cf3524aeb3fea51752dc77b9f67a7d1c72",
     "verify varpi-l --p 7,11 --max-weight 2": "bdd41291cc553197a979901415e6089edb1ba64f40a7f27f8c97401b391011dd",
     "verify cyc-ohno --p 7,11 --max-weight 2": "cc7042561f75d5d8ebc0e50f8ad78f0c7e43221c70ad2386d4fc83fa67eb0573",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, in_Ihat0, word_to_e
 from qharmonic.coeff import Laurent
-from qharmonic.errors import BadLetter, BarEntry
+from qharmonic.errors import BadLetter, HasBarEntry
 from qharmonic.products import (
     circ,
     l_map,
@@ -266,7 +266,7 @@ class TestClassicalStuffle:
         assert prod == EPoly({(2, 3): 1, (3, 2): 1, (5,): 1})
 
     def test_bar_rejected(self):
-        with pytest.raises(BarEntry):
+        with pytest.raises(HasBarEntry):
             stuffle_classical(EPoly.gen(BAR1), EPoly.gen(1))
 
 
@@ -285,5 +285,5 @@ class TestLMap:
         assert l_map((1,)) == expected
 
     def test_bar_rejected(self):
-        with pytest.raises(BarEntry):
+        with pytest.raises(HasBarEntry):
             l_map((BAR1,))

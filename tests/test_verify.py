@@ -111,7 +111,7 @@ def bump_delta_x(monkeypatch):
 
 
 def delta_factorization_cases():
-    reports = verify.suite_delta_factorization(order=1, max_weight=1, delta_order=2)
+    reports = verify.suite_delta_factorization(order=1, max_weight=1)
     return [r for r in reports if r.case.startswith("Phi=Psi.Delta")]
 
 
@@ -128,7 +128,7 @@ def test_delta_factorization_catches_a_wrong_delta_x(monkeypatch):
 def commutator_cases():
     """{family: its [D_i, D_j] = 0 reports} from one small delta-factorization run."""
     out: dict = {}
-    for r in verify.suite_delta_factorization(order=1, max_weight=1, delta_order=2):
+    for r in verify.suite_delta_factorization(order=1, max_weight=1):
         if r.case.startswith("["):
             out.setdefault(r.case[1:].split("_")[0], []).append(r)
     return out
@@ -168,8 +168,9 @@ def test_delta_factorization_catches_a_wrong_delta_image(monkeypatch, fresh_lett
 
 
 def test_delta_factorization_catches_a_wrong_delta_6(monkeypatch, fresh_letter_series):
-    # delta_6 is the top of the delta_order = 6 letter series; [delta_i, delta_6]
-    # are the only commutator cases that hold it
+    # delta_6 is the top of the order 6 letter series; [delta_i, delta_6] are
+    # the only commutator cases that hold it, and Phi=Psi.Delta on b the only
+    # factorization case whose letter it changes
     good = derivations._delta_images
 
     def bumped(n):
@@ -179,10 +180,12 @@ def test_delta_factorization_catches_a_wrong_delta_6(monkeypatch, fresh_letter_s
         return den, {**images, "b": {**images["b"], ("b", 0): 1}}  # delta_6(b) += b/6
 
     monkeypatch.setattr(derivations, "_delta_images", bumped)
-    reports = verify.suite_delta_factorization(order=1, max_weight=1, delta_order=2)
+    reports = verify.suite_delta_factorization(order=1, max_weight=1)
     failed = [r for r in reports if not r.ok]
-    assert [r.case for r in failed] == [f"[delta_{i}, delta_6] = 0 on 2 words" for i in range(1, 6)]
-    assert_all_fail_with_witness(failed, "[delta_")
+    assert [r.case for r in failed] == [
+        *(f"[delta_{i}, delta_6] = 0 on 2 words" for i in range(1, 6)), "Phi=Psi.Delta on b, order 6"]
+    assert_all_fail_with_witness(failed[:-1], "[delta_")
+    assert_all_fail_with_witness(failed[-1:], "Phi_X != Psi_X Delta_X on b")
 
 
 def test_delta_factorization_catches_a_wrong_d_n(monkeypatch):
@@ -366,7 +369,7 @@ def test_a_word_ending_in_a_fails_with_a_witness(monkeypatch):
 
 
 def zn_duality_cases():
-    return verify.suite_zn_duality(n_range=range(3, 5), max_weight=2, dual_max_n=4)
+    return verify.suite_zn_duality(n_range=range(3, 5), max_weight=2)
 
 
 def test_zn_duality_catches_a_wrong_psi(monkeypatch):
@@ -381,7 +384,7 @@ def test_zn_duality_catches_a_wrong_psi(monkeypatch):
 def test_ones_bar_catches_a_wrong_closed_form(monkeypatch):
     good = verify.ones_bar_closed_form
     monkeypatch.setattr(verify, "ones_bar_closed_form", lambda n, r: good(n, r) + 1)
-    assert_all_fail_with_witness(verify.suite_ones_bar(max_n=6), "1bar^")
+    assert_all_fail_with_witness(verify.suite_ones_bar(n_range=range(2, 7)), "1bar^")
 
 
 def test_fmzv_catches_a_wrong_zn_eval(monkeypatch):
@@ -440,7 +443,7 @@ CLEAN_RUNS = {
     "zn-stuffle": lambda: verify.suite_zn_stuffle(n_range=range(3, 5), max_weight=1),
     "zn-duality": zn_duality_cases,
     "ohno": ohno_cases,
-    "ones-bar": lambda: verify.suite_ones_bar(max_n=6),
+    "ones-bar": lambda: verify.suite_ones_bar(n_range=range(2, 7)),
     "fmzv": lambda: verify.suite_fmzv(primes=(5, 7), max_weight=2),
     "varpi-l": lambda: verify.suite_varpi_l(primes=(7, 11), max_weight=2),
     "cyc-ohno": cyc_ohno_cases,
