@@ -19,7 +19,6 @@ from .algebra import (
     index_dep,
     index_str,
     index_wt,
-    left_mul_a,
     parse_index,
     word_to_e,
 )

@@ -355,10 +355,6 @@ class EPoly(LinComb):
     def gen(cls, entry: Entry, coeff=1) -> "EPoly":
         return cls({(entry,): coeff})
 
-    @classmethod
-    def from_index(cls, k: Iterable[Entry], coeff=1) -> "EPoly":
-        return cls({tuple(k): coeff})
-
     def prepend(self, entry: Entry, coeff=1, j: int = 0) -> "EPoly":
         """Left-multiply by coeff h^j e_entry, coeff a scalar or a Laurent polynomial."""
         out = self._wrap({((entry,) + k, i): v for (k, i), v in self.terms.items()})
@@ -449,25 +445,6 @@ def word_to_e(x: NcPoly) -> EPoly:
             raise NotInH1(f"word {w!r} ends in a")
     den, (terms,) = _int_form(x.terms)
     return EPoly._wrap(_divided(_words_to_e(terms), den))
-
-
-def left_mul_a(x: EPoly) -> EPoly:
-    """Left multiplication by a on the e-basis.
-
-    a e_k = e_(k+1) and a e_1bar = e_2 - h e_1bar, applied to the leading
-    generator of every index.
-    """
-    out: dict = {}
-    for (k, j), c in x.terms.items():
-        if not k:
-            raise EmptyIndex("a * 1 = a is not in Hhat1")
-        head, rest = k[0], k[1:]
-        if head is BAR1:
-            _accumulate(out, ((2,) + rest, j), c)
-            _accumulate(out, ((BAR1,) + rest, j + 1), -c)
-        else:
-            _accumulate(out, ((head + 1,) + rest, j), c)
-    return EPoly._wrap(out)
 
 
 def index_to_binary(k: Index) -> str:

@@ -51,7 +51,10 @@ def _print_series(s, out):
 
 def _size(text: str) -> int:
     """A nonnegative integer flag value."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs a nonnegative integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -60,7 +63,10 @@ def _size(text: str) -> int:
 def _parse_n_range(text: str) -> range:
     """n or a nonempty inclusive range A:B of nonnegative integers."""
     lo, sep, hi = text.partition(":")
-    n_range = range(_size(lo), _size(hi if sep else lo) + 1)
+    try:
+        n_range = range(_size(lo), _size(hi if sep else lo) + 1)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
     if not n_range:
         raise UsageError(f"--n {text} is an empty range, so the flags select no case")
     return n_range
@@ -76,7 +82,10 @@ def _parse_q(text: str) -> Fraction:
 
 def _parse_primes(text: str) -> tuple[int, ...]:
     """Comma separated primes; any other value is a usage error (exit 2)."""
-    primes = tuple(_size(x) for x in text.split(","))
+    try:
+        primes = tuple(_size(x) for x in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
     for i, p in enumerate(primes):
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise UsageError(f"--p takes primes only, got {p}")

@@ -16,6 +16,10 @@ and mzv_partial are cached in that form. Each takes words of one class, and
 a value of another class is a TypeError; the class's constructor has checked
 the letters.
 
+partial_n_e is the word derivation carried to the e-basis: partial_gen(n,
+entry) is word_to_e(partial_n(n, e_to_word(e_entry))), cached per (n, entry),
+and the same Leibniz rule extends it over the entries of an index.
+
 The Ohno pieces are pure functions of small index tuples that the Ohno,
 cyc-Ohno and export routes ask for again and again, so _dual_shift_sum,
 _ohno_rhs and A_ksp (through _A_ksp, keyed on tuple(k)) each keep a
@@ -43,9 +47,10 @@ from .algebra import (
     _int_form,
     _times,
     binary_to_index,
+    e_to_word,
     hoffman_dual,
     index_to_binary,
-    left_mul_a,
+    word_to_e,
 )
 from .coeff import Laurent, _exact
 from .errors import BadEntry, NotInH0, NotInMzvH1, OutOfRange
@@ -75,6 +80,11 @@ def _leibniz(w: LinComb, cls: type, den: int, imgs: dict) -> LinComb:
     return cls._wrap(_divided(out, den * wden))
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise OutOfRange(f"n must be >= 1, got {n}")
+
+
 @lru_cache(maxsize=None)
 def _delta_images(n: int) -> tuple[int, dict]:
     tail = "a" * n + "b"
@@ -83,15 +93,13 @@ def _delta_images(n: int) -> tuple[int, dict]:
 
 def delta_n(n: int, w: NcPoly) -> NcPoly:
     """The derivation with delta_n(a) = 0, delta_n(b) = ((-1)^(n-1)/n)(b+1)a^n b."""
-    if n < 1:
-        raise ValueError("n >= 1")
+    _check_n(n)
     return _leibniz(w, NcPoly, *_delta_images(n))
 
 
 def d_n(n: int, w: NcPoly) -> NcPoly:
     """d_n(w) = ((-h)^(n-1)/n) { (a b^n) sh_q w - a b^n w }."""
-    if n < 1:
-        raise ValueError("n >= 1")
+    _check_n(n)
     abn = NcPoly._wrap({("a" + "b" * n, 0): 1})
     return (shuffle_q(abn, w) - abn * w).scale(Fraction((-1) ** (n - 1), n), n - 1)
 
@@ -120,8 +128,7 @@ def _partial_images(n: int) -> tuple[int, dict]:
 
 def partial_n(n: int, w: NcPoly) -> NcPoly:
     """The derivation interpolating the two products; defined on all words."""
-    if n < 1:
-        raise ValueError("n >= 1")
+    _check_n(n)
     return _leibniz(w, NcPoly, *_partial_images(n))
 
 
@@ -129,57 +136,22 @@ def partial_n(n: int, w: NcPoly) -> NcPoly:
 
 
 @lru_cache(maxsize=None)
-def partial_a_epoly(n: int) -> EPoly:
-    """partial_n(a) = ((-1)^n / n) a (a + e_1)^(n-1) e_1 as an e-polynomial."""
-    out = EPoly.gen(1)
-    for _ in range(n - 1):
-        out = left_mul_a(out) + out.prepend(1)
-    out = left_mul_a(out)
-    return out.scale(Fraction((-1) ** n, n))
-
-
-def partial_e1_minus_e1bar(n: int) -> EPoly:
-    """partial_n(e_1 - e_1bar) = ((-1)^(n-1)/n)(a+e_1bar)(a+e_1)^(n-1)(e_1-e_1bar)."""
-    out = EPoly.gen(1) - EPoly.gen(BAR1)
-    for _ in range(n - 1):
-        out = left_mul_a(out) + out.prepend(1)
-    out = left_mul_a(out) + out.prepend(BAR1)
-    return out.scale(Fraction((-1) ** (n - 1), n))
-
-
-@lru_cache(maxsize=None)
 def partial_gen(n: int, entry) -> EPoly:
-    """partial_n on one generator, computed entirely in the e-basis.
+    """partial_n on one generator: the word derivation carried to the e-basis.
 
-    Uses the recursion partial_n(e_k) = partial_n(a) e_(k-1) + a partial_n(e_(k-1)),
-    with partial_n(e_1) = -partial_n(a) and partial_n(e_1bar) obtained from
-    the closed form for partial_n(e_1 - e_1bar).
+    e_to_word is a homomorphism, partial_n keeps words ending in b ending in
+    b, and word_to_e inverts e_to_word on those words.
     """
-    if entry is BAR1:
-        return partial_gen(n, 1) - partial_e1_minus_e1bar(n)
-    if entry == 1:
-        return -partial_a_epoly(n)
-    return partial_a_epoly(n) * EPoly.from_index((entry - 1,)) + left_mul_a(
-        partial_gen(n, entry - 1)
-    )
-
-
-def partial_epoly(n: int, x: EPoly) -> EPoly:
-    """Leibniz extension of partial_gen over products of generators.
-
-    Defined on all of Hhat1; the public entry point partial_n_e adds the
-    Hhat0 gate from the statement of the derivation relations.
-    """
-    if n < 1:
-        raise ValueError("n >= 1")
-    return derive_words(x, {e: partial_gen(n, e) for k, _ in x.terms for e in k})
+    return word_to_e(partial_n(n, e_to_word(EPoly.gen(entry))))
 
 
 def partial_n_e(n: int, x: EPoly) -> EPoly:
-    """partial_n on Hhat0 in the e-basis; raises NotInH0 off the subalgebra."""
+    """partial_n on Hhat0 in the e-basis, by the Leibniz rule over entries on
+    the cached generator images; raises NotInH0 off the subalgebra."""
     if not x.supported_in_Ihat0():
         raise NotInH0("input has an index starting with an unbarred 1")
-    return partial_epoly(n, x)
+    _check_n(n)
+    return derive_words(x, {e: partial_gen(n, e) for k, _ in x.terms for e in k})
 
 
 # --- the exponential homomorphisms -----------------------------------------
@@ -363,8 +335,7 @@ def _mzv_images(n: int) -> tuple[int, dict]:
 
 def mzv_partial(n: int, w: MzvPoly) -> MzvPoly:
     """The classical derivation with x -> x(x+y)^(n-1) y -> -x(x+y)^(n-1)y."""
-    if n < 1:
-        raise ValueError("n >= 1")
+    _check_n(n)
     return _leibniz(w, MzvPoly, *_mzv_images(n))
 
 

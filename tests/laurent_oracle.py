@@ -283,17 +283,6 @@ def word_to_e(x: RefNc) -> RefE:
     return out
 
 
-def left_mul_a(x: RefE) -> RefE:
-    out = RefE()
-    for k, c in x.terms.items():
-        head, rest = k[0], k[1:]
-        if head is BAR1:
-            out = out + RefE({(2,) + rest: c, (BAR1,) + rest: c * H(1, -1)})
-        else:
-            out = out + RefE({(head + 1,) + rest: c})
-    return out
-
-
 # --- derivations and their exponentials -----------------------------------------
 
 

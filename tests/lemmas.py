@@ -4,6 +4,10 @@ No qsh command and no package export reaches these: the rho_s recurrence
 for the Psi_X rewrite, the A_m convolution for the Ohno-type relation and
 the F-basis expansion of q^(lm)/[m]^k. The relations they feed are
 checked end to end by the delta-factorization, ohno and cyc-ohno suites.
+
+The closed forms of partial_n on the generators, computed in the e-basis
+with left multiplication by a, are an oracle for derivations.partial_gen,
+which carries the word derivation over instead.
 """
 import operator
 from fractions import Fraction
@@ -12,7 +16,7 @@ from math import comb
 from qharmonic.algebra import BAR1, EPoly, NcPoly
 from qharmonic.coeff import Laurent
 from qharmonic.cyclo import CycNum, _f_factor, _h_grouped, _zn_cum, cyc_field
-from qharmonic.errors import OutOfRange
+from qharmonic.errors import EmptyIndex, OutOfRange
 from qharmonic.products import shuffle_q
 from qharmonic.series import TruncSeries, series_one, series_psi, ts_mul
 
@@ -76,3 +80,49 @@ def f_basis_expand(k: int, l: int):
     out = {j: Laurent.h(k - j, (-1) ** (k - j)) for j in range(2, k + 1)}
     out[BAR1] = Laurent.h(k - 1, (-1) ** (k - 1))
     return out
+
+
+def left_mul_a(x: EPoly) -> EPoly:
+    """Left multiplication by a on the e-basis: a e_k = e_(k+1) and
+    a e_1bar = e_2 - h e_1bar, applied to the leading generator of every index."""
+    out = EPoly.zero()
+    for k, c in x.coefficients().items():
+        if not k:
+            raise EmptyIndex("a * 1 = a is not in Hhat1")
+        head, rest = k[0], k[1:]
+        if head is BAR1:
+            image = EPoly({(2,) + rest: 1, (BAR1,) + rest: Laurent.h(1, -1)})
+        else:
+            image = EPoly({(head + 1,) + rest: 1})
+        out = out + image.scale(c)
+    return out
+
+
+def partial_a_closed_form(n: int) -> EPoly:
+    """partial_n(a) = ((-1)^n / n) a (a + e_1)^(n-1) e_1 as an e-polynomial."""
+    out = EPoly.gen(1)
+    for _ in range(n - 1):
+        out = left_mul_a(out) + out.prepend(1)
+    return left_mul_a(out).scale(Fraction((-1) ** n, n))
+
+
+def partial_e1_minus_e1bar_closed_form(n: int) -> EPoly:
+    """partial_n(e_1 - e_1bar) = ((-1)^(n-1)/n)(a+e_1bar)(a+e_1)^(n-1)(e_1-e_1bar)."""
+    out = EPoly.gen(1) - EPoly.gen(BAR1)
+    for _ in range(n - 1):
+        out = left_mul_a(out) + out.prepend(1)
+    out = left_mul_a(out) + out.prepend(BAR1)
+    return out.scale(Fraction((-1) ** (n - 1), n))
+
+
+def partial_gen_closed_form(n: int, entry) -> EPoly:
+    """partial_n on one generator, entirely in the e-basis: partial_n(e_1) =
+    -partial_n(a), partial_n(e_k) = partial_n(a) e_(k-1) + a partial_n(e_(k-1))
+    and partial_n(e_1bar) from the closed form for partial_n(e_1 - e_1bar)."""
+    if entry is BAR1:
+        return partial_gen_closed_form(n, 1) - partial_e1_minus_e1bar_closed_form(n)
+    if entry == 1:
+        return -partial_a_closed_form(n)
+    return partial_a_closed_form(n) * EPoly.gen(entry - 1) + left_mul_a(
+        partial_gen_closed_form(n, entry - 1)
+    )

@@ -67,6 +67,12 @@ class TestCalculators:
         assert code == 0
         assert out.strip() == "-e[2,1] + e[3]"
 
+    @pytest.mark.parametrize("target", ["ab", "2,1"])
+    def test_partial_n_below_one(self, capsys, target):
+        code, out, err = run_cli(capsys, "partial", "0", target)
+        assert code == 2
+        assert out == "" and err == "error: n must be >= 1, got 0\n"
+
     def test_delta(self, capsys):
         code, out, _ = run_cli(capsys, "delta", "1", "b")
         assert code == 0
@@ -197,6 +203,22 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --n" in err and f"'{value}'" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("ones-bar", "--n", "5:"), "--n"),
+            (("log-formulas", "--order", "x"), "--order"),
+            (("cyc-ohno", "--p", "5,x"), "--p"),
+        ],
+    )
+    def test_bad_flag_value_names_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and f"'{argv[-1]}'" in err
+        assert "_size" not in err and "_parse" not in err
 
     def test_repeated_prime_rejected(self, capsys):
         code, out, err = run_cli(capsys, "verify", "fmzv", "--p", "5,7,5")

@@ -316,7 +316,7 @@ class TestAm:
                 assert A_m_helper(1, EPoly.gen(k), n) == fld.zeta() ** (k - 1)
 
     def test_two_bars_at_four(self):
-        got = A_m_helper(2, EPoly.from_index((BAR1, BAR1)), 4)
+        got = A_m_helper(2, EPoly({(BAR1, BAR1): 1}), 4)
         f4 = cyc_field(4)
         want = _f_factor(f4, BAR1, 2) * _f_factor(f4, BAR1, 1)
         assert got == want
@@ -446,7 +446,7 @@ class TestVarpiL:
 class TestZnRelations:
     def test_stuffle_instance(self):
         for n in (3, 7, 10):
-            u, v = EPoly.gen(2), EPoly.from_index((BAR1, 1))
+            u, v = EPoly.gen(2), EPoly({(BAR1, 1): 1})
             assert zn_map(stuffle_q(u, v), n) == zn_map(u, n) * zn_map(v, n)
 
     def test_duality_via_psi(self):

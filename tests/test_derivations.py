@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from cauchy_oracle import hom_apply_by_sums
 from exp_oracle import _exp_apply, _exp_powers, _sum_apply
 from laurent_oracle import constant
-from lemmas import rho_s, series_log_one_plus_hbx
+from lemmas import partial_gen_closed_form, rho_s, series_log_one_plus_hbx
 from qharmonic.algebra import BAR1, EPoly, MzvPoly, NcPoly, e_to_word, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.derivations import (
@@ -25,6 +25,7 @@ from qharmonic.derivations import (
     derive_words,
     iota,
     mzv_partial,
+    partial_gen,
     partial_n,
     partial_n_e,
     z_word,
@@ -212,6 +213,23 @@ class TestPartial:
                 assert partial_n(i, partial_n(6, w)) == partial_n(6, partial_n(i, w)), (i, w)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize(
+    "op, x",
+    [
+        (delta_n, NcPoly.word("ab")),
+        (d_n, NcPoly.word("ab")),
+        (partial_n, NcPoly.word("ab")),
+        (partial_n_e, EPoly.gen(2)),
+        (mzv_partial, MzvPoly.word("xy")),
+    ],
+    ids=["delta_n", "d_n", "partial_n", "partial_n_e", "mzv_partial"],
+)
+def test_n_below_one_is_out_of_range(op, x, n):
+    with pytest.raises(OutOfRange, match=f"^n must be >= 1, got {n}$"):
+        op(n, x)
+
+
 class TestPartialE:
     def test_partial1_e2(self):
         assert partial_n_e(1, EPoly.gen(2)) == EPoly({(3,): 1, (2, 1): -1})
@@ -243,6 +261,13 @@ class TestPartialE:
                     continue
                 x = EPoly({k: 1})
                 assert partial_n_e(n, x) == word_to_e(partial_n(n, e_to_word(x)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_generators_match_closed_forms(self, n):
+        # partial_gen carries the word derivation over; the oracle builds the
+        # same images in the e-basis alone, from a e_k = e_(k+1)
+        for entry in (BAR1, 1, 2, 3, 4, 5, 6):
+            assert partial_gen(n, entry) == partial_gen_closed_form(n, entry), entry
 
 
 class TestExpHomomorphisms:
@@ -512,16 +537,16 @@ class TestRho:
 
 class TestOhnoCombinatorics:
     def test_a0_single_two(self):
-        assert A_ksp((2,), 0, 0) == EPoly.from_index((2,))
+        assert A_ksp((2,), 0, 0) == EPoly({(2,): 1})
 
     def test_a0_shifted(self):
-        assert A_ksp((2,), 0, 1) == EPoly.from_index((3,))
+        assert A_ksp((2,), 0, 1) == EPoly({(3,): 1})
 
     def test_a1_unshifted(self):
-        assert A_ksp((2,), 1, 0) == EPoly.from_index((2, 1))
+        assert A_ksp((2,), 1, 0) == EPoly({(2, 1): 1})
 
     def test_a_s_zero_block(self):
-        assert a_s_index((0,), 0) == EPoly.from_index((1,))
+        assert a_s_index((0,), 0) == EPoly({(1,): 1})
         assert a_s_index((0,), 1).is_zero()
 
     def test_a_s_counts(self):
@@ -538,7 +563,7 @@ class TestOhnoCombinatorics:
 
 class TestMzvComparison:
     def test_iota_embedding(self):
-        assert iota(z_word(2, 1)) == EPoly.from_index((2, 1))
+        assert iota(z_word(2, 1)) == EPoly({(2, 1): 1})
 
     def test_mzv_partial_z2(self):
         got = mzv_partial(1, z_word(2))

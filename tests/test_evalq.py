@@ -283,7 +283,7 @@ class TestZqEval:
 
     def test_stuffle_relation_numeric(self):
         # Z_q(w *_q w') = Z_q(w) Z_q(w') within certified bounds
-        w1, w2 = EPoly.gen(2), EPoly.from_index((BAR1, 1))
+        w1, w2 = EPoly.gen(2), EPoly({(BAR1, 1): 1})
         lhs = Zq_eval(stuffle_q(w1, w2), HALF, 60)
         a, b = Zq_eval(w1, HALF, 60), Zq_eval(w2, HALF, 60)
         resid = abs(lhs.value - a.value * b.value)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import laurent_oracle as ref
 from laurent_oracle import H, RefE, RefNc, of, substitute
 from poly_oracle import QPoly, poly_ext_gcd
-from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, left_mul_a, word_to_e
+from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.cyclo import cyc_field, zn_eval, zn_map
 from qharmonic.derivations import Delta_X, Phi_X, Psi_X, delta_n, partial_n, partial_n_e
@@ -145,12 +145,6 @@ class TestConversions:
     def test_word_to_e(self, d):
         w, rw = nc(d)
         assert read(word_to_e(w)) == ref.word_to_e(rw)
-
-    @given(values(st.lists(entries, min_size=1, max_size=2).map(tuple)))
-    @settings(max_examples=60, deadline=None)
-    def test_left_mul_a(self, d):
-        x, rx = ep(d)
-        assert read(left_mul_a(x)) == ref.left_mul_a(rx)
 
 
 def zq_eval_per_index(x: EPoly, q: QValue, M: int) -> CertifiedValue:

@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasi_shuffle_oracle import classical_merge, hoffman_exp, hoffman_log, merge_into, quasi_shuffle
 from qharmonic.algebra import BAR1, EPoly, NcPoly, e_to_word, in_Ihat0, word_to_e
 from qharmonic.coeff import Laurent
 from qharmonic.errors import BadLetter, HasBarEntry
@@ -80,6 +81,9 @@ small_epolys = st.dictionaries(
 words = st.text(alphabet="ab", max_size=4)
 
 
+ENTRIES_TO_6 = [BAR1] + list(range(1, 7))
+
+
 class TestCirc:
     def test_bar_bar(self):
         assert circ(BAR1, BAR1) == EPoly({(2,): 1, (BAR1,): H(1, -1)})
@@ -90,6 +94,16 @@ class TestCirc:
     def test_bar_int(self):
         assert circ(BAR1, 5) == EPoly({(6,): 1})
         assert circ(5, BAR1) == EPoly({(6,): 1})
+
+    def test_commutative_on_entries(self):
+        for a, b in iproduct(ENTRIES_TO_6, repeat=2):
+            assert circ(a, b) == circ(b, a), (a, b)
+
+    def test_associative_on_entries(self):
+        # (a o b) o c against a o (b o c), each merge extended linearly
+        for a, b, c in iproduct(ENTRIES_TO_6, repeat=3):
+            right = EPoly.sum(circ(a, m).scale(d) for (m,), d in circ(b, c).coefficients().items())
+            assert merge_into(circ(a, b), c, circ) == right, (a, b, c)
 
     def test_associative_on_generators(self):
         # exhaust entries 1bar, 1..5 as depth-1 stuffles
@@ -159,6 +173,35 @@ class TestQuasiShuffleEngine:
             for k2, c2 in v.coefficients().items():
                 want = want + stuffle_idx_oracle(k1, k2).scale(c1 * c2)
         assert stuffle_q(u, v) == want
+
+
+laurent_coeffs = st.builds(
+    H, st.integers(-1, 2), st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+)
+
+
+def hoffman_epolys(entry):
+    indices = st.lists(entry, max_size=3).map(tuple)
+    return st.dictionaries(indices, laurent_coeffs, min_size=1, max_size=2).map(EPoly)
+
+
+class TestHoffmanExponential:
+    """Both stuffles against exp(log u sh log v), which shares only the merge."""
+
+    @given(hoffman_epolys(entries()))
+    @settings(max_examples=20, deadline=None)
+    def test_exp_inverts_log(self, x):
+        assert hoffman_exp(hoffman_log(x, circ), circ) == x
+
+    @given(hoffman_epolys(entries()), hoffman_epolys(entries()))
+    @settings(max_examples=60, deadline=None)
+    def test_stuffle_q(self, u, v):
+        assert stuffle_q(u, v) == quasi_shuffle(u, v, circ)
+
+    @given(hoffman_epolys(st.integers(1, 4)), hoffman_epolys(st.integers(1, 4)))
+    @settings(max_examples=40, deadline=None)
+    def test_stuffle_classical(self, u, v):
+        assert stuffle_classical(u, v) == quasi_shuffle(u, v, classical_merge)
 
 
 class TestShuffle:
@@ -254,7 +297,7 @@ class TestClassicalStuffle:
         assert stuffle_classical(EPoly.gen(1), EPoly.gen(2)) == expected
 
     def test_unit(self):
-        w = EPoly.from_index((2, 1))
+        w = EPoly({(2, 1): 1})
         assert stuffle_classical(EPoly.one(), w) == w
 
     def test_e1_e1(self):

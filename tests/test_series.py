@@ -195,7 +195,7 @@ class TestExpLog:
         else:
             gen = EPoly.gen(BAR1)
         f = TruncSeries(
-            (EPoly.zero(), gen, EPoly.from_index((1, 2)), EPoly.zero(), EPoly.gen(1))
+            (EPoly.zero(), gen, EPoly({(1, 2): 1}), EPoly.zero(), EPoly.gen(1))
         )
         assert ts_log(mul, ts_exp(mul, f)) == f
 

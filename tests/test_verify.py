@@ -47,6 +47,24 @@ def test_derivation_catches_a_wrong_partial_n(monkeypatch):
     assert_all_fail_with_witness(reports, "Z_q(partial_1")
 
 
+def test_derivation_catches_a_wrong_word_image(monkeypatch):
+    # partial_n_e has no e-basis definition of its own: one wrong word image
+    # of partial_1 reaches every relation the suite checks
+    good = derivations._partial_images
+
+    def bumped(n):
+        den, images = good(n)
+        return den, {**images, "b": {**images["b"], ("b", 0): den}}
+
+    monkeypatch.setattr(derivations, "_partial_images", bumped)
+    derivations.partial_gen.cache_clear()
+    try:
+        reports = verify.suite_derivation(M=40, max_n=1, max_weight=2)
+    finally:
+        derivations.partial_gen.cache_clear()
+    assert_all_fail_with_witness(reports, "Z_q(partial_1")
+
+
 def test_double_shuffle_catches_a_wrong_stuffle(monkeypatch):
     good = export.stuffle_q
     monkeypatch.setattr(export, "stuffle_q", lambda x, y: bump_one_coefficient(good(x, y)))
