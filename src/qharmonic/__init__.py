@@ -29,10 +29,8 @@ from .cyclo import (
     cyc_field,
     cyclotomic_poly,
     fmzv_reduce,
-    ohno_check,
     ones_bar_closed_form,
     prime_ring,
-    varpi_l_check,
     zcyc_mod_p,
     zn_eval,
     zn_map,

@@ -21,6 +21,9 @@ denominator raises BadDenominator in _reduce, even where its value is 0.
 _zn_cum is the cumulative-sum DP over the nested sum; _h_grouped groups
 the terms of an e-polynomial by their power of h = 1 - zeta and
 multiplies each group's combination once by a cached (1 - zeta)^e.
+
+The relations checked at roots of unity are built in export; cyclo only
+evaluates them, and imports just errors, coeff and algebra from the package.
 """
 from __future__ import annotations
 
@@ -30,17 +33,9 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd, lcm
 
-from .algebra import BAR1, EPoly, Index, check_index, in_I, index_dep
+from .algebra import BAR1, EPoly, Index, check_index
 from .coeff import ModPoly, UniPoly, _exact, _scalar, poly_str
-from .derivations import _dual_shift_sum, _ohno_rhs
-from .errors import (
-    BadDenominator,
-    HasBarEntry,
-    NonInvertible,
-    OutOfRange,
-    PreconditionViolated,
-)
-from .products import l_map_epoly
+from .errors import BadDenominator, NonInvertible, OutOfRange
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:
@@ -446,27 +441,3 @@ def zcyc_mod_p(x: EPoly, p: int) -> CycNum:
     ring = prime_ring(p)
     return _h_grouped(ring, x, lambda k: _zn_cum(ring, k)[p - 1])
 
-
-def ohno_check(k: Index, m: int, n: int):
-    """Both sides of the Ohno-type relation for (k, m, n); returns
-    (equal, lhs, rhs) as exact values in Q(zeta_n)."""
-    k = tuple(k)
-    if not k:
-        raise PreconditionViolated("k must be nonempty")
-    if not in_I(k):
-        raise PreconditionViolated("k must avoid 1bar")
-    r = index_dep(k)
-    if m < 0 or n < r + m + 1:
-        raise PreconditionViolated(f"need m >= 0 and n >= dep(k)+m+1, got m={m}, n={n}")
-    lhs = zn_map(_dual_shift_sum(k, m), n)
-    rhs = zn_map(_ohno_rhs(k, m, n), n)
-    return lhs == rhs, lhs, rhs
-
-
-def varpi_l_check(k: Index, p: int) -> bool:
-    """Check (1 - zeta_p) Zcyc(e_k) = Zcyc(L(e_k)) in Z[zeta_p]/(p)."""
-    if not in_I(k):
-        raise HasBarEntry("the L map needs indices without 1bar")
-    lhs = _h_power(prime_ring(p), 1) * zcyc_mod_p(EPoly({k: 1}), p)
-    rhs = zcyc_mod_p(l_map_epoly(EPoly({k: 1})), p)
-    return lhs == rhs

@@ -349,6 +349,5 @@ def iota(w: MzvPoly) -> EPoly:
             raise NotInMzvH1(f"word {word!r} ends in x")
         if j:
             raise NotInMzvH1("classical words must have rational coefficients")
-        # z_k = x^(k-1) y, so each y closes an entry one longer than its run of x
-        _accumulate(out, (tuple(len(run) + 1 for run in word.split("y")[:-1]), 0), c)
+        _accumulate(out, (binary_to_index(word.replace("x", "0").replace("y", "1")), 0), c)
     return EPoly._wrap(out)

@@ -220,7 +220,7 @@ _zeta_cache: dict[tuple[Index, Fraction, int], CertifiedValue] = {}
 
 def _check_index(k: Index, M: int):
     if M < 1:
-        raise OutOfRange("M >= 1")
+        raise OutOfRange(f"M must be >= 1, got {M}")
     if not in_Ihat0(k):
         raise NotInH0(f"index {k} starts with an unbarred 1")
 

@@ -2,9 +2,11 @@
 export of their records.
 
 A family yields (key, EPoly) pairs, one per case in the order the suites
-report them, zero relations included. A realization (certified: Z_q at
-rational q; cyclotomic: z_n in Q(zeta_n); mod_p: in Z[zeta_p]/(p))
-returns None when the image of a relation is 0, else the nonzero image.
+report them, zero relations included: derivation, Ohno-type, cyclotomic
+Ohno, varpi-L, double shuffle and duality; ohno_sides gives the two sides
+of one Ohno-type instance. A realization (certified: Z_q at rational q;
+cyclotomic: z_n in Q(zeta_n); mod_p: in Z[zeta_p]/(p)) returns None when
+the image of a relation is 0, else the nonzero image.
 A record is a nonzero derivation or ohno relation. The JSON writer is
 canonical: parsing a file and re-serializing it reproduces the bytes.
 """
@@ -16,11 +18,13 @@ import json
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .algebra import EPoly, _sorted_indices, e_to_word, index_sort_key, parse_entry, word_to_e
+from .algebra import (
+    EPoly, _sorted_indices, e_to_word, in_I, index_dep, index_sort_key, parse_entry, word_to_e,
+)
 from .coeff import Laurent
 from .cyclo import zcyc_mod_p, zn_map
 from .derivations import _dual_shift_sum, _ohno_rhs, _shift_sum, partial_n_e
-from .errors import BadDenominator, OutOfRange
+from .errors import BadDenominator, OutOfRange, PreconditionViolated
 from .evalq import DEFAULT_M, DEFAULT_Q, QValue, Zq_eval
 from .products import l_map_epoly, psi_involution, shuffle_q, stuffle_q
 
@@ -43,13 +47,34 @@ def derivation_relations(max_n: int, max_weight: int):
         yield (n, w), partial_n_e(n, EPoly({w: 1}))
 
 
+def ohno_sides(k, m: int, n: int) -> tuple[EPoly, EPoly]:
+    """The two sides of the Ohno-type relation for (k, m, n), the dual shift
+    sum and the shift side; z_n sends them to one value."""
+    k = tuple(k)
+    if not k:
+        raise PreconditionViolated("k must be nonempty")
+    if not in_I(k):
+        raise PreconditionViolated("k must avoid 1bar")
+    if m < 0 or n < index_dep(k) + m + 1:
+        raise PreconditionViolated(f"need m >= 0 and n >= dep(k)+m+1, got m={m}, n={n}")
+    return _dual_shift_sum(k, m), _ohno_rhs(k, m, n)
+
+
 def ohno_relations(ns, max_weight: int, max_m: int):
     """(n, k, m) -> the Ohno-type combination, the dual shift sum minus the
     shift side, for n >= dep(k) + m + 1; z_n sends it to 0."""
     ks = [k for k in _sorted_indices(max_weight, "I") if k]
     for n, k, m in iproduct(ns, ks, range(max_m + 1)):
         if n >= len(k) + m + 1:
-            yield (n, k, m), _dual_shift_sum(k, m) - _ohno_rhs(k, m, n)
+            lhs, rhs = ohno_sides(k, m, n)
+            yield (n, k, m), lhs - rhs
+
+
+def varpi_l_relations(max_weight: int):
+    """k -> h e_k - L(e_k) over I; each Zcyc mod p with p not dividing
+    2 dep(k) + 1 sends it to 0."""
+    for k in _sorted_indices(max_weight, "I"):
+        yield k, EPoly({k: Laurent.h()}) - l_map_epoly(EPoly({k: 1}))
 
 
 def cyc_ohno_relations(max_weight: int, max_m: int):

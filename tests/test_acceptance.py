@@ -148,12 +148,14 @@ def test_criterion_09_zn_double_shuffle():
 def test_criterion_10_ohno_relation(ohno_reports):
     cases = [r for r in ohno_reports if r.case.startswith("n=")]
     ok = all(r.ok for r in cases)
-    from qharmonic.cyclo import cyc_field, ohno_check, zn_eval
+    from qharmonic.cyclo import cyc_field, zn_eval, zn_map
+    from qharmonic.export import ohno_sides
 
     f5 = cyc_field(5)
     lhs = zn_eval((1, 2), 5) + zn_eval((2, 1), 5)
     rhs = 2 * (f5.one() - f5.zeta()) * zn_eval((2,), 5) + zn_eval((3,), 5)
-    ok = ok and lhs == rhs and ohno_check((2,), 1, 5)[0]
+    side_l, side_r = ohno_sides((2,), 1, 5)
+    ok = ok and lhs == rhs and zn_map(side_l, 5) == zn_map(side_r, 5)
     report(10, ok, f"Ohno relation, n in 4..12, wt <= 4, m <= 3 ({len(cases)} cases, incl. z_5 instance)")
 
 

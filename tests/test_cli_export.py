@@ -97,6 +97,11 @@ class TestCalculators:
         assert code == 0
         assert out.strip() == "575/882 +/- 1/8 (M=3)"
 
+    def test_eval_truncation_below_one(self, capsys):
+        assert run_cli(capsys, "eval", "zetaq", "2", "--q", "1/2", "--M", "-1") == (
+            2, "", "error: M must be >= 1, got -1\n"
+        )
+
     def test_eval_past_the_digit_limit(self, capsys):
         # the value has over 4300 digits, CPython's default limit on int -> str
         code, out, _ = run_cli(capsys, "eval", "zetaq", "4", "--M", "120")
@@ -156,6 +161,20 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "[PASS] ohno: n=5 k=(2) m=1" in out
+
+    @pytest.mark.parametrize(
+        "index, n, code, out, err",
+        [
+            ("2", "5", 0, "[PASS] ohno: n=5 k=(2) m=1\n    lhs = -3 + 9*z - 9*z^2 + 3*z^3\n"
+             "    rhs = -3 + 9*z - 9*z^2 + 3*z^3\n", ""),
+            ("1bar", "9", 2, "", "error: k must avoid 1bar\n"),
+            ("2", "2", 2, "", "error: need m >= 0 and n >= dep(k)+m+1, got m=1, n=2\n"),
+            ("", "9", 2, "", "error: k must be nonempty\n"),
+        ],
+    )
+    def test_single_ohno_output(self, capsys, index, n, code, out, err):
+        argv = ("verify", "ohno", "--index", index, "--n", n, "--m", "1")
+        assert run_cli(capsys, *argv) == (code, out, err)
 
     def test_suite_run(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "log-formulas", "--order", "4")

@@ -24,15 +24,13 @@ from qharmonic.cyclo import (
     cyc_field,
     cyclotomic_poly,
     fmzv_reduce,
-    ohno_check,
     ones_bar_closed_form,
     prime_ring,
-    varpi_l_check,
     zcyc_mod_p,
     zn_eval,
     zn_map,
 )
-from qharmonic.errors import BadDenominator, NonInvertible, OutOfRange, PreconditionViolated
+from qharmonic.errors import BadDenominator, NonInvertible, OutOfRange
 from qharmonic.products import psi_involution, shuffle_q, stuffle_q
 from qharmonic.verify import harmonic_sum_mod_p
 
@@ -399,48 +397,6 @@ class TestZcycModP:
     def test_bad_denominator(self):
         with pytest.raises(BadDenominator):
             zcyc_mod_p(EPoly({(2,): Fraction(1, 7)}), 7)
-
-
-class TestOhno:
-    def test_z5_instance(self):
-        # z_5(1,2) + z_5(2,1) = 2(1-zeta_5) z_5(2) + z_5(3)
-        f5 = cyc_field(5)
-        lhs = zn_eval((1, 2), 5) + zn_eval((2, 1), 5)
-        rhs = 2 * (f5.one() - f5.zeta()) * zn_eval((2,), 5) + zn_eval((3,), 5)
-        assert lhs == rhs
-        ok, got_lhs, got_rhs = ohno_check((2,), 1, 5)
-        assert ok and got_lhs == lhs and got_rhs == rhs
-
-    def test_m_zero_reduces_to_involution(self):
-        for n in (3, 5, 8):
-            ok, lhs, rhs = ohno_check((2,), 0, n)
-            assert ok
-            assert lhs == zn_eval((2,), n)
-
-    def test_deeper_instance(self):
-        ok, _, _ = ohno_check((2, 1), 1, 6)
-        assert ok
-
-    def test_list_index(self):
-        assert ohno_check([2, 1], 1, 6) == ohno_check((2, 1), 1, 6)
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionViolated):
-            ohno_check((), 1, 9)
-        with pytest.raises(PreconditionViolated):
-            ohno_check((2,), 1, 2)
-        with pytest.raises(PreconditionViolated):
-            ohno_check((BAR1,), 1, 9)
-
-
-class TestVarpiL:
-    def test_goldens(self):
-        assert varpi_l_check((2,), 5)
-        assert varpi_l_check((), 7)
-
-    def test_denominator_clash(self):
-        with pytest.raises(BadDenominator):
-            varpi_l_check((1,), 3)
 
 
 class TestZnRelations:

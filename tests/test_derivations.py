@@ -564,6 +564,7 @@ class TestOhnoCombinatorics:
 class TestMzvComparison:
     def test_iota_embedding(self):
         assert iota(z_word(2, 1)) == EPoly({(2, 1): 1})
+        assert iota(MzvPoly.one()) == EPoly.one()
 
     def test_mzv_partial_z2(self):
         got = mzv_partial(1, z_word(2))
@@ -585,3 +586,9 @@ class TestMzvComparison:
     def test_iota_rejects_trailing_x(self):
         with pytest.raises(NotInMzvH1):
             iota(MzvPoly.word("yx"))
+
+    def test_iota_rejects_a_power_of_h(self):
+        with pytest.raises(NotInMzvH1, match="rational coefficients"):
+            iota(MzvPoly({"xy": H(1)}))
+        with pytest.raises(NotInMzvH1, match="ends in x"):
+            iota(MzvPoly({"yx": H(1)}))

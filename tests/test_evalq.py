@@ -281,6 +281,10 @@ class TestZqEval:
                 with pytest.raises(OutOfRange):
                     evaluate(x, HALF, 0)
 
+    def test_truncation_below_one_names_it(self):
+        with pytest.raises(OutOfRange, match=r"^M must be >= 1, got 0$"):
+            Zq_eval(EPoly.gen(2), QValue(Fraction(1, 2)), 0)
+
     def test_stuffle_relation_numeric(self):
         # Z_q(w *_q w') = Z_q(w) Z_q(w') within certified bounds
         w1, w2 = EPoly.gen(2), EPoly({(BAR1, 1): 1})

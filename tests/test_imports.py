@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+the modules import one another in layers.
 
 No linter runs on this code, and a change that deletes a caller tends to
 leave its import behind. __init__.py is left out: it imports to re-export.
+The layers keep the evaluators (evalq, cyclo) free of the products and
+derivations that build relations, which export holds as data.
 """
 import ast
 from pathlib import Path
@@ -33,3 +36,43 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_reported():
     source = "from fractions import Fraction\nfrom math import gcd, lcm\nimport re\nx = lcm(2, 3)\n"
     assert unused_imports(source) == ["Fraction", "gcd", "re"]
+
+
+#: The package's modules, each importing only from modules before it.
+LAYERS = ("errors", "coeff", "algebra", "products", "series", "derivations",
+          "evalq", "cyclo", "export", "verify", "cli")
+
+#: The evaluators see values, never the operators that build relations.
+EVALUATOR_IMPORTS = {"errors", "coeff", "algebra"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that source imports, by relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.partition(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_imports_only_earlier_layers(name):
+    earlier = set(LAYERS[:LAYERS.index(name)])
+    assert package_imports((SRC / f"{name}.py").read_text()) - earlier == set()
+
+
+@pytest.mark.parametrize("name", ["evalq", "cyclo"])
+def test_evaluators_import_only_the_algebra(name):
+    assert package_imports((SRC / f"{name}.py").read_text()) <= EVALUATOR_IMPORTS
+
+
+def test_package_imports_reads_both_forms():
+    source = "from . import coeff\nfrom .algebra import EPoly\nfrom fractions import Fraction\n"
+    assert package_imports(source) == {"coeff", "algebra"}

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qharmonic import export
-from qharmonic.algebra import EPoly
-from qharmonic.cyclo import zcyc_mod_p
-from qharmonic.errors import BadDenominator
+from qharmonic.algebra import BAR1, EPoly, _sorted_indices
+from qharmonic.cyclo import cyc_field, zcyc_mod_p, zn_eval, zn_map
+from qharmonic.errors import BadDenominator, PreconditionViolated
 from qharmonic.evalq import QValue
 
 HALF = QValue(Fraction(1, 2))
@@ -35,6 +35,12 @@ def test_mod_p_sees_a_perturbed_relation(bump):
     rel = first_nonzero(export.cyc_ohno_relations(2, 1))
     assert export.mod_p(rel, 11) is None
     assert export.mod_p(rel + bump, 11) is not None
+
+
+def test_mod_p_sees_a_perturbed_varpi_l_relation():
+    rel = first_nonzero(export.varpi_l_relations(2))
+    assert export.mod_p(rel, 11) is None
+    assert export.mod_p(rel + EPoly.one(), 11) is not None
 
 
 def test_derivation_records_are_the_nonzero_relations():
@@ -73,3 +79,56 @@ def test_cyc_ohno_bad_denominators_are_pinned():
                 unchecked.append((p, k, m))
             assert export.mod_p(rel, p) is None, (p, k, m)
     assert unchecked == UNCHECKED_CYC_OHNO
+
+
+def ohno_values(k, m, n):
+    """z_n of both sides of the Ohno-type relation for (k, m, n)."""
+    lhs, rhs = export.ohno_sides(k, m, n)
+    return zn_map(lhs, n), zn_map(rhs, n)
+
+
+class TestOhno:
+    def test_z5_instance(self):
+        # z_5(1,2) + z_5(2,1) = 2(1-zeta_5) z_5(2) + z_5(3)
+        f5 = cyc_field(5)
+        lhs = zn_eval((1, 2), 5) + zn_eval((2, 1), 5)
+        rhs = 2 * (f5.one() - f5.zeta()) * zn_eval((2,), 5) + zn_eval((3,), 5)
+        assert lhs == rhs
+        got_lhs, got_rhs = ohno_values((2,), 1, 5)
+        assert got_lhs == got_rhs and got_lhs == lhs and got_rhs == rhs
+
+    def test_m_zero_reduces_to_involution(self):
+        for n in (3, 5, 8):
+            lhs, rhs = ohno_values((2,), 0, n)
+            assert lhs == rhs
+            assert lhs == zn_eval((2,), n)
+
+    def test_deeper_instance(self):
+        lhs, rhs = ohno_values((2, 1), 1, 6)
+        assert lhs == rhs
+
+    def test_list_index(self):
+        assert ohno_values([2, 1], 1, 6) == ohno_values((2, 1), 1, 6)
+
+    def test_preconditions(self):
+        with pytest.raises(PreconditionViolated):
+            export.ohno_sides((), 1, 9)
+        with pytest.raises(PreconditionViolated):
+            export.ohno_sides((2,), 1, 2)
+        with pytest.raises(PreconditionViolated):
+            export.ohno_sides((BAR1,), 1, 9)
+
+
+class TestVarpiL:
+    def test_goldens(self):
+        relations = dict(export.varpi_l_relations(2))
+        assert zcyc_mod_p(relations[(2,)], 5).is_zero()
+        assert zcyc_mod_p(relations[()], 7).is_zero()
+
+    def test_denominator_clash(self):
+        relations = dict(export.varpi_l_relations(1))
+        with pytest.raises(BadDenominator):
+            zcyc_mod_p(relations[(1,)], 3)
+
+    def test_one_relation_per_index_in_sorted_order(self):
+        assert [k for k, _ in export.varpi_l_relations(3)] == _sorted_indices(3, "I")

@@ -399,6 +399,14 @@ def test_zn_duality_catches_a_wrong_psi(monkeypatch):
     assert_all_fail_with_witness(reports, "shuffle-psi fails")
 
 
+def test_duality_instance_catches_a_wrong_zn_map(monkeypatch):
+    good = export.zn_map
+    monkeypatch.setattr(export, "zn_map", lambda x, n: good(x, n) + 1)
+    reports = [r for r in zn_duality_cases() if r.case.startswith("duality instance")]
+    assert len(reports) == 11
+    assert_all_fail_with_witness(reports, "(e_1bar) + z_")
+
+
 def test_ones_bar_catches_a_wrong_closed_form(monkeypatch):
     good = verify.ones_bar_closed_form
     monkeypatch.setattr(verify, "ones_bar_closed_form", lambda n, r: good(n, r) + 1)
@@ -413,12 +421,10 @@ def test_fmzv_catches_a_wrong_zn_eval(monkeypatch):
 
 
 def test_varpi_l_catches_a_wrong_l_map(monkeypatch):
-    # varpi_l_check reads the L map through cyclo; the bump adds 1 to the
-    # coefficient of the empty index, whose value is 1
-    from qharmonic import cyclo
-
-    good = cyclo.l_map_epoly
-    monkeypatch.setattr(cyclo, "l_map_epoly", lambda x: good(x) + EPoly.one())
+    # varpi_l_relations reads the L map through export; the bump adds 1 to
+    # the coefficient of the empty index, whose value is 1
+    good = export.l_map_epoly
+    monkeypatch.setattr(export, "l_map_epoly", lambda x: good(x) + EPoly.one())
     reports = verify.suite_varpi_l(primes=(7, 11), max_weight=2)
     assert_all_fail_with_witness(reports, "varpi-L fails")
 
