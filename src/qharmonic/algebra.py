@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 
 from .coeff import Laurent, _accumulate, _exact, _join_signed, _monomial_str, _scalar
-from .errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1
+from .errors import BadEntry, BadLetter, EmptyIndex, HasBarEntry, NotInH1, index_sized
 
 
 class _Bar1:
@@ -450,8 +450,9 @@ def word_to_e(x: NcPoly) -> EPoly:
 def index_to_binary(k: Index) -> str:
     """e_k as a word over e_0 = a (written '0') and e_1 (written '1'), for k
     without 1bar; BadEntry on a bad entry, HasBarEntry on 1bar."""
-    if not in_I(check_index(k)):
+    if not in_I(k := check_index(k)):
         raise HasBarEntry("binary words are defined on indices without 1bar")
+    index_sized(max(k, default=1), "an index entry")
     return "".join("0" * (e - 1) + "1" for e in k)
 
 

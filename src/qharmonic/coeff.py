@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from operator import index
 
 #: The exact rational scalar type used everywhere in this package.
@@ -45,7 +46,7 @@ def _accumulate(out: dict, key, c) -> None:
     when the sum cancels and storing an integral sum as an int."""
     s = out.get(key)
     if s is not None:
-        c += s
+        c = s + c if type(c) is int else c + s  # no reflected Fraction sum
         if not c:
             del out[key]
             return
@@ -175,17 +176,22 @@ class Laurent:
 
     __repr__ = __str__
 
-    @classmethod
-    def parse(cls, text: str) -> "Laurent":
-        """Parse the canonical string form produced by str()."""
-        text = text.strip()
-        if text == "0":
-            return cls()
-        out: dict[int, Fraction] = {}
-        for sign, body in _split_terms(text):
-            e, c = _parse_monomial(body)
-            out[e] = out.get(e, 0) + sign * c
-        return cls(out)
+    @staticmethod
+    def parse(text: str) -> "Laurent":
+        """Parse the canonical string form produced by str(); memoised on the stripped
+        text in a bounded cache, safe to share as Laurent values are immutable."""
+        return _parse_stripped(text.strip())
+
+
+@lru_cache(maxsize=1024)
+def _parse_stripped(text: str) -> Laurent:
+    if text == "0":
+        return Laurent()
+    out: dict[int, Fraction] = {}
+    for sign, body in _split_terms(text):
+        e, c = _parse_monomial(body)
+        out[e] = out.get(e, 0) + sign * c
+    return Laurent(out)
 
 
 def _monomial_str(e: int, c: Fraction, var: str = "h") -> str:

@@ -4,8 +4,9 @@ multiple harmonic q-series z_n(k; zeta_n) evaluated there.
 Everything here is plain int arithmetic. One element class, CycNum,
 serves both rings, cyc_field(n) for Q(zeta_n) and prime_ring(p) for
 Z[zeta_p]/(p) = GF(p)[x]/Phi_p(x): an int vector over one positive int
-denominator, with shared sum, product (an int convolution), power and
-equality; there is no division. Each ring supplies what differs:
+denominator, with shared sum, product, power, equality and a fused
+self + x*y (_add_mul: one convolution over the common denominator, one
+_reduce); there is no division. Each ring supplies what differs:
 - _reduce(num, den), the one stored form. Q(zeta_n) folds by the monic
   int Phi_n and takes one gcd. Z[zeta_p]/(p) folds with x^p = 1 and
   x^(p-1) = -(1 + ... + x^(p-2)), multiplies by den^(-1) mod p (p | den
@@ -18,9 +19,11 @@ x^(e mod n), folded once), one, zero, from_rational and lincomb(pairs),
 the rational linear combination: it sums over the lcm of every
 denominator and reduces once, so mod p a coefficient with p in its
 denominator raises BadDenominator in _reduce, even where its value is 0.
-_zn_cum is the cumulative-sum DP over the nested sum; _h_grouped groups
-the terms of an e-polynomial by their power of h = 1 - zeta and
-multiplies each group's combination once by a cached (1 - zeta)^e.
+_zn_cum is the cumulative-sum DP over the nested sum, one _add_mul per
+step, with F_k(m) = zeta^((k-1)m)/[m]^k cached per (ring, m) as
+F_k = F_(k-1) F_1bar; _h_grouped groups the terms of an e-polynomial by
+their power of h = 1 - zeta and adds each group's combination times a
+cached (1 - zeta)^e.
 
 The relations checked at roots of unity are built in export; cyclo only
 evaluates them, and imports just errors, coeff and algebra from the package.
@@ -35,7 +38,7 @@ from math import comb, gcd, lcm
 
 from .algebra import BAR1, EPoly, Index, check_index
 from .coeff import ModPoly, UniPoly, _exact, _scalar, poly_str
-from .errors import BadDenominator, NonInvertible, OutOfRange
+from .errors import BadDenominator, NonInvertible, OutOfRange, index_sized
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:
@@ -46,6 +49,7 @@ def cyclotomic_poly(n: int) -> UniPoly:
     """
     if n < 1:
         raise OutOfRange("cyclotomic polynomials need n >= 1")
+    index_sized(n, "n")
     poly = UniPoly([-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
@@ -311,28 +315,42 @@ class CycNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num, other.num
-        if not a or not b:
-            return other if a else self  # the zero factor
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return CycNum(self.ring, out, self.den * other.den)
+        return self.ring.zero()._add_mul(self, other)
 
     __rmul__ = __mul__
 
+    def _add_mul(self, x: "CycNum", y: "CycNum") -> "CycNum":
+        """self + x*y for x, y of this ring: one convolution over the common
+        denominator, then one _reduce."""
+        a, b = x.num, y.num
+        if not a or not b:
+            return self
+        d = x.den * y.den
+        den = lcm(self.den, d)
+        s, t = den // d, den // self.den
+        out = [c * t for c in self.num]
+        out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+        for i, u in enumerate(a):
+            if u:
+                u *= s
+                for j, v in enumerate(b, i):
+                    out[j] += u * v
+        return CycNum(self.ring, out, den)
+
     def __pow__(self, e: int):
-        """x^e for e >= 0 by repeated squaring."""
+        """x^e for e >= 0 by repeated squaring, from the lowest set bit of e."""
         if e < 0:
             raise OutOfRange(f"cyclotomic powers need e >= 0, got {e}")
-        x, out = self, self.ring.one()
-        while e:
+        if not e:
+            return self.ring.one()
+        x = self
+        while not e & 1:
+            x, e = x * x, e >> 1
+        out = x
+        while e := e >> 1:
+            x = x * x
             if e & 1:
                 out = out * x
-            x = x * x
-            e >>= 1
         return out
 
     def __str__(self):
@@ -371,11 +389,22 @@ def _h_power(ring, e: int):
 
 
 @lru_cache(maxsize=None)
+def _f_row(ring, m: int) -> dict:
+    """{entry: F_entry(m)} for 1, 1bar and every entry _f_factor was asked for."""
+    f1 = ring.q_int_inv(m)
+    return {1: f1, BAR1: ring.zeta_power(m) * f1}
+
+
 def _f_factor(ring, entry, m: int):
-    """F_entry(m) at q = zeta: zeta^((k-1)m)/[m]^k, or zeta^m/[m] for 1bar."""
-    if entry is BAR1:
-        return ring.zeta_power(m) * ring.q_int_inv(m)
-    return ring.zeta_power((entry - 1) * m) * ring.q_int_inv(m) ** entry
+    """F_entry(m) at q = zeta: zeta^((k-1)m)/[m]^k, or zeta^m/[m] for 1bar;
+    F_(k-1) F_1bar when F_(k-1) is in the row, else by a power, so an entry
+    asked alone keeps no F_j that was not asked for."""
+    row = _f_row(ring, m)
+    if entry not in row:
+        prev = row.get(entry - 1)
+        row[entry] = (prev * row[BAR1] if prev is not None
+                      else ring.zeta_power((entry - 1) * m) * row[1] ** entry)
+    return row[entry]
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +417,7 @@ def _zn_cum(ring, suffix: Index) -> tuple:
     acc = ring.zero()
     out = [acc]
     for m in range(1, ring.n):
-        acc = acc + _f_factor(ring, head, m) * sub[m - 1]
+        acc = acc._add_mul(_f_factor(ring, head, m), sub[m - 1])
         out.append(acc)
     return tuple(out)
 
@@ -405,7 +434,7 @@ def _h_grouped(ring, x: EPoly, value):
     parts = [(e, ring.lincomb(pairs)) for e, pairs in groups.items()]
     out = ring.zero()
     for e, part in parts:
-        out = out + (part if e == 0 else part * _h_power(ring, e))
+        out = out._add_mul(part, _h_power(ring, e))
     return out
 
 

@@ -53,7 +53,7 @@ from .algebra import (
     word_to_e,
 )
 from .coeff import Laurent, _exact
-from .errors import BadEntry, NotInH0, NotInMzvH1, OutOfRange
+from .errors import BadEntry, NotInH0, NotInMzvH1, OutOfRange, index_sized
 from .products import shuffle_q
 from .series import TruncSeries, _cauchy_into, series_const
 
@@ -83,6 +83,7 @@ def _leibniz(w: LinComb, cls: type, den: int, imgs: dict) -> LinComb:
 def _check_n(n: int) -> None:
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
+    index_sized(n, "n")
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check index_sized."""
+import sys
 
 
 class QHarmonicError(Exception):
@@ -60,3 +61,9 @@ class PreconditionViolated(QHarmonicError):
 
 class UsageError(QHarmonicError):
     """A command line flag the command would ignore, or one that selects nothing."""
+
+
+def index_sized(n: int, name: str) -> None:
+    """OutOfRange for a size n past sys.maxsize, where Python raises OverflowError."""
+    if n > sys.maxsize:
+        raise OutOfRange(f"{name} must be at most {sys.maxsize}, got {n}")

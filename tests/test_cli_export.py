@@ -73,6 +73,21 @@ class TestCalculators:
         assert code == 2
         assert out == "" and err == "error: n must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("delta", "99999999999999999999", "b"), "n"),
+            (("dual", "1000000000000000000000"), "an index entry"),
+            (("zn", "2", "--n", "100000000000000000000"), "n"),
+        ],
+    )
+    def test_size_past_an_index_sized_int(self, capsys, argv, name):
+        # a size Python cannot index with (OverflowError) is OutOfRange, exit 2
+        code, out, err = run_cli(capsys, *argv)
+        value = next(a for a in argv if len(a) > 19)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} must be at most {sys.maxsize}, got {value}\n"
+
     def test_delta(self, capsys):
         code, out, _ = run_cli(capsys, "delta", "1", "b")
         assert code == 0

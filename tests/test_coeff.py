@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from laurent_oracle import constant, neg, power, sub, substitute
 from poly_oracle import BothZero, GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
+from qharmonic import coeff
 from qharmonic.algebra import EPoly, NcPoly
 from qharmonic.coeff import Laurent, ModPoly, UniPoly
 from qharmonic.cyclo import _h_power, cyc_field, prime_ring
@@ -98,6 +99,20 @@ class TestLaurent:
     @given(laurents)
     def test_string_roundtrip(self, a):
         assert Laurent.parse(str(a)) == a
+
+    @given(laurents, st.sampled_from(["", " ", "\n  "]))
+    def test_parse_repeat_shares_one_value(self, a, pad):
+        # the memo is keyed on the stripped text
+        first = Laurent.parse(str(a))
+        again = Laurent.parse(pad + str(a) + pad)
+        assert again == first == a and again is first
+
+    def test_parse_cache_is_bounded(self):
+        bound = coeff._parse_stripped.cache_info().maxsize
+        assert bound is not None
+        for j in range(bound + 10):
+            assert Laurent.parse(f"{j + 1}*h^{j}") == Laurent.h(j, j + 1)
+        assert coeff._parse_stripped.cache_info().currsize == bound
 
 
 def assert_exact(x):

@@ -8,6 +8,10 @@ package has no division; the closed forms it keeps, [m]^(-1) and
 (1 - zeta)^(-e), are checked against these inverses. The per-term
 evaluation routes substitute h = 1 - zeta into each coefficient
 separately. Every fast path in qharmonic.cyclo is compared with them.
+
+The z_n tables are also compared with the route they replaced inside the
+package: each F_k(m) built as zeta^((k-1)m) [m]^(-k) through a power, and
+each step of the DP as two reduced operations, acc + (F * sub).
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -21,8 +25,11 @@ from poly_oracle import GFPoly, QPoly, modpoly_ext_gcd, poly_ext_gcd
 from qharmonic.algebra import BAR1, EPoly, enumerate_indices_up_to
 from qharmonic.coeff import Laurent, ModPoly, poly_str
 from qharmonic.cyclo import (
+    CycNum,
     _f_factor,
+    _f_row,
     _h_power,
+    _zn_cum,
     cyc_field,
     cyclotomic_poly,
     prime_ring,
@@ -195,6 +202,30 @@ def oracle_zcyc(x: EPoly, p: int) -> OraclePrimeCycNum:
     return out
 
 
+# --- the power route and the two-operation step, in package arithmetic ------
+
+
+def power_f_factor(ring, entry, m: int):
+    """F_entry(m) as zeta^((k-1)m) times a power of [m]^(-1), or zeta^m/[m] for 1bar."""
+    if entry is BAR1:
+        return ring.zeta_power(m) * ring.q_int_inv(m)
+    return ring.zeta_power((entry - 1) * m) * ring.q_int_inv(m) ** entry
+
+
+@lru_cache(maxsize=None)
+def two_step_cum(ring, suffix: tuple) -> tuple:
+    """The z_n table with each step acc + (F * sub): a product, then a sum."""
+    if not suffix:
+        return tuple([ring.one()] * ring.n)
+    sub = two_step_cum(ring, suffix[1:])
+    acc = ring.zero()
+    out = [acc]
+    for m in range(1, ring.n):
+        acc = acc + power_f_factor(ring, suffix[0], m) * sub[m - 1]
+        out.append(acc)
+    return tuple(out)
+
+
 def same(v, oracle: OracleCycNum) -> bool:
     return v.poly == oracle.poly and str(v) == str(oracle)
 
@@ -208,6 +239,11 @@ small_n = st.integers(2, 16)
 primes = st.sampled_from((2, 3, 5, 7, 11, 13))
 INDICES = sorted(enumerate_indices_up_to(3, "Ihat"), key=str)
 I_INDICES = [k for k in INDICES if BAR1 not in k]
+
+
+ENTRIES = (1, 2, 3, 4, 5, BAR1)
+suffixes = st.lists(st.sampled_from(ENTRIES), max_size=4).map(tuple)
+odd_primes = st.sampled_from((3, 5, 7, 11, 13))
 
 
 def laurents(min_exp: int):
@@ -252,6 +288,18 @@ class TestCycNumAgainstOracle:
         assert same(x * c.numerator, ox * c.numerator)
         assert (x == c) == (ox == c)
 
+    @given(small_n, vectors, st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_power_from_the_lowest_set_bit(self, n, a, e):
+        # bit_length(e) - 1 squarings and popcount(e) - 1 further products
+        x, calls = cyc_field(n).element(a), []
+        product = CycNum.__mul__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CycNum, "__mul__", lambda u, v: calls.append(1) or product(u, v))
+            got = x**e
+        assert same(got, OracleCycNum(n, QPoly(a)) ** e)
+        assert len(calls) == max(0, e.bit_length() + bin(e).count("1") - 2)
+
     def test_representation_is_canonical(self):
         fld = cyc_field(12)
         x = fld.element([Fraction(2, 6), Fraction(4, 6), 0, 0, 0])
@@ -290,6 +338,69 @@ class TestClosedFormInverses:
         assert g.degree() == 0
         # F_1(m) = [m]^(-1)
         assert _f_factor(prime_ring(p), 1, m).poly == s % _phi_mod_p(p)
+
+
+# --- the F recurrence and the fused step ---------------------------------------
+
+
+def assert_same_table(got: tuple, want: tuple):
+    assert len(got) == len(want)
+    for m, (g, w) in enumerate(zip(got, want)):
+        assert (g.num, g.den) == (w.num, w.den), m
+
+
+class TestFusedTables:
+    """_zn_cum (F_k = F_(k-1) F_1bar, one _add_mul per step) against the
+    power route with two operations per step, entry by entry and in the
+    reduced form, on both rings."""
+
+    @given(st.integers(2, 16), suffixes)
+    @settings(max_examples=120, deadline=None)
+    def test_field_tables(self, n, k):
+        fld = cyc_field(n)
+        assert_same_table(_zn_cum(fld, k), two_step_cum(fld, k))
+
+    @given(odd_primes, suffixes)
+    @settings(max_examples=120, deadline=None)
+    def test_prime_ring_tables(self, p, k):
+        ring = prime_ring(p)
+        assert_same_table(_zn_cum(ring, k), two_step_cum(ring, k))
+
+    @given(st.one_of(st.integers(2, 16).map(cyc_field), odd_primes.map(prime_ring)),
+           st.permutations(ENTRIES), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_f_factor_in_any_order(self, ring, entries, data):
+        # the row of F_k(m) grows on demand, whatever entry is asked for first
+        m = data.draw(st.integers(1, ring.n - 1))
+        _f_row.cache_clear()
+        for entry in entries:
+            got, want = _f_factor(ring, entry, m), power_f_factor(ring, entry, m)
+            assert (got.num, got.den) == (want.num, want.den), entry
+
+    @pytest.mark.parametrize("ring", [cyc_field(16), prime_ring(13)], ids=repr)
+    def test_a_large_entry_alone_keeps_only_itself(self, ring):
+        _f_row.cache_clear()
+        got, want = _f_factor(ring, 300, 3), power_f_factor(ring, 300, 3)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert set(_f_row(ring, 3)) == {1, BAR1, 300}
+
+    @given(small_n, vectors, vectors, vectors)
+    @settings(max_examples=100, deadline=None)
+    def test_add_mul_in_the_field(self, n, a, b, c):
+        fld = cyc_field(n)
+        got = fld.element(c)._add_mul(fld.element(a), fld.element(b))
+        want = OracleCycNum(n, QPoly(c)) + OracleCycNum(n, QPoly(a)) * OracleCycNum(n, QPoly(b))
+        assert same(got, want) and got.den > 0
+
+    @given(primes, int_vectors, int_vectors, int_vectors)
+    @settings(max_examples=100, deadline=None)
+    def test_add_mul_mod_p(self, p, a, b, c):
+        ring = prime_ring(p)
+        got = ring.element(c)._add_mul(ring.element(a), ring.element(b))
+        want = OraclePrimeCycNum(p, GFPoly(p, c)) + (
+            OraclePrimeCycNum(p, GFPoly(p, a)) * OraclePrimeCycNum(p, GFPoly(p, b))
+        )
+        assert got.poly == want.poly and str(got) == str(want)
 
 
 # --- grouped evaluation -------------------------------------------------------
@@ -340,6 +451,20 @@ class TestGroupedEvaluation:
         # every coefficient is reduced mod p before any power of h is taken
         with pytest.raises(BadDenominator):
             zcyc_mod_p(EPoly(terms), 5)
+
+    @given(odd_primes, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bad_denominator_first_in_any_order(self, p, data):
+        k_neg, k_bad = data.draw(st.lists(st.sampled_from(INDICES), min_size=2, max_size=2, unique=True))
+        num = data.draw(st.integers(1, 4 * p).filter(lambda a: a % p))
+        terms = {
+            k_neg: Laurent.h(data.draw(st.integers(-3, -1)), data.draw(rationals.filter(bool))),
+            k_bad: Laurent.h(data.draw(st.integers(-3, 3)), Fraction(num, p)),
+        }
+        if data.draw(st.booleans()):
+            terms = dict(reversed(terms.items()))
+        with pytest.raises(BadDenominator):
+            zcyc_mod_p(EPoly(terms), p)
 
 
 # --- Z[zeta_p]/(p) ------------------------------------------------------------
