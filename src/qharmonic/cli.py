@@ -1,7 +1,8 @@
 """The qsh command line: algebra calculators, verification suites, export.
 
 Exit codes: 0 success / everything verified, 1 a check found a
-counterexample, 2 usage or parse errors.
+counterexample, 2 usage or parse errors, 141 the reader of stdout closed
+it early (as for a process killed by SIGPIPE).
 
 Every suite parameter has exactly one `qsh verify` flag, from the table
 _SUITE_FLAGS; a flag whose parameter the suite does not take (its
@@ -10,6 +11,7 @@ _SUITE_FLAGS; a flag whose parameter the suite does not take (its
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -35,6 +37,7 @@ from .verify import SUITES, run_suite
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 #: Rows of the cProfile table printed by qsh --profile.
 PROFILE_ROWS = 15
@@ -57,6 +60,22 @@ def _size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"needs a nonnegative integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+#: Ceiling of --M: a partial sum at truncation M holds about K*M^2/2 bits;
+#: `qsh verify double-shuffle --M 250` takes about 3 s and 170 MB.
+MAX_M = 250
+
+
+def _truncation(text: str) -> int:
+    """An --M value: an integer at most MAX_M; the evaluator rejects M < 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}") from None
+    if value > MAX_M:
+        raise UsageError(f"--M must be at most {MAX_M}, got {value}")
     return value
 
 
@@ -103,7 +122,7 @@ _SUITE_FLAGS = {
     "n_range": ("--n", _parse_n_range, "n or n range as A:B (inclusive)"),
     "primes": ("--p", _parse_primes, "comma separated primes"),
     "q": ("--q", _parse_q, "rational q in (0,1), e.g. 1/2"),
-    "M": ("--M", _size, "partial sum truncation"),
+    "M": ("--M", _truncation, f"partial sum truncation, at most {MAX_M}"),
 }
 
 
@@ -155,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["zetaq"])
     p.add_argument("index")
     p.add_argument("--q", type=_parse_q, default="1/2")
-    p.add_argument("--M", type=int, default=50)
+    p.add_argument("--M", type=_truncation, default=50, help=f"at most {MAX_M}")
 
     p = sub.add_parser("zn", help="z_n(k; zeta_n) exactly in Q(zeta_n)")
     p.add_argument("index")
@@ -305,10 +324,15 @@ def _profiled(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _profiled(args) if args.profile else _dispatch(args)
+        code = _profiled(args) if args.profile else _dispatch(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except (QHarmonicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # stdout to devnull, as the Python docs advise, so exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

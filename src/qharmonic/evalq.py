@@ -18,8 +18,10 @@ Z_q of an e-polynomial sums these over one shared denominator L b^W G^K
 (L the lcm of the coefficient denominators at h = 1 - q), left unreduced:
 bound checks cross-multiply or compare fixed-point enclosures (`_enclose`),
 and a value is reduced only when it is read or printed. The tail bound is
-one closed-form Fraction per (depth, q, M). A float is refused as input.
-zeta_q_partial(k, q, M) is Z_q(e_k), kept per (k, q, M).
+one closed-form Fraction per (depth, q, M), times the summed |c| of that
+depth. A float is refused as input. Zq_eval memoises each value per (terms
+of x, q, M) in _zeta_cache, bounded by ZETA_CACHE_MAXSIZE (least recently
+used evicted); zeta_q_partial(k, q, M) is Z_q(e_k).
 """
 from __future__ import annotations
 
@@ -215,26 +217,20 @@ def _combined_partial_sum(terms, a: int, b: int, M: int) -> tuple[int, int]:
     return num, den_l * b**top_w * _gamma_prefix(top_k, a, b, M)[M]
 
 
-_zeta_cache: dict[tuple[Index, Fraction, int], CertifiedValue] = {}
+#: Most values _zeta_cache keeps, the least recently used dropped first:
+#: `qsh verify all` makes 194, and each holds about K*M^2/2 bits.
+ZETA_CACHE_MAXSIZE = 256
 
-
-def _check_index(k: Index, M: int):
-    if M < 1:
-        raise OutOfRange(f"M must be >= 1, got {M}")
-    if not in_Ihat0(k):
-        raise NotInH0(f"index {k} starts with an unbarred 1")
+_zeta_cache: dict[tuple[frozenset, Fraction, int], CertifiedValue] = {}
 
 
 def zeta_q_partial(k: Index, q: QValue, M: int) -> CertifiedValue:
     """Exact partial sum of zeta_q(k) over m_1 <= M with a certified tail:
-    Z_q(e_k), kept in _zeta_cache per (k, q, M).
+    Z_q(e_k), cached by Zq_eval.
 
     k must lie in I0-hat (first entry != 1); the empty index gives 1.
     """
-    key = (check_index(k), q.q, M)
-    if key not in _zeta_cache:
-        _zeta_cache[key] = Zq_eval(EPoly({key[0]: 1}), q, M)
-    return _zeta_cache[key]
+    return Zq_eval(EPoly({check_index(k): 1}), q, M)
 
 
 def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:
@@ -243,14 +239,29 @@ def Zq_eval(x: EPoly, q: QValue, M: int) -> CertifiedValue:
     The partial sums are combined over one shared denominator (see
     _combined_partial_sum); tail bounds combine with absolute-value weights
     |c(1 - q)|, one per index, c its coefficient with every power of h summed.
+    Memoised per (terms, q, M) in a bounded cache, so the value is shared,
+    which is safe as CertifiedValues are immutable by convention.
     """
-    h = 1 - q.q
-    coeffs: dict = {}
-    for (k, j), c in x.terms.items():
-        coeffs[k] = coeffs.get(k, 0) + c * h**j
-    terms = list(coeffs.items())
-    for k, _ in terms:
-        _check_index(k, M)
-    bound = sum((abs(c) * tail_bound(index_dep(k), q.q, M) for k, c in terms), Fraction(0))
-    num, den = _combined_partial_sum(terms, q.q.numerator, q.q.denominator, M)
-    return CertifiedValue._unreduced(num, den, bound, M)
+    key = (frozenset(x.terms.items()), q.q, M)
+    cv = _zeta_cache.pop(key, None)
+    if cv is None:
+        a, b = q.q.numerator, q.q.denominator
+        h = Fraction(b - a, b)
+        coeffs: dict = {}
+        for (k, j), c in x.terms.items():
+            coeffs[k] = coeffs[k] + h**j * c if k in coeffs else h**j * c
+        terms = list(coeffs.items())
+        if terms and M < 1:
+            raise OutOfRange(f"M must be >= 1, got {M}")
+        weights: dict[int, Fraction] = {}  # depth -> sum of |c| over its indices
+        for k, c in terms:
+            if not in_Ihat0(k):
+                raise NotInH0(f"index {k} starts with an unbarred 1")
+            r = index_dep(k)
+            weights[r] = weights[r] + abs(c) if r in weights else abs(c)
+        bound = sum((tail_bound(r, q.q, M) * w for r, w in weights.items()), Fraction(0))
+        cv = CertifiedValue._unreduced(*_combined_partial_sum(terms, a, b, M), bound, M)
+        if len(_zeta_cache) >= ZETA_CACHE_MAXSIZE:
+            del _zeta_cache[next(iter(_zeta_cache))]
+    _zeta_cache[key] = cv
+    return cv

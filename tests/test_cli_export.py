@@ -16,7 +16,7 @@ import pytest
 import qharmonic
 from qharmonic import export, verify
 from qharmonic.algebra import EPoly
-from qharmonic.cli import _SUITE_FLAGS, build_parser, main
+from qharmonic.cli import MAX_M, _SUITE_FLAGS, build_parser, main
 from qharmonic.evalq import QValue, Zq_eval, zeta_q_partial
 from qharmonic.export import (
     ohno_records,
@@ -116,6 +116,20 @@ class TestCalculators:
         assert run_cli(capsys, "eval", "zetaq", "2", "--q", "1/2", "--M", "-1") == (
             2, "", "error: M must be >= 1, got -1\n"
         )
+
+    @pytest.mark.parametrize("command", [("eval", "zetaq", "2"), ("verify", "derivation")])
+    @pytest.mark.parametrize("value", [MAX_M + 1, 100000000])
+    def test_truncation_past_the_ceiling(self, capsys, command, value):
+        # rejected while parsing, before any evaluation starts
+        assert run_cli(capsys, *command, "--M", str(value)) == (
+            2, "", f"error: --M must be at most {MAX_M}, got {value}\n"
+        )
+
+    @pytest.mark.parametrize("command", [("eval", "zetaq", "2"), ("verify", "derivation")])
+    def test_truncation_up_to_the_ceiling_is_accepted(self, command):
+        assert 120 <= MAX_M
+        for value in (120, MAX_M):
+            assert build_parser().parse_args([*command, "--M", str(value)]).M == value
 
     def test_eval_past_the_digit_limit(self, capsys):
         # the value has over 4300 digits, CPython's default limit on int -> str
@@ -453,15 +467,17 @@ class TestProfile:
         assert out == "" and "error" in err and "tottime" in err
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """qsh in a child interpreter that imports the same package as this process."""
+def run_module(*argv, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """qsh in a child interpreter that imports the same package as this
+    process, with env added to its environment."""
     src = str(Path(qharmonic.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qharmonic.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
 
 
@@ -503,6 +519,19 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141_without_a_traceback(self, unbuffered):
+        # as in `qsh verify ones-bar | head -1` once head has read its line;
+        # buffered, the error comes at the last flush, else at the first print
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module("verify", "ones-bar", "--n", "2:3", stdout=write_end,
+                              PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     @pytest.mark.parametrize("target", [".", "missing/rels.json"])
     def test_out_path_that_cannot_be_opened_exits_2(self, tmp_path, target):

@@ -237,6 +237,18 @@ def clear_dp_caches():
     evalq._zeta_cache.clear()
 
 
+def test_derivation_catches_a_zero_tail_bound_after_a_warm_run(monkeypatch):
+    # the warm run fills _zeta_cache; a patch on cleared caches must still be seen
+    assert all(r.ok for r in verify.suite_derivation(M=40, max_n=1, max_weight=2))
+    monkeypatch.setattr(evalq, "tail_bound", lambda depth, q, M: Fraction(0))
+    clear_dp_caches()
+    try:
+        reports = verify.suite_derivation(M=40, max_n=1, max_weight=2)
+    finally:
+        clear_dp_caches()
+    assert_all_fail_with_witness(reports, "Z_q(partial_1")
+
+
 def test_derivation_catches_a_wrong_dp_factor(bump_one_dp_factor):
     reports = verify.suite_derivation(M=40, max_n=1, max_weight=2)
     assert_all_fail_with_witness(reports, "Z_q(partial_1")

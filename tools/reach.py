@@ -16,10 +16,13 @@ Every function, method and nested function defined in src/qharmonic
 that was never entered is printed as `module.py:line qualified.name`,
 followed by a count. A name on this list is reached by tests at most.
 Then, after the same traffic, every functools.lru_cache defined at
-module level in src/qharmonic is printed with its hits, misses and
-size, and every memo dict (a module-level dict named `_*_cache`) with
-its size. The counts are for one pass over the traffic; the benchmark's
-warm passes repeat theirs, so a cache with few hits here can still pay.
+module level in src/qharmonic is printed with its hits, misses, size and
+bound (its maxsize), and every memo dict (a module-level dict named
+`_*_cache`) with its size and bound: the module constant `*_CACHE_MAXSIZE`
+named after it (`ZETA_CACHE_MAXSIZE` for `_zeta_cache`). An unbounded
+cache shows the bound `none`. The counts are for one pass over the
+traffic; the benchmark's warm passes repeat theirs, so a cache with few
+hits here can still pay.
 `qsh --profile` installs its own profiler, so the hook is put back after
 each command.
 """
@@ -85,17 +88,19 @@ def readme_argvs():
 
 
 def caches():
-    """Rows (name, hits, misses, size) for each module-level lru_cache and
-    memo dict of src/qharmonic; a memo dict has no hit count."""
+    """Rows (name, hits, misses, size, bound) for each module-level lru_cache
+    and memo dict of src/qharmonic; a memo dict has no hit count."""
     rows = []
     for path in sorted(SRC.glob("*.py")):
         mod = importlib.import_module(f"qharmonic.{path.stem}")
         for name, obj in vars(mod).items():
             if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
                 info = obj.cache_info()
-                rows.append((f"{path.stem}.{name}", info.hits, info.misses, info.currsize))
+                bound = "none" if info.maxsize is None else info.maxsize
+                rows.append((f"{path.stem}.{name}", info.hits, info.misses, info.currsize, bound))
             elif isinstance(obj, dict) and name.startswith("_") and name.endswith("_cache"):
-                rows.append((f"{path.stem}.{name}", "-", "-", len(obj)))
+                bound = getattr(mod, f"{name[1:].upper()}_MAXSIZE", "none")
+                rows.append((f"{path.stem}.{name}", "-", "-", len(obj), bound))
     return rows
 
 
@@ -139,9 +144,9 @@ def main():
         print(f"{module}:{line} {name}")
     print(f"{len(missed)} of {len(defs)} functions in src/qharmonic never entered")
     print()
-    print(f"{'cache':<36} {'hits':>8} {'misses':>8} {'size':>8}")
+    print(f"{'cache':<36} {'hits':>8} {'misses':>8} {'size':>8} {'bound':>8}")
     for row in caches():
-        print(f"{row[0]:<36} {row[1]:>8} {row[2]:>8} {row[3]:>8}")
+        print(f"{row[0]:<36} {row[1]:>8} {row[2]:>8} {row[3]:>8} {row[4]:>8}")
     if checks.failed:
         print(f"{checks.failed} benchmark output checks failed: {checks.misses}", file=sys.stderr)
         return 1
